@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     ImaginaryCharacteristicError,
 )
-from .jets import ParametricSurface
+from .jets import ParametricSurface, cell_centers
 
 __all__ = [
     "FamilyJet",
@@ -123,57 +123,6 @@ class SphereFamily:
     def domain_scale(self) -> float:
         return float(max(np.max(self.domain[:, 1] - self.domain[:, 0]), 1e-12))
 
-    @classmethod
-    def from_callables(
-        cls,
-        center: Callable,
-        radius: Callable,
-        dim_n: int,
-        domain,
-        r: int = 1,
-        name: str = "",
-        fd_step: float | None = None,
-    ) -> "SphereFamily":
-        """Family from plain callables; derivatives by central differences."""
-        dom = np.atleast_2d(np.asarray(domain, dtype=float))
-        h = fd_step if fd_step is not None else 1e-5 * max(
-            1.0, float(np.max(dom[:, 1] - dom[:, 0]))
-        )
-
-        def jet2(t: np.ndarray) -> FamilyJet:
-            c0 = np.asarray(center(*t), dtype=float)
-            r0 = float(radius(*t))
-            dc = np.empty((r, dim_n))
-            d2c = np.empty((r, r, dim_n))
-            drho = np.empty(r)
-            d2rho = np.empty((r, r))
-            for p in range(r):
-                ep = np.zeros(r)
-                ep[p] = h
-                cp = np.asarray(center(*(t + ep)), dtype=float)
-                cm = np.asarray(center(*(t - ep)), dtype=float)
-                rp, rm = float(radius(*(t + ep))), float(radius(*(t - ep)))
-                dc[p] = (cp - cm) / (2 * h)
-                drho[p] = (rp - rm) / (2 * h)
-                d2c[p, p] = (cp - 2 * c0 + cm) / h**2
-                d2rho[p, p] = (rp - 2 * r0 + rm) / h**2
-                for q in range(p + 1, r):
-                    eq = np.zeros(r)
-                    eq[q] = h
-                    cpp = np.asarray(center(*(t + ep + eq)), dtype=float)
-                    cpm = np.asarray(center(*(t + ep - eq)), dtype=float)
-                    cmp_ = np.asarray(center(*(t - ep + eq)), dtype=float)
-                    cmm = np.asarray(center(*(t - ep - eq)), dtype=float)
-                    d2c[p, q] = d2c[q, p] = (cpp - cpm - cmp_ + cmm) / (4 * h**2)
-                    rpp = float(radius(*(t + ep + eq)))
-                    rpm = float(radius(*(t + ep - eq)))
-                    rmp = float(radius(*(t - ep + eq)))
-                    rmm = float(radius(*(t - ep - eq)))
-                    d2rho[p, q] = d2rho[q, p] = (rpp - rpm - rmp + rmm) / (4 * h**2)
-            return FamilyJet(c=c0, dc=dc, d2c=d2c, rho=r0, drho=drho, d2rho=d2rho)
-
-        return cls(dim_n=dim_n, r=r, jet2=jet2, domain=dom, name=name)
-
 
 # ---------------------------------------------------------------------------
 # lifting
@@ -256,16 +205,6 @@ class FamilyCausalReport:
         }
 
 
-def _sample_box(domain: np.ndarray, counts) -> np.ndarray:
-    axes = []
-    counts = np.broadcast_to(np.asarray(counts, dtype=int), (domain.shape[0],))
-    for (lo, hi), m in zip(domain, counts):
-        step = (hi - lo) / m
-        axes.append(lo + step * (np.arange(m) + 0.5))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def _classify_velocity(a, da, d2a, tolerances: Tolerances):
     """Per-sample causal kind of the lifted velocity, plus envelope regularity."""
     r = da.shape[0]
@@ -307,7 +246,7 @@ def causal_classify_family(
     spacelike ones, ``mixed`` when both occur, ``degenerate`` when lightlike
     or stationary samples block the classification.
     """
-    pts = params if params is not None else _sample_box(family.domain, counts)
+    pts = params if params is not None else cell_centers(family.domain, counts)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     samples = []
     counts_out = {"spacelike": 0, "timelike": 0, "lightlike": 0, "stationary": 0}
@@ -405,63 +344,48 @@ def _characteristic_frame(
 
     The characteristic sphere at t is the set of points of the member sphere
     whose offset from the center is orthogonal to every dc_p with prescribed
-    projections -rho drho_p.  ``ref_order`` pins which coordinate axes seed
-    the complement basis; pass the order from a reference parameter to keep
-    the basis smooth along a path.
+    projections -rho drho_p.  Each complement row is seeded by the coordinate
+    axis with the largest component off the span built so far.  ``ref_order``
+    pins which axis seeds each row; pass the order from a reference parameter
+    to keep the basis smooth along a path.
     """
     n, r = family.dim_n, family.r
-    jet, center, radius, tangent = _characteristic_core(family, t)
+    _, center, radius, tangent = _characteristic_core(family, t)
 
-    if ref_order is None:
-        chosen = []
-        basis = list(tangent)
-        remaining = set(range(n))
-        while len(basis) < n:
-            best_axis, best_norm, best_vec = -1, -1.0, None
-            for axis in sorted(remaining):
-                e = np.zeros(n)
-                e[axis] = 1.0
-                for b in basis:
-                    e -= (e @ b) * b
-                nrm = np.linalg.norm(e)
-                if nrm > max(best_norm, _FRAME_FLOOR):
-                    best_axis, best_norm, best_vec = axis, nrm, e / nrm
-            if best_vec is None:
-                raise DegenerateFrameError(
-                    "no coordinate axis has a usable component off the tangent span"
-                )
-            chosen.append(best_axis)
-            remaining.discard(best_axis)
-            basis.append(best_vec)
-        ref_order = tuple(chosen)
-        w = np.array(basis[r:])
-    else:
-        basis = list(tangent)
-        for axis in ref_order:
+    chosen = []
+    basis = list(tangent)
+    remaining = set(range(n))
+    for row in range(n - r):
+        candidates = sorted(remaining) if ref_order is None else [ref_order[row]]
+        best_axis, best_norm, best_vec = -1, -1.0, None
+        for axis in candidates:
             e = np.zeros(n)
             e[axis] = 1.0
             for b in basis:
                 e -= (e @ b) * b
             nrm = np.linalg.norm(e)
-            if nrm <= _FRAME_FLOOR:
-                raise DegenerateFrameError(
-                    "reference axis order degenerated; rebuild the frame at this parameter"
-                )
-            basis.append(e / nrm)
-        w = np.array(basis[r:])
+            if nrm > max(best_norm, _FRAME_FLOOR):
+                best_axis, best_norm, best_vec = axis, nrm, e / nrm
+        if best_vec is None:
+            raise DegenerateFrameError(
+                "no coordinate axis has a usable component off the tangent span"
+                if ref_order is None
+                else "reference axis order degenerated; rebuild the frame at this parameter"
+            )
+        chosen.append(best_axis)
+        remaining.discard(best_axis)
+        basis.append(best_vec)
 
-    return _CharFrame(center=center, radius=radius, w=w, tangent=tangent, ref_order=ref_order)
+    w = np.array(basis[r:])
+    return _CharFrame(center=center, radius=radius, w=w, tangent=tangent, ref_order=tuple(chosen))
 
 
-def characteristic_sphere(
-    family: SphereFamily, t, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> CharacteristicSphere:
-    jet = family.jet_at(t)
-    frame = _characteristic_frame(family, t)
+def characteristic_sphere(family: SphereFamily, t) -> CharacteristicSphere:
+    jet, center, radius, _ = _characteristic_core(family, t)
     return CharacteristicSphere(
         t=tuple(np.atleast_1d(np.asarray(t, dtype=float))),
-        center=frame.center,
-        radius=frame.radius,
+        center=center,
+        radius=radius,
         m=family.dim_n - family.r - 1,
         member_center=jet.c,
         member_radius=jet.rho,
@@ -516,8 +440,7 @@ def _reference_direction(family: SphereFamily, scan: int = 512) -> np.ndarray:
     spine tangent; that rotation is smooth as long as the tangent never hits
     the vector's antipode, so pick the candidate with the largest clearance.
     """
-    lo, hi = family.domain[0]
-    ts = lo + (np.arange(scan) + 0.5) * (hi - lo) / scan
+    ts = cell_centers(family.domain, scan)[:, 0]
     tangents = np.empty((scan, family.dim_n))
     for i, tv in enumerate(ts):
         jet = family.jet_at(np.array([tv]))
@@ -550,15 +473,11 @@ def _rotated_complement(tau: np.ndarray, v_ref: np.ndarray, u_ref: np.ndarray) -
     return u_ref - np.outer(coef, v_ref + tau)
 
 
-def envelope_surface(
-    family: SphereFamily,
-    ref_t: float | None = None,
-    fd_step: float | None = None,
-    name: str = "",
-) -> ParametricSurface:
+def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
     """Envelope of a one-parameter family as a parametric chart (t, angles).
 
-    The chart is exact; derivatives come from finite differences, so use the
+    The chart is exact; it carries no analytic jet, so `evaluate_jet` takes
+    its derivatives by finite differences at the default steps.  Use the
     analytic catalog surfaces when derivative accuracy is critical.  The
     angular frame is globally smooth in t (a fixed basis rotated onto the
     spine tangent), so finite differences of any order stay meaningful.
@@ -604,10 +523,8 @@ def envelope_surface(
     return ParametricSurface(
         dim_n=n,
         chart=chart,
-        jet=None,
         domain=domain,
         name=name or (family.name + "-envelope" if family.name else "envelope"),
-        fd_step=fd_step if fd_step is not None else 1e-4,
     )
 
 

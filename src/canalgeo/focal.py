@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import Dropped, PolyVector, drop_sphere, form_matrix
+from .conformal import Dropped, PolyVector, drop_sphere, form_matrix, lift_point
 from .envelope import SphereFamily, _characteristic_frame, _lift_jet, envelope_surface
 from .errors import (
     DegenerateFrameError,
@@ -181,14 +181,6 @@ def _form_dot(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
     return float(x @ g @ y)
 
 
-def _lift_point_raw(p: np.ndarray) -> np.ndarray:
-    out = np.empty(p.size + 2)
-    out[0] = 1.0
-    out[1:-1] = p
-    out[-1] = 0.5 * float(p @ p)
-    return out
-
-
 def _generator_frame(
     family: SphereFamily,
     t: float,
@@ -211,8 +203,8 @@ def _generator_frame(
     unit = math.cos(angle) * ch.w[0] + math.sin(angle) * ch.w[1]
     x0 = ch.center + ch.radius * unit
     x4 = ch.center - ch.radius * unit
-    a0 = _lift_point_raw(x0)
-    raw4 = _lift_point_raw(x4)
+    a0 = lift_point(x0).coords
+    raw4 = lift_point(x4).coords
     denom = _form_dot(a0, raw4, g)
     if abs(denom) < 1e-300:
         raise DegenerateFrameError("characteristic circle degenerated to a point")
@@ -248,33 +240,27 @@ def _generator_frame(
     return frame, da3, d2a3
 
 
-def adapted_frame_coefficients(
-    family: SphereFamily,
-    t: float,
-    angle: float = 0.0,
-    step: float | None = None,
-    ref_order: tuple | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> FocalCoefficients:
+def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficients:
     """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at t.
 
-    A_0 derivatives are taken by central differences with the frame held
-    smooth (fixed axis order, sign alignment against the center frame); the
-    curve-side derivatives are analytic.  If the chosen circle angle makes
-    the transverse rate degenerate the construction retries at rotated
-    angles before giving up.
+    A_0 derivatives are taken by central differences of step
+    ``1e-5 * max(1, domain scale)`` with the frame held smooth (the axis
+    order chosen at t, sign alignment against the center frame); the
+    curve-side derivatives are analytic.  The circle point x0 starts at
+    angle 0; if that makes the transverse rate degenerate the construction
+    retries at angles rotated by pi/8 before giving up.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("adapted frames are computed for r = 1 families in R^3")
     t = float(t)
     g = form_matrix(family.dim_n)
-    h = step if step is not None else 1e-5 * max(1.0, family.domain_scale())
+    h = 1e-5 * max(1.0, family.domain_scale())
 
     last_err: Exception | None = None
     for k in range(8):
-        ang = angle + k * math.pi / 8.0
+        ang = k * math.pi / 8.0
         try:
-            fr0, da3, d2a3 = _generator_frame(family, t, ref_order, ang, g)
+            fr0, da3, d2a3 = _generator_frame(family, t, None, ang, g)
             order = fr0.ref_order
             frp, _, _ = _generator_frame(family, t + h, order, ang, g, align_to=fr0.a1)
             frm, _, _ = _generator_frame(family, t - h, order, ang, g, align_to=fr0.a1)
@@ -484,6 +470,14 @@ def classify_tube_plane(
 # ---------------------------------------------------------------------------
 # brute-force rank-drop oracle
 
+# angles scanned per circle, Jacobian difference step, singular-value ratio
+# that counts as a rank drop, and the angle (radians) within which located
+# drops are merged
+_SCAN = 720
+_JAC_STEP = 1e-5
+_DROP_REL = 1e-6
+_MERGE_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class RankDropReport:
@@ -508,28 +502,21 @@ class RankDropReport:
         }
 
 
-def rank_drop_singular_points(
-    family: SphereFamily,
-    t: float,
-    n_scan: int = 720,
-    fd_step: float = 1e-5,
-    sigma_rel: float = 1e-6,
-    merge_tol: float = 1e-2,
-) -> RankDropReport:
+def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
     """Definitional singularity check: scan one characteristic circle for
     Jacobian rank drops of the envelope chart.
 
     A circle position is singular when the smaller singular value of the
-    (t, angle) Jacobian falls below ``sigma_rel`` times the larger one;
-    candidate dips are located on a dense grid and sharpened by bounded
-    scalar minimization, then merged within ``merge_tol`` radians.  This is
-    deliberately independent of the adapted-frame pipeline so the two can
-    check each other.
+    (t, angle) Jacobian falls below ``_DROP_REL`` times the larger one;
+    candidate dips are located on a grid of ``_SCAN`` angles and sharpened
+    by bounded scalar minimization, then merged within ``_MERGE_TOL``
+    radians.  This is deliberately independent of the adapted-frame
+    pipeline so the two can check each other.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("the rank-drop oracle runs on r = 1 families in R^3")
     t = float(t)
-    surf = envelope_surface(family, ref_t=t)
+    surf = envelope_surface(family)
     two_pi = 2.0 * math.pi
 
     def ratio_batch(thetas: np.ndarray) -> np.ndarray:
@@ -538,20 +525,20 @@ def rank_drop_singular_points(
         cols = []
         for axis in range(2):
             e = np.zeros(2)
-            e[axis] = fd_step
-            cols.append((surf.chart(u + e) - surf.chart(u - e)) / (2 * fd_step))
+            e[axis] = _JAC_STEP
+            cols.append((surf.chart(u + e) - surf.chart(u - e)) / (2 * _JAC_STEP))
         jac = np.stack(cols, axis=-1)
         sv = np.linalg.svd(jac, compute_uv=False)
         return sv[:, 1] / sv[:, 0]
 
-    thetas = np.linspace(0.0, two_pi, n_scan, endpoint=False)
+    thetas = np.linspace(0.0, two_pi, _SCAN, endpoint=False)
     ratio = ratio_batch(thetas)
     coarse = 5e-2
-    spacing = two_pi / n_scan
+    spacing = two_pi / _SCAN
 
     candidates = []
-    for i in range(n_scan):
-        if ratio[i] < coarse and ratio[i] <= ratio[i - 1] and ratio[i] <= ratio[(i + 1) % n_scan]:
+    for i in range(_SCAN):
+        if ratio[i] < coarse and ratio[i] <= ratio[i - 1] and ratio[i] <= ratio[(i + 1) % _SCAN]:
             candidates.append(thetas[i])
 
     accepted = []
@@ -562,18 +549,18 @@ def rank_drop_singular_points(
             method="bounded",
             options={"xatol": 1e-12},
         )
-        if res.fun < sigma_rel:
+        if res.fun < _DROP_REL:
             accepted.append(float(res.x) % two_pi)
 
     accepted.sort()
     merged: list[float] = []
     for ang in accepted:
-        if merged and min(abs(ang - merged[-1]), two_pi - abs(ang - merged[-1])) < merge_tol:
+        if merged and min(abs(ang - merged[-1]), two_pi - abs(ang - merged[-1])) < _MERGE_TOL:
             continue
         merged.append(ang)
     if len(merged) > 1:
         gap = min(abs(merged[0] - merged[-1]), two_pi - abs(merged[0] - merged[-1]))
-        if gap < merge_tol:
+        if gap < _MERGE_TOL:
             merged.pop()
 
     if merged:

@@ -15,7 +15,7 @@ calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Callable
 
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import PolyVector, form_matrix
+from .conformal import PolyVector, form_matrix, lift_point
 from .errors import DomainError, FrameConsistencyError, ImmersionError
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "evaluate_jet",
     "fundamental_forms",
     "gauge_frame",
-    "frame_gram_target",
+    "cell_centers",
 ]
 
 # Default steps for the finite-difference provider, relative to domain scale.
@@ -57,9 +57,6 @@ class ParametricSurface:
         Optional analytic jet callback ``u -> (p, d1, d2, d3)`` with
         shapes (n,), (n-1, n), (n-1, n-1, n), (n-1, n-1, n-1, n).
         When absent, derivatives come from central differences of `chart`.
-    d2:
-        Optional analytic second-derivative callback ``u -> (n-1, n-1, n)``;
-        used to sharpen finite-difference third derivatives.
     domain:
         (n-1, 2) parameter box, used for the default step scale and by
         samplers.
@@ -68,11 +65,8 @@ class ParametricSurface:
     dim_n: int
     chart: Callable[[np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray], tuple] | None = None
-    d2: Callable[[np.ndarray], np.ndarray] | None = None
     domain: np.ndarray | None = None
     name: str = ""
-    fd_step: float | None = None
-    fd_step3: float | None = None
 
     def __post_init__(self):
         if self.dim_n < 3:
@@ -95,28 +89,27 @@ class ParametricSurface:
 
     def without_analytic_jet(self) -> "ParametricSurface":
         """Copy of this surface forced onto the finite-difference path."""
-        return ParametricSurface(
-            dim_n=self.dim_n,
-            chart=self.chart,
-            jet=None,
-            d2=self.d2,
-            domain=self.domain,
-            name=self.name + "(fd)" if self.name else "(fd)",
-            fd_step=self.fd_step,
-            fd_step3=self.fd_step3,
-        )
+        return replace(self, jet=None, name=self.name + "(fd)" if self.name else "(fd)")
 
     def sample_grid(self, counts) -> np.ndarray:
-        """Regular grid over the domain box, shape (prod(counts), n-1)."""
+        """Cell-centred grid over the domain box, shape (prod(counts), n-1)."""
         if self.domain is None:
             raise DomainError("surface has no domain box to sample")
-        counts = np.broadcast_to(np.asarray(counts, dtype=int), (self.n_params,))
-        axes = [
-            np.linspace(lo, hi, int(k), endpoint=False) + 0.5 * (hi - lo) / int(k)
-            for (lo, hi), k in zip(self.domain, counts)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return cell_centers(self.domain, counts)
+
+
+def cell_centers(domain: np.ndarray, counts) -> np.ndarray:
+    """Centres of a regular grid of cells over a box, shape (prod(counts), k).
+
+    ``domain`` is a (k, 2) box; ``counts`` gives the cells per axis (one
+    integer broadcasts to every axis).  Axis i takes the values
+    ``lo + (hi - lo) / m * (j + 0.5)`` for j < m, and the first axis varies
+    slowest.
+    """
+    counts = np.broadcast_to(np.asarray(counts, dtype=int), (domain.shape[0],))
+    axes = [lo + (hi - lo) / m * (np.arange(m) + 0.5) for (lo, hi), m in zip(domain, counts)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -143,8 +136,8 @@ class ConformalFrame:
 
     ``a0`` is the lifted point, ``tangent`` the n-1 hyperplane lifts dual to
     the tangent frame, ``an`` the tangent hyperplane lift, and ``a_inf`` the
-    improper point.  The scalar products of the frame reproduce
-    `frame_gram_target` up to the verified residual.
+    improper point.  In the ordering (a0, a_i, a_n, a_inf) the scalar
+    products of the frame reproduce `form_matrix` up to the verified residual.
     """
 
     a0: PolyVector
@@ -155,15 +148,6 @@ class ConformalFrame:
 
     def vectors(self) -> list[PolyVector]:
         return [self.a0, *self.tangent, self.an, self.a_inf]
-
-
-def frame_gram_target(dim_n: int) -> np.ndarray:
-    """Expected Gram matrix of a conformal frame (ordering a0, a_i, a_n, a_inf)."""
-    size = dim_n + 2
-    g = np.eye(size)
-    g[0, 0] = g[-1, -1] = 0.0
-    g[0, -1] = g[-1, 0] = -1.0
-    return g
 
 
 def _as_point(chart, u) -> np.ndarray:
@@ -211,26 +195,19 @@ def _symmetrize3(d3: np.ndarray) -> np.ndarray:
 def _fd_jet(surface: ParametricSurface, u: np.ndarray):
     n = surface.dim_n
     k = surface.n_params
+    chart = surface.chart
     scale = surface.domain_scale()
-    h = (surface.fd_step or FD_STEP) * scale
-    analytic_d2 = surface.d2
+    h = FD_STEP * scale
+    h3 = FD_STEP3 * scale
 
-    p = _as_point(surface.chart, u)
-    d1 = _fd_d1(surface.chart, u, h, n, k)
-
-    if analytic_d2 is not None:
-        d2_at = lambda v: np.asarray(analytic_d2(v), dtype=float).reshape(k, k, n)
-        h3 = (surface.fd_step3 or surface.fd_step or FD_STEP) * scale
-    else:
-        d2_at = lambda v: _fd_d2(surface.chart, v, h, n, k)
-        h3 = (surface.fd_step3 or FD_STEP3) * scale
-
-    d2 = d2_at(u)
+    p = _as_point(chart, u)
+    d1 = _fd_d1(chart, u, h, n, k)
+    d2 = _fd_d2(chart, u, h, n, k)
     d3 = np.empty((k, k, k, n))
     for c in range(k):
         ec = np.zeros(k)
         ec[c] = h3
-        d3[:, :, c] = (d2_at(u + ec) - d2_at(u - ec)) / (2 * h3)
+        d3[:, :, c] = (_fd_d2(chart, u + ec, h, n, k) - _fd_d2(chart, u - ec, h, n, k)) / (2 * h3)
     return p, d1, d2, _symmetrize3(d3)
 
 
@@ -270,8 +247,8 @@ def evaluate_jet(surface: ParametricSurface, u) -> SurfaceJet:
     """Position, derivatives through order 3, and the adapted frame at ``u``.
 
     Uses the analytic jet callback when the surface carries one, otherwise
-    second-order central differences (third derivatives by nested differencing
-    of the analytic-or-numeric second derivatives).
+    second-order central differences (third derivatives by differencing the
+    finite-difference second derivatives).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size != surface.n_params:
@@ -354,21 +331,22 @@ def gauge_frame(
     n = jet.dim_n
     p = jet.p
 
-    a0 = np.concatenate(([1.0], p, [0.5 * float(p @ p)]))
+    a0 = lift_point(p)
     mids = [np.concatenate(([0.0], e_i, [float(p @ e_i)])) for e_i in jet.e]
     an = np.concatenate(([0.0], jet.nu, [float(p @ jet.nu)]))
     ainf = np.zeros(n + 2)
     ainf[-1] = 1.0
 
-    basis = np.stack([a0, *mids, an, ainf])
-    gram = basis @ form_matrix(n) @ basis.T
-    residual = float(np.max(np.abs(gram - frame_gram_target(n))))
+    g = form_matrix(n)
+    basis = np.stack([a0.coords, *mids, an, ainf])
+    gram = basis @ g @ basis.T
+    residual = float(np.max(np.abs(gram - g)))
     if residual > tol.frame_residual * max(1.0, float(p @ p)):
         raise FrameConsistencyError(
             f"conformal frame violates its scalar-product relations (residual {residual:.3e})"
         )
     return ConformalFrame(
-        a0=PolyVector(a0, n),
+        a0=a0,
         tangent=tuple(PolyVector(m, n) for m in mids),
         an=PolyVector(an, n),
         a_inf=PolyVector(ainf, n),

@@ -28,6 +28,7 @@ from .conformal import PolyVector, classify_pencil, lift_sphere
 from .envelope import causal_classify_family, envelope_mesh
 from .errors import CanalGeoError
 from .focal import adapted_frame_coefficients, classify_tube_plane, singular_set
+from .jets import cell_centers
 from .meshio import obj_text, singular_csv_text, xyz_text
 
 __all__ = ["SceneSpec", "validate_scene", "load_scene", "run_scene", "DEFAULT_GRIDS"]
@@ -161,9 +162,8 @@ def validate_scene(data) -> list:
             continue
         _check_analyses(entry, path, _FAMILY_ANALYSES, diags)
         params = entry.get("params") or entry.get("data")
-        if name == "sampled":
-            data_block = params or {}
-            radii = data_block.get("radii", [])
+        if name == "sampled" and isinstance(params, dict):
+            radii = params.get("radii", [])
             if isinstance(radii, list) and any(
                 _is_number(r) and r <= 0 for r in radii
             ):
@@ -294,9 +294,7 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
         if family.r != 1 or family.dim_n != 3:
             raise CanalGeoError("singularities analysis needs an r = 1 family in R^3")
         m = spec.grids["singular_samples"]
-        lo, hi = family.domain[0]
-        step = (hi - lo) / m
-        ts = lo + step * (np.arange(m) + 0.5)
+        ts = cell_centers(family.domain, m)[:, 0]
         rows = []
         sigma_points = []
         counts = {"0": 0, "1": 0, "2": 0}
@@ -304,7 +302,7 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
         errors = 0
         for t in ts:
             try:
-                coeffs = adapted_frame_coefficients(family, float(t), tolerances=spec.tolerances)
+                coeffs = adapted_frame_coefficients(family, float(t))
                 rep = singular_set(coeffs, tolerances=spec.tolerances)
             except CanalGeoError as err:
                 rows.append({"t": float(t), "error": str(err)})

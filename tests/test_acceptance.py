@@ -6,7 +6,6 @@ enforces the stated tolerances and runtime caps.  Oracles are recomputed
 inside this file wherever the criterion demands an independent check.
 """
 
-import dataclasses
 import math
 import re
 import time
@@ -89,7 +88,7 @@ def test_criterion_01_apolarity():
 
     worst2_fd = worst3_fd = 0.0
     for surf, pts in batches:
-        fd_surf = dataclasses.replace(surf, jet=None, d2=None, fd_step=1e-4)
+        fd_surf = surf.without_analytic_jet()
         for u in pts:
             tens = build_tensors(evaluate_jet(fd_surf, u))
             worst2_fd = max(worst2_fd, abs(float(np.trace(tens.a))))

@@ -9,9 +9,11 @@ from canalgeo import (
     ImmersionError,
     ParametricSurface,
     build_tensors,
+    causal_classify_family,
     evaluate_jet,
     fundamental_forms,
     gauge_frame,
+    make_family,
     make_surface,
     principal_spectrum,
     shape_derivative,
@@ -19,6 +21,9 @@ from canalgeo import (
     third_order_in_principal_frame,
     transform_surface,
 )
+from canalgeo.jets import cell_centers
+from canalgeo.meshio import format_number
+from canalgeo.scene import load_scene, run_scene
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +134,6 @@ def test_rank_deficient_chart_raises():
             [u[..., 0], u[..., 0], np.zeros_like(u[..., 0])], axis=-1
         ),
         jet=None,
-        d2=None,
         domain=[[0.0, 1.0], [0.0, 1.0]],
         name="collapsed",
     )
@@ -159,6 +163,27 @@ def test_sample_grid_is_cell_centered(torus):
     # first cell center sits half a step in
     steps = (hi - lo) / np.array([4, 5])
     assert np.allclose(grid[0], lo + steps / 2.0)
+
+
+@pytest.mark.parametrize("m", [5, 24])
+def test_family_samples_are_cell_centered(tmp_path, m):
+    # causal samples and the singular CSV's t column share the surface sampler
+    params = {"major": 2.0, "rho": 0.5}
+    fam = make_family("circle-tube", params)
+    ts = cell_centers(fam.domain, m)[:, 0]
+    rep = causal_classify_family(fam, counts=m)
+    assert [s.t[0] for s in rep.samples] == ts.tolist()
+
+    scene = {
+        "version": 1,
+        "grids": {"singular_samples": m},
+        "families": [
+            {"name": "circle-tube", "label": "tube", "params": params, "analyses": ["singularities"]}
+        ],
+    }
+    run_scene(load_scene(scene), tmp_path)
+    rows = (tmp_path / "tube-0_singular.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [format_number(t) for t in ts]
 
 
 def test_graph_surface_round_trip():

@@ -350,6 +350,17 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "never")]) == 2
     assert not (tmp_path / "never").exists()
 
+    # a sampled family whose data is not an object is a diagnostic, not a crash
+    capsys.readouterr()
+    listed = _rich_scene()
+    listed["families"] = [{"name": "sampled", "data": [1, 2, 3]}]
+    listed_path = _write_scene(tmp_path, listed)
+    assert main(["validate", listed_path]) == 2
+    diags = json.loads(capsys.readouterr().out)
+    assert {(d["entry"], d["field"]) for d in diags} == {("families[0]", "params")}
+    assert main(["run", listed_path, "--out", str(tmp_path / "never")]) == 2
+    assert not (tmp_path / "never").exists()
+
 
 def test_cli_handles_unreadable_and_malformed_files(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2

@@ -302,6 +302,13 @@ _SURFACES: dict[str, tuple[Callable, str]] = {
 }
 
 
+def _params_object(params) -> dict:
+    """Keyword parameters of a catalog entry: an object, or None for none."""
+    if params is not None and not isinstance(params, dict):
+        raise DomainError("params must be an object")
+    return dict(params or {})
+
+
 def surface_catalog() -> dict[str, str]:
     out = {name: doc for name, (_, doc) in sorted(_SURFACES.items())}
     out["graph"] = "height field from samples; data: xs, ys, heights"
@@ -309,7 +316,7 @@ def surface_catalog() -> dict[str, str]:
 
 
 def make_surface(name: str, params: dict | None = None) -> ParametricSurface:
-    params = dict(params or {})
+    params = _params_object(params)
     if name == "graph":
         return graph_surface(**params)
     try:
@@ -461,7 +468,7 @@ def family_catalog() -> dict[str, str]:
 
 
 def make_family(name: str, params: dict | None = None) -> SphereFamily:
-    params = dict(params or {})
+    params = _params_object(params)
     if name == "sampled":
         return sampled_family(**params)
     try:

@@ -43,6 +43,7 @@ __all__ = [
 _STATIONARY_REL = 1e-12
 _RANK_REL = 1e-8
 _FRAME_FLOOR = 1e-8
+_DIRECTION_SCAN = 512  # spine tangents sampled to place the chart reference direction
 
 
 @dataclass(frozen=True)
@@ -433,15 +434,15 @@ def _direction_candidates(n: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _reference_direction(family: SphereFamily, scan: int = 512) -> np.ndarray:
+def _reference_direction(family: SphereFamily) -> np.ndarray:
     """A unit vector kept away from the antipode of the whole tangent curve.
 
     The chart frame is the fixed complement of this vector rotated onto the
     spine tangent; that rotation is smooth as long as the tangent never hits
     the vector's antipode, so pick the candidate with the largest clearance.
     """
-    ts = cell_centers(family.domain, scan)[:, 0]
-    tangents = np.empty((scan, family.dim_n))
+    ts = cell_centers(family.domain, _DIRECTION_SCAN)[:, 0]
+    tangents = np.empty((_DIRECTION_SCAN, family.dim_n))
     for i, tv in enumerate(ts):
         jet = family.jet_at(np.array([tv]))
         d = jet.dc[0]
@@ -556,37 +557,31 @@ def envelope_mesh(
     lo, hi = family.domain[0]
     ts = np.linspace(lo, hi, t_count)
     thetas = np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False)
-    if n == 3:
-        grid = np.stack(
-            [np.repeat(ts, angle_count), np.tile(thetas, t_count)], axis=-1
-        )
-    else:
-        polar_axes = [
-            np.linspace(0.35, math.pi - 0.35, max(angle_count // 2, 4))
-            for _ in range(n - 3)
-        ]
-        axes = [ts] + polar_axes + [thetas]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([g.ravel() for g in mesh], axis=-1)
+    polar_axes = [
+        np.linspace(0.35, math.pi - 0.35, max(angle_count // 2, 4)) for _ in range(n - 3)
+    ]
+    axes = [ts] + polar_axes + [thetas]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([g.ravel() for g in mesh], axis=-1)
 
-    verts = surf.chart(grid)
+    # the grid is t-major: each t owns one contiguous block of rows, so one
+    # member jet and one chart call serve the whole block
+    block = math.prod(len(a) for a in axes[1:])
+    verts = np.empty((grid.shape[0], n))
     normals = np.empty_like(verts)
-    for i, row in enumerate(grid):
-        jet = family.jet_at(row[:1])
-        normals[i] = (verts[i] - jet.c) / jet.rho
+    for k in range(t_count):
+        rows = slice(k * block, (k + 1) * block)
+        jet = family.jet_at(ts[k : k + 1])
+        verts[rows] = surf.chart(grid[rows])
+        normals[rows] = (verts[rows] - jet.c) / jet.rho
 
     faces = None
     if n == 3:
-        faces_list = []
-        for i in range(t_count - 1):
-            for j in range(angle_count):
-                a = i * angle_count + j
-                b = i * angle_count + (j + 1) % angle_count
-                c = a + angle_count
-                d = b + angle_count
-                faces_list.append((a, b, d))
-                faces_list.append((a, d, c))
-        faces = np.asarray(faces_list, dtype=int)
+        i = np.arange(t_count - 1)[:, None] * angle_count
+        j = np.arange(angle_count)
+        a, b = i + j, i + (j + 1) % angle_count
+        c, d = a + angle_count, b + angle_count
+        faces = np.stack([np.stack([a, b, d], -1), np.stack([a, d, c], -1)], axis=2).reshape(-1, 3)
 
     return EnvelopeMesh(
         vertices=verts,

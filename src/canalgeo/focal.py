@@ -103,7 +103,6 @@ class FocalCoefficients:
     t: float | None = None
     omega_rate: float | None = None
     frame: GeneratorFrame | None = None
-    step: float | None = None
 
     def __post_init__(self):
         lam_pq = np.atleast_2d(np.asarray(self.lam_pq, dtype=float))
@@ -297,7 +296,6 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
             t=t,
             omega_rate=omega,
             frame=fr0,
-            step=h,
         )
     raise DegenerateFrameError(
         f"no usable frame angle at t={t}: {last_err}"

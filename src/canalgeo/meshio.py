@@ -33,24 +33,35 @@ def format_number(x: float) -> str:
     return "0" if s in ("-0", "-0.0") else s
 
 
-def _row(prefix: str, values: Iterable[float]) -> str:
-    return prefix + " " + " ".join(format_number(v) for v in values)
+_CHUNK_ROWS = 8192
+_NUMBER = "%.12g"
+
+
+def _rows_text(fmt: str, rows: np.ndarray) -> str:
+    """``fmt`` applied to every row of a 2-D array, one ``%`` per row chunk.
+
+    ``+ 0`` turns ``-0.0`` into ``0`` the way `format_number` does and leaves
+    integer arrays alone.  Chunking bounds the temporary Python objects.
+    """
+    parts = []
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS] + 0
+        parts.append((fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    return "".join(parts)
 
 
 def obj_text(mesh: EnvelopeMesh) -> str:
     """Render a mesh as ASCII OBJ with vertex normals."""
-    buf = io.StringIO()
-    if mesh.name:
-        buf.write(f"o {mesh.name}\n")
-    for v in mesh.vertices:
-        buf.write(_row("v", v[:3]) + "\n")
-    for vn in mesh.normals:
-        buf.write(_row("vn", vn[:3]) + "\n")
+    coords = " ".join([_NUMBER] * min(mesh.vertices.shape[1], 3))
+    parts = [
+        f"o {mesh.name}\n" if mesh.name else "",
+        _rows_text(f"v {coords}\n", mesh.vertices[:, :3]),
+        _rows_text(f"vn {coords}\n", mesh.normals[:, :3]),
+    ]
     if mesh.faces is not None:
-        for f in mesh.faces:
-            a, b, c = (int(i) + 1 for i in f)
-            buf.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
-    return buf.getvalue()
+        refs = np.repeat(mesh.faces + 1, 2, axis=1)
+        parts.append(_rows_text("f %d//%d %d//%d %d//%d\n", refs))
+    return "".join(parts)
 
 
 def singular_csv_text(rows: Iterable[dict]) -> str:
@@ -83,4 +94,4 @@ def xyz_text(points: np.ndarray) -> str:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return ""
-    return "\n".join(" ".join(format_number(c) for c in row) for row in pts) + "\n"
+    return _rows_text(" ".join([_NUMBER] * pts.shape[1]) + "\n", pts)

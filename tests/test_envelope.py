@@ -192,13 +192,39 @@ def test_envelope_mesh_torus_implicit():
     assert mesh.faces.max() < mesh.vertices.shape[0]
 
 
+def _loop_faces(t_count, angle_count):
+    """Two triangles per grid quad, closed in the angle, open along t."""
+    faces = []
+    for i in range(t_count - 1):
+        for j in range(angle_count):
+            a = i * angle_count + j
+            b = i * angle_count + (j + 1) % angle_count
+            c, d = a + angle_count, b + angle_count
+            faces += [(a, b, d), (a, d, c)]
+    return np.asarray(faces, dtype=int)
+
+
 def test_envelope_mesh_normals_radial():
-    fam = make_family("circle-tube", {"major": 2.0, "rho": 1.0})
-    mesh = envelope_mesh(fam, t_count=16, angle_count=12)
-    for v, nrm, prm in zip(mesh.vertices[:48], mesh.normals[:48], mesh.params[:48]):
-        jf = fam.jet_at(np.array([prm[0]]))
-        radial = (v - jf.c) / float(jf.rho)
-        assert np.allclose(nrm, radial, atol=1e-10)
+    t_count, angle_count = 16, 12
+    for name, params in (
+        ("circle-tube", {"major": 2.0, "rho": 1.0}),
+        ("r4-circle", {"major": 2.0, "rho": 0.5}),
+    ):
+        fam = make_family(name, params)
+        mesh = envelope_mesh(fam, t_count=t_count, angle_count=angle_count)
+        surf = envelope_surface(fam)
+        # one chart call over the whole grid is bit-exact; single-point calls may
+        # take another BLAS kernel for the angular product and differ in the last ulp
+        assert np.array_equal(mesh.vertices, surf.chart(mesh.params))
+        single = np.array([surf.chart(prm) for prm in mesh.params])
+        assert np.allclose(mesh.vertices, single, rtol=0.0, atol=1e-15)
+        normals = np.empty_like(mesh.vertices)
+        for i, prm in enumerate(mesh.params):
+            jf = fam.jet_at(prm[:1])
+            normals[i] = (mesh.vertices[i] - jf.c) / jf.rho
+        assert np.array_equal(mesh.normals, normals)
+        if fam.dim_n == 3:
+            assert np.array_equal(mesh.faces, _loop_faces(t_count, angle_count))
 
 
 def test_envelope_mesh_r4_has_no_faces():

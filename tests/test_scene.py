@@ -6,9 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canalgeo.cli import main
-from canalgeo.meshio import format_number, singular_csv_text, xyz_text
+from canalgeo.envelope import EnvelopeMesh
+from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
 from canalgeo.scene import DEFAULT_GRIDS, load_scene, run_scene, validate_scene
 
 SMALL_GRIDS = {
@@ -134,6 +137,24 @@ def test_validate_rejects_bad_surface_params():
     scene = {"version": 1, "surfaces": [{"name": "torus", "params": {"major": -1.0}}]}
     diags = validate_scene(scene)
     assert any(d["entry"] == "surfaces[0]" and d["field"] == "params" for d in diags)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [[["major", 2.0], ["minor", 1.0]], [2.0, 1.0], "major"],
+    ids=["pairs", "numbers", "string"],
+)
+def test_validate_rejects_non_object_params(params):
+    scene = {
+        "version": 1,
+        "surfaces": [{"name": "torus", "params": params}],
+        "families": [{"name": "circle-tube", "params": params}],
+    }
+    diags = validate_scene(scene)
+    assert {(d["entry"], d["field"], d["message"]) for d in diags} == {
+        ("surfaces[0]", "params", "params must be an object"),
+        ("families[0]", "params", "params must be an object"),
+    }
 
 
 def test_load_scene_applies_overrides():
@@ -283,6 +304,66 @@ def test_xyz_text_roundtrip():
     back = np.array([[float(c) for c in line.split()] for line in text.strip().splitlines()])
     assert np.allclose(back, pts)
     assert xyz_text(np.empty((0, 3))) == ""
+
+
+def _reference_obj(mesh) -> str:
+    """OBJ rendered one number at a time with `format_number`."""
+    lines = [f"o {mesh.name}"] if mesh.name else []
+    for tag, rows in (("v", mesh.vertices), ("vn", mesh.normals)):
+        lines += [" ".join([tag] + [format_number(x) for x in row[:3]]) for row in rows]
+    if mesh.faces is not None:
+        for face in mesh.faces:
+            a, b, c = (int(i) + 1 for i in face)
+            lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _reference_xyz(points) -> str:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0:
+        return ""
+    return "".join(" ".join(format_number(x) for x in row) + "\n" for row in pts)
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1.7976931348623157e308]
+_ROW_COUNTS = [0, 1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
+
+
+@st.composite
+def _tables(draw, cols):
+    """(rows, cols) float arrays cycling a drawn pool of values, specials included."""
+    pool = draw(
+        st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()), min_size=1, max_size=40)
+    )
+    rows = draw(st.sampled_from(_ROW_COUNTS))
+    return np.resize(np.array(pool, dtype=float), (rows, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cols=st.sampled_from([2, 3, 4]), with_faces=st.booleans())
+def test_obj_text_matches_per_number_reference(data, cols, with_faces):
+    verts = data.draw(_tables(cols))
+    normals = np.resize(verts[::-1], verts.shape)
+    faces = None
+    if with_faces:
+        count = data.draw(st.sampled_from(_ROW_COUNTS))
+        first = data.draw(st.integers(0, 10**6))
+        faces = np.arange(first, first + 3 * count, dtype=int).reshape(count, 3) % 1000003
+    mesh = EnvelopeMesh(
+        vertices=verts,
+        normals=normals,
+        params=np.zeros((len(verts), 1)),
+        faces=faces,
+        name=data.draw(st.sampled_from(["", "tube"])),
+    )
+    assert obj_text(mesh) == _reference_obj(mesh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cols=st.sampled_from([1, 3, 4]))
+def test_xyz_text_matches_per_number_reference(data, cols):
+    pts = data.draw(_tables(cols))
+    assert xyz_text(pts) == _reference_xyz(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Built-in surfaces and sphere families with exact derivative providers.
 
-Catalog charts are defined symbolically and differentiated through third
-order once per instantiation, so the analytic jet path is exact to machine
-precision.  Sphere families carry hand-written first and second derivatives
-(simple trigonometric spines); sampled families interpolate with natural
-cubic splines.
+SymPy is the input language: a chart or a planar spine is written as
+expressions, lambdified once by `taylor.jet_function`, and evaluated on
+truncated Taylor values, which gives its exact order-3 jet (order 2 for
+families) with no symbolic differentiation and no step size.  The built-in
+sphere families carry hand-written first and second derivatives (simple
+trigonometric spines); sampled families interpolate with natural cubic
+splines.
 """
 
 from __future__ import annotations
@@ -36,16 +38,7 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# symbolic jet machinery
-
-
-def _index_pairs(k: int):
-    return [(a, b) for a in range(k) for b in range(a, k)]
-
-
-def _index_triples(k: int):
-    return [(a, b, c) for a in range(k) for b in range(a, k) for c in range(b, k)]
-
+# symbolic charts, differentiated by Taylor arithmetic
 
 def surface_from_expressions(
     params: Sequence[sp.Symbol],
@@ -53,31 +46,16 @@ def surface_from_expressions(
     domain,
     name: str = "",
 ) -> ParametricSurface:
-    """Build a surface whose jet is generated by symbolic differentiation."""
+    """Build a surface from a symbolic chart; its jet comes from Taylor arithmetic."""
     params = list(params)
     exprs = [sp.sympify(e) for e in exprs]
     k, n = len(params), len(exprs)
     if n != k + 1:
         raise DomainError(f"chart must map {n - 1} parameters into R^{n}")
 
-    d1 = [[sp.diff(e, a) for e in exprs] for a in params]
-    pairs = _index_pairs(k)
-    triples = _index_triples(k)
-    d2 = {(a, b): [sp.diff(e, params[a], params[b]) for e in exprs] for a, b in pairs}
-    d3 = {
-        (a, b, c): [sp.diff(e, params[a], params[b], params[c]) for e in exprs]
-        for a, b, c in triples
-    }
+    from .taylor import jet_function  # first used here: importing the CLI does not load it
 
-    flat: list[sp.Expr] = list(exprs)
-    for row in d1:
-        flat.extend(row)
-    for key in pairs:
-        flat.extend(d2[key])
-    for key in triples:
-        flat.extend(d3[key])
-
-    jet_fn = sp.lambdify(params, flat, modules="numpy", cse=True)
+    jet = jet_function(params, exprs, 3)
     chart_fn = sp.lambdify(params, exprs, modules="numpy", cse=True)
 
     def chart(u):
@@ -88,26 +66,6 @@ def surface_from_expressions(
         cols = [np.broadcast_to(np.asarray(c, dtype=float), (pts.shape[0],)) for c in cols]
         out = np.stack(cols, axis=-1)
         return out[0] if single else out
-
-    def jet(u):
-        vals = np.asarray(jet_fn(*u), dtype=float)
-        pos = 0
-        p = vals[pos : pos + n]
-        pos += n
-        j1 = vals[pos : pos + k * n].reshape(k, n)
-        pos += k * n
-        j2 = np.empty((k, k, n))
-        for a, b in pairs:
-            j2[a, b] = vals[pos : pos + n]
-            j2[b, a] = j2[a, b]
-            pos += n
-        j3 = np.empty((k, k, k, n))
-        for a, b, c in triples:
-            block = vals[pos : pos + n]
-            for perm in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
-                j3[perm] = block
-            pos += n
-        return p, j1, j2, j3
 
     return ParametricSurface(dim_n=n, chart=chart, jet=jet, domain=domain, name=name)
 
@@ -521,26 +479,21 @@ def family_from_expressions(
     t_sym: sp.Symbol, x_expr, y_expr, rho_expr, dim_n: int, domain, name: str = ""
 ) -> SphereFamily:
     """One-parameter family with planar spine (x(t), y(t), 0, ...) and radius rho(t)."""
-    x_expr, y_expr, rho_expr = sp.sympify(x_expr), sp.sympify(y_expr), sp.sympify(rho_expr)
-    rows = [x_expr, y_expr] + [sp.Integer(0)] * (dim_n - 2)
-    flat = []
-    for order in range(3):
-        flat.extend(sp.diff(e, t_sym, order) for e in rows)
-    for order in range(3):
-        flat.append(sp.diff(rho_expr, t_sym, order))
-    fn = sp.lambdify([t_sym], flat, modules="numpy", cse=True)
+    from .taylor import jet_function
+
+    rows = [sp.sympify(e) for e in (x_expr, y_expr)] + [sp.Integer(0)] * (dim_n - 2)
+    jet_fn = jet_function([t_sym], rows + [sp.sympify(rho_expr)], 2)
 
     def jet2(tv) -> FamilyJet:
-        tv = float(np.asarray(tv).reshape(-1)[0])
-        vals = np.asarray(fn(tv), dtype=float)
+        p, d1, d2 = jet_fn(np.asarray(tv).reshape(-1)[:1])
         n = dim_n
         return FamilyJet(
-            c=vals[0:n],
-            dc=vals[n : 2 * n].reshape(1, n),
-            d2c=vals[2 * n : 3 * n].reshape(1, 1, n),
-            rho=float(vals[3 * n]),
-            drho=np.array([vals[3 * n + 1]]),
-            d2rho=np.array([[vals[3 * n + 2]]]),
+            c=p[:n],
+            dc=d1[:, :n],
+            d2c=d2[:, :, :n],
+            rho=float(p[n]),
+            drho=d1[:, n],
+            d2rho=d2[:, :, n],
         )
 
     return SphereFamily(

@@ -515,7 +515,9 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
         for gi, tv in enumerate(uniq):
             center, radius, w = frame_at(float(tv))
             mask = inv == gi
-            out[mask] = center + radius * (units[mask] @ w)
+            # one (1, n-1) @ (n-1, n) product per row, as a single-point call
+            # makes: a batched matmul may take another kernel and round differently
+            out[mask] = center + radius * (units[mask][:, None, :] @ w)[:, 0]
         return out[0] if single else out
 
     domain = [[lo, hi]]

@@ -214,17 +214,17 @@ def _fd_jet(surface: ParametricSurface, u: np.ndarray):
 def _generalized_cross(e: np.ndarray) -> np.ndarray:
     """Vector v with det[e_1; ...; e_(n-1); w] = v . w for all w."""
     k, n = e.shape
-    v = np.empty(n)
-    cols = np.arange(n)
-    for j in range(n):
-        minor = e[:, cols != j]
-        v[j] = (-1.0) ** (n + j + 1) * np.linalg.det(minor)
-    return v
+    # minor j drops column j; one batched det over all n of them
+    dropped = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    minors = e[:, dropped].transpose(1, 0, 2)
+    return (-1.0) ** (n + np.arange(n) + 1) * np.linalg.det(minors)
 
 
 def _orthonormal_frame(d1: np.ndarray):
     """Gram-Schmidt rows of d1 plus the normal; raises on rank deficiency."""
     k, n = d1.shape
+    if not np.isfinite(d1).all():
+        raise ImmersionError("chart derivative is not finite")
     q, r = np.linalg.qr(d1.T)
     diag = np.diag(r).copy()
     smallest = np.min(np.abs(diag))
@@ -237,7 +237,7 @@ def _orthonormal_frame(d1: np.ndarray):
     q = q * signs
     r = r * signs[:, None]
     e = q.T  # rows orthonormal, e = W @ d1 with W = inv(R^T)
-    w = solve_triangular(r.T, np.eye(k), lower=True)
+    w = solve_triangular(r.T, np.eye(k), lower=True, check_finite=False)
     nu = _generalized_cross(e)
     nu = nu / np.linalg.norm(nu)
     return e, nu, w

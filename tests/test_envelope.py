@@ -213,11 +213,9 @@ def test_envelope_mesh_normals_radial():
         fam = make_family(name, params)
         mesh = envelope_mesh(fam, t_count=t_count, angle_count=angle_count)
         surf = envelope_surface(fam)
-        # one chart call over the whole grid is bit-exact; single-point calls may
-        # take another BLAS kernel for the angular product and differ in the last ulp
         assert np.array_equal(mesh.vertices, surf.chart(mesh.params))
         single = np.array([surf.chart(prm) for prm in mesh.params])
-        assert np.allclose(mesh.vertices, single, rtol=0.0, atol=1e-15)
+        assert np.array_equal(mesh.vertices, single)
         normals = np.empty_like(mesh.vertices)
         for i, prm in enumerate(mesh.params):
             jf = fam.jet_at(prm[:1])
@@ -225,6 +223,22 @@ def test_envelope_mesh_normals_radial():
         assert np.array_equal(mesh.normals, normals)
         if fam.dim_n == 3:
             assert np.array_equal(mesh.faces, _loop_faces(t_count, angle_count))
+
+
+@pytest.mark.parametrize("name", ["circle-tube", "r4-circle"])
+def test_envelope_chart_independent_of_batch_size(name):
+    fam = make_family(name, {"major": 2.0, "rho": 1.0 if name == "circle-tube" else 0.5})
+    surf = envelope_surface(fam)
+    rng = np.random.default_rng(7)
+    lo, hi = surf.domain[:, 0], surf.domain[:, 1]
+    pts = lo + (hi - lo) * rng.random((300, surf.n_params))
+    pts[:150, 0] = pts[0, 0]  # many rows sharing one t, as in a mesh block
+    whole = surf.chart(pts)
+    single = np.array([surf.chart(p) for p in pts])
+    assert np.array_equal(whole, single)
+    for size in (2, 7, 64):
+        chunks = [surf.chart(pts[i : i + size]) for i in range(0, len(pts), size)]
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
 def test_envelope_mesh_r4_has_no_faces():

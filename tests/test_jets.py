@@ -141,6 +141,21 @@ def test_rank_deficient_chart_raises():
         evaluate_jet(line, np.array([0.5, 0.5]))
 
 
+def test_non_finite_chart_derivative_raises():
+    # sqrt of a negative turns the finite-difference tangent into NaN
+    bad = ParametricSurface(
+        dim_n=3,
+        chart=lambda u: np.stack(
+            [u[..., 0], u[..., 1], np.sqrt(0.5 - u[..., 0])], axis=-1
+        ),
+        jet=None,
+        domain=[[0.0, 1.0], [0.0, 1.0]],
+        name="torn",
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(ImmersionError, match="not finite"):
+        evaluate_jet(bad, np.array([0.5, 0.5]))
+
+
 def test_gauge_frame_relations(torus):
     rng = np.random.default_rng(17)
     for _ in range(8):

@@ -94,8 +94,13 @@ def transform_surface(
 
     def chart(u):
         u = np.asarray(u, dtype=float)
-        inner_u = u @ q.T + b
-        return surface.chart(inner_u) @ rot.T + s
+        single = u.ndim == 1
+        pts = np.atleast_2d(u)
+        # one (1, k) @ (k, k) product per row, as a single-point call makes: a
+        # batched matmul may take another kernel and round differently
+        inner_u = (pts[:, None, :] @ q.T)[:, 0] + b
+        out = (surface.chart(inner_u)[:, None, :] @ rot.T)[:, 0] + s
+        return out[0] if single else out
 
     def jet(u):
         p, d1, d2, d3 = surface.jet(q @ np.asarray(u, dtype=float) + b)

@@ -9,6 +9,7 @@ intersection of each sphere with the zero sets of the derivative conditions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -123,6 +124,37 @@ class SphereFamily:
 
     def domain_scale(self) -> float:
         return float(max(np.max(self.domain[:, 1] - self.domain[:, 0]), 1e-12))
+
+    @functools.cached_property
+    def _reference_direction(self) -> np.ndarray:
+        """A unit vector kept away from the antipode of the whole tangent curve.
+
+        The envelope chart frame is the fixed complement of this vector
+        rotated onto the spine tangent; that rotation is smooth as long as
+        the tangent never hits the vector's antipode, so pick the candidate
+        with the largest clearance.  The scan runs once per family object;
+        every envelope chart of the family reuses it.
+        """
+        ts = cell_centers(self.domain, _DIRECTION_SCAN)[:, 0]
+        tangents = np.empty((_DIRECTION_SCAN, self.dim_n))
+        for i, tv in enumerate(ts):
+            jet = self.jet_at(np.array([tv]))
+            d = jet.dc[0]
+            nrm = np.linalg.norm(d)
+            if nrm <= _FRAME_FLOOR:
+                raise DegenerateFrameError("family spine is stationary along the scan")
+            tangents[i] = d / nrm
+        cands = _direction_candidates(self.dim_n)
+        clearance = 1.0 + tangents @ cands.T  # (scan, n_cand)
+        worst = clearance.min(axis=0)
+        best = int(np.argmax(worst))
+        if worst[best] < 0.05:
+            raise DegenerateFrameError(
+                "spine tangent sweeps too much of the sphere; no smooth chart frame"
+            )
+        direction = cands[best]
+        direction.setflags(write=False)  # shared by every chart of this family
+        return direction
 
 
 # ---------------------------------------------------------------------------
@@ -434,33 +466,6 @@ def _direction_candidates(n: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _reference_direction(family: SphereFamily) -> np.ndarray:
-    """A unit vector kept away from the antipode of the whole tangent curve.
-
-    The chart frame is the fixed complement of this vector rotated onto the
-    spine tangent; that rotation is smooth as long as the tangent never hits
-    the vector's antipode, so pick the candidate with the largest clearance.
-    """
-    ts = cell_centers(family.domain, _DIRECTION_SCAN)[:, 0]
-    tangents = np.empty((_DIRECTION_SCAN, family.dim_n))
-    for i, tv in enumerate(ts):
-        jet = family.jet_at(np.array([tv]))
-        d = jet.dc[0]
-        nrm = np.linalg.norm(d)
-        if nrm <= _FRAME_FLOOR:
-            raise DegenerateFrameError("family spine is stationary along the scan")
-        tangents[i] = d / nrm
-    cands = _direction_candidates(family.dim_n)
-    clearance = 1.0 + tangents @ cands.T  # (scan, n_cand)
-    worst = clearance.min(axis=0)
-    best = int(np.argmax(worst))
-    if worst[best] < 0.05:
-        raise DegenerateFrameError(
-            "spine tangent sweeps too much of the sphere; no smooth chart frame"
-        )
-    return cands[best]
-
-
 def _rotated_complement(tau: np.ndarray, v_ref: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
     """Complement basis of v_ref carried onto the complement of tau.
 
@@ -487,7 +492,7 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
         raise DomainError("envelope charts are provided for one-parameter families")
     n = family.dim_n
     lo, hi = family.domain[0]
-    v_ref = _reference_direction(family)
+    v_ref = family._reference_direction
     # fixed orthonormal complement of v_ref, deterministic
     _, _, vt = np.linalg.svd(v_ref.reshape(1, -1))
     u_ref = vt[1:]

@@ -52,7 +52,10 @@ class ParametricSurface:
         Ambient dimension n (the chart has n - 1 parameters).
     chart:
         Vectorized map; accepts parameter arrays of shape (n-1,) or
-        (m, n-1) and returns points of shape (n,) or (m, n).
+        (m, n-1) and returns points of shape (n,) or (m, n).  A batched
+        call must return, for each row, exactly what a single-row call
+        returns; the finite-difference path evaluates its whole stencil in
+        one batched call.
     jet:
         Optional analytic jet callback ``u -> (p, d1, d2, d3)`` with
         shapes (n,), (n-1, n), (n-1, n-1, n), (n-1, n-1, n-1, n).
@@ -150,41 +153,6 @@ class ConformalFrame:
         return [self.a0, *self.tangent, self.an, self.a_inf]
 
 
-def _as_point(chart, u) -> np.ndarray:
-    out = np.asarray(chart(np.asarray(u, dtype=float)), dtype=float)
-    return out.reshape(-1)
-
-
-def _fd_d1(chart, u, h, n, k):
-    d1 = np.empty((k, n))
-    for a in range(k):
-        step = np.zeros(k)
-        step[a] = h
-        d1[a] = (_as_point(chart, u + step) - _as_point(chart, u - step)) / (2 * h)
-    return d1
-
-
-def _fd_d2(chart, u, h, n, k):
-    p0 = _as_point(chart, u)
-    d2 = np.empty((k, k, n))
-    for a in range(k):
-        ea = np.zeros(k)
-        ea[a] = h
-        d2[a, a] = (_as_point(chart, u + ea) - 2 * p0 + _as_point(chart, u - ea)) / (h * h)
-        for b in range(a + 1, k):
-            eb = np.zeros(k)
-            eb[b] = h
-            val = (
-                _as_point(chart, u + ea + eb)
-                - _as_point(chart, u + ea - eb)
-                - _as_point(chart, u - ea + eb)
-                + _as_point(chart, u - ea - eb)
-            ) / (4 * h * h)
-            d2[a, b] = val
-            d2[b, a] = val
-    return d2
-
-
 def _symmetrize3(d3: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(d3)
     for perm in permutations(range(3)):
@@ -193,22 +161,44 @@ def _symmetrize3(d3: np.ndarray) -> np.ndarray:
 
 
 def _fd_jet(surface: ParametricSurface, u: np.ndarray):
+    """Central differences of the chart, all stencil points in one chart call.
+
+    Second derivatives come from the 2k^2 + 1 point stencil at step h around
+    each of 2k + 1 bases: u itself and u +- h3 along each axis.  Third
+    derivatives difference the second derivatives of the shifted bases.
+    """
     n = surface.dim_n
     k = surface.n_params
-    chart = surface.chart
     scale = surface.domain_scale()
     h = FD_STEP * scale
     h3 = FD_STEP3 * scale
+    steps = np.eye(k) * h  # row a is h along axis a
+    shifts = np.eye(k) * h3
 
-    p = _as_point(chart, u)
-    d1 = _fd_d1(chart, u, h, n, k)
-    d2 = _fd_d2(chart, u, h, n, k)
-    d3 = np.empty((k, k, k, n))
-    for c in range(k):
-        ec = np.zeros(k)
-        ec[c] = h3
-        d3[:, :, c] = (_fd_d2(chart, u + ec, h, n, k) - _fd_d2(chart, u - ec, h, n, k)) / (2 * h3)
-    return p, d1, d2, _symmetrize3(d3)
+    bases = np.concatenate([u[None], u + shifts, u - shifts])  # (2k+1, k)
+    plus = bases[:, None] + steps  # base + e_a, (2k+1, k, k)
+    minus = bases[:, None] - steps
+    ia, ib = np.triu_indices(k, 1)
+    stencil = [bases[:, None], plus, minus]
+    stencil += [side[:, ia] + steps[ib] for side in (plus, minus)]  # base +- e_a + e_b
+    stencil += [side[:, ia] - steps[ib] for side in (plus, minus)]  # base +- e_a - e_b
+    counts = [part.shape[1] for part in stencil]
+    flat = np.concatenate(stencil, axis=1).reshape(-1, k)
+    values = np.asarray(surface.chart(flat), dtype=float).reshape(bases.shape[0], -1, n)
+    p0, vp, vm, vpp, vmp, vpm, vmm = np.split(values, np.cumsum(counts)[:-1], axis=1)
+    p0 = p0[:, 0]
+
+    d2 = np.empty((bases.shape[0], k, k, n))
+    diag = (vp - 2 * p0[:, None] + vm) / (h * h)
+    d2[:, np.arange(k), np.arange(k)] = diag
+    mixed = (vpp - vpm - vmp + vmm) / (4 * h * h)
+    d2[:, ia, ib] = mixed
+    d2[:, ib, ia] = mixed
+
+    p = p0[0]
+    d1 = (vp[0] - vm[0]) / (2 * h)
+    d3 = (d2[1 : k + 1] - d2[k + 1 :]) / (2 * h3)  # axis 0 is the differenced index c
+    return p, d1, d2[0], _symmetrize3(np.ascontiguousarray(np.moveaxis(d3, 0, 2)))
 
 
 def _generalized_cross(e: np.ndarray) -> np.ndarray:
@@ -248,7 +238,8 @@ def evaluate_jet(surface: ParametricSurface, u) -> SurfaceJet:
 
     Uses the analytic jet callback when the surface carries one, otherwise
     second-order central differences (third derivatives by differencing the
-    finite-difference second derivatives).
+    finite-difference second derivatives), with every stencil point
+    evaluated in one batched `chart` call.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size != surface.n_params:

@@ -1,5 +1,7 @@
 """Family lifts, de Sitter classification, characteristic spheres, meshes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,10 @@ from canalgeo import (
     inner,
     make_family,
     principal_spectrum,
+    rank_drop_singular_points,
     sampled_family,
 )
-from canalgeo.envelope import FamilyJet, SphereFamily, _characteristic_frame
+from canalgeo.envelope import _DIRECTION_SCAN, FamilyJet, SphereFamily, _characteristic_frame
 
 
 def test_family_lift_is_unit(fourier_families, rng):
@@ -239,6 +242,37 @@ def test_envelope_chart_independent_of_batch_size(name):
     for size in (2, 7, 64):
         chunks = [surf.chart(pts[i : i + size]) for i in range(0, len(pts), size)]
         assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_reference_direction_scanned_once_per_family():
+    source = make_family("wobble-tube")
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return source.jet2(t)
+
+    def reports(fam):
+        return [rank_drop_singular_points(fam, t) for t in (0.7, 2.9)]
+
+    fam = dataclasses.replace(source, jet2=counted)
+    charts = [envelope_surface(fam) for _ in range(3)]
+    assert len(calls) == _DIRECTION_SCAN
+    del calls[:]
+    warm = reports(fam)
+    warm_calls = len(calls)
+
+    fresh = dataclasses.replace(source, jet2=counted)
+    del calls[:]
+    cold = reports(fresh)
+    # a fresh family scans once, in its first report, and never again
+    assert len(calls) == warm_calls + _DIRECTION_SCAN
+    for a, b in zip(warm, cold):
+        assert (a.t, a.angles, a.min_ratio) == (b.t, b.angles, b.min_ratio)
+        assert np.array_equal(a.points, b.points)
+    u = envelope_surface(fresh).sample_grid(6)
+    for chart in charts:
+        assert np.array_equal(chart.chart(u), envelope_surface(source).chart(u))
 
 
 def test_envelope_mesh_r4_has_no_faces():

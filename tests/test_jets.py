@@ -1,5 +1,8 @@
 """Charts, jets, adapted frames, and the shape tensor's derivative."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -10,18 +13,21 @@ from canalgeo import (
     ParametricSurface,
     build_tensors,
     causal_classify_family,
+    envelope_surface,
     evaluate_jet,
     fundamental_forms,
     gauge_frame,
+    graph_surface,
     make_family,
     make_surface,
+    planar_canal_surface,
     principal_spectrum,
     shape_derivative,
     surface_from_expressions,
     third_order_in_principal_frame,
     transform_surface,
 )
-from canalgeo.jets import cell_centers
+from canalgeo.jets import FD_STEP, FD_STEP3, _symmetrize3, cell_centers
 from canalgeo.meshio import format_number
 from canalgeo.scene import load_scene, run_scene
 
@@ -202,8 +208,6 @@ def test_family_samples_are_cell_centered(tmp_path, m):
 
 
 def test_graph_surface_round_trip():
-    from canalgeo import graph_surface
-
     xs = np.linspace(-1.0, 1.0, 41)
     ys = np.linspace(-1.0, 1.0, 41)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -215,3 +219,125 @@ def test_graph_surface_round_trip():
     ev = np.linalg.eigvalsh(h)
     assert np.allclose(np.abs(ev), [1.0, 1.0], atol=1e-6)
     assert float(ev.sum()) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_transform_chart_independent_of_batch_size(torus):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    moved = transform_surface(
+        torus,
+        param_rot=np.array([[1.0, 0.0], [1.0 / 3.0, 1.0]]),
+        param_shift=np.array([0.1, -0.2]),
+        ambient_rot=q,
+        ambient_shift=np.array([1.0, -2.0, 0.5]),
+    )
+    pts = rng.random((300, 2)) * 2 * np.pi
+    whole = moved.chart(pts)
+    assert whole.shape == (300, 3)
+    assert np.array_equal(whole, np.array([moved.chart(p) for p in pts]))
+    for size in (2, 7, 64):
+        chunks = [moved.chart(pts[i : i + size]) for i in range(0, len(pts), size)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference jets: one batched chart call against single-point stencils
+
+
+def _single_point_d2(chart, u, h):
+    """Central second differences, one chart call per stencil point."""
+    k = u.size
+    p0 = chart(u)
+    d2 = np.empty((k, k, p0.size))
+    for a in range(k):
+        ea = np.zeros(k)
+        ea[a] = h
+        d2[a, a] = (chart(u + ea) - 2 * p0 + chart(u - ea)) / (h * h)
+        for b in range(a + 1, k):
+            eb = np.zeros(k)
+            eb[b] = h
+            val = (
+                chart(u + ea + eb) - chart(u + ea - eb) - chart(u - ea + eb) + chart(u - ea - eb)
+            ) / (4 * h * h)
+            d2[a, b] = d2[b, a] = val
+    return d2
+
+
+def _single_point_fd_jet(surface, u):
+    k = surface.n_params
+    h = FD_STEP * surface.domain_scale()
+    h3 = FD_STEP3 * surface.domain_scale()
+    chart = surface.chart
+    d1 = np.empty((k, surface.dim_n))
+    d3 = np.empty((k, k, k, surface.dim_n))
+    for a in range(k):
+        e = np.zeros(k)
+        e[a] = h
+        d1[a] = (chart(u + e) - chart(u - e)) / (2 * h)
+        e3 = np.zeros(k)
+        e3[a] = h3
+        d3[:, :, a] = (_single_point_d2(chart, u + e3, h) - _single_point_d2(chart, u - e3, h)) / (
+            2 * h3
+        )
+    return chart(u), d1, _single_point_d2(chart, u, h), _symmetrize3(d3)
+
+
+def _dented(dim_n):
+    t, th = sp.symbols("t th", real=True)
+    dent = sp.Rational(1, 20) * sp.sin(3 * t + sp.Rational(3, 10)) * sp.cos(2 * th)
+    surface, _ = planar_canal_surface(
+        2 * sp.cos(t) + sp.Rational(1, 4) * sp.cos(2 * t),
+        2 * sp.sin(t),
+        sp.Rational(2, 5) + sp.sin(t) / 10,
+        t_sym=t,
+        dim_n=dim_n,
+        t_domain=(0.0, 2 * math.pi),
+        perturbation=dent if dim_n == 3 else None,
+    )
+    return surface
+
+
+def _graph():
+    xs, ys = np.linspace(-1.0, 1.0, 12), np.linspace(-1.2, 1.0, 10)
+    heights = np.sin(2 * xs)[:, None] * np.cos(ys)[None, :] + 0.3 * xs[:, None] ** 2
+    return graph_surface(xs, ys, heights)
+
+
+def _moved(name, **motion):
+    surface = make_surface(name)
+    rot, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((surface.dim_n,) * 2))
+    return transform_surface(surface, ambient_rot=rot, **motion)
+
+
+_FD_CHARTS = {
+    "torus": lambda: make_surface("torus"),
+    "tube4": lambda: make_surface("tube4"),
+    "dented3": lambda: _dented(3),
+    "planar4": lambda: _dented(4),
+    "envelope3": lambda: envelope_surface(make_family("wobble-tube")),
+    "envelope4": lambda: envelope_surface(make_family("r4-circle")),
+    "graph": _graph,
+    "moved-torus": lambda: _moved("torus", ambient_shift=[1.0, -2.0, 0.5]),
+    "sheared-tube4": lambda: _moved("tube4", param_rot=np.eye(3) + np.tri(3, k=-1) / 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_FD_CHARTS))
+def test_fd_jet_is_single_point_stencil_in_one_chart_call(name):
+    surface = _FD_CHARTS[name]().without_analytic_jet()
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return surface.chart(u)
+
+    batched = dataclasses.replace(surface, chart=counted)
+    box = surface.domain if surface.domain is not None else np.array([[0.5, 2.0]] * surface.n_params)
+    rng = np.random.default_rng(17)
+    for u in box[:, 0] + (box[:, 1] - box[:, 0]) * (0.05 + 0.9 * rng.random((4, box.shape[0]))):
+        calls.clear()
+        jet = evaluate_jet(batched, u)
+        assert len(calls) == 1
+        want = _single_point_fd_jet(surface, u)
+        for got, ref in zip((jet.p, jet.d1, jet.d2, jet.d3), want):
+            assert np.array_equal(got, ref)

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canalgeo import DomainError, catalog
@@ -23,6 +23,7 @@ from canalgeo.catalog import (
 )
 
 REL = 1e-12
+ULPS = 4  # order-0 slack beyond the float64 evaluation error, in units in the last place
 
 
 def sympy_jet(params, exprs, order=3):
@@ -50,14 +51,23 @@ def sympy_jet(params, exprs, order=3):
     return at
 
 
-def assert_jet_matches(jet, ref):
-    """Each derivative order within REL of its largest reference entry."""
+def assert_jet_matches(jet, ref, value=None):
+    """Each derivative order within REL of its largest reference entry.
+
+    ``value``, the chart evaluated in plain float64, widens the order-0 bound
+    entrywise to that evaluation's own error plus ULPS ulp: the jet's value is
+    float64 arithmetic of the same expression, so it inherits the rounding
+    of e.g. ``log(1 + x)`` at small x, which no derivative order shares.
+    """
     for j, (got, want) in enumerate(zip(jet, ref)):
         got = np.asarray(got, dtype=float)
         assert got.shape == want.shape
         scale = float(np.max(np.abs(want)))
-        err = float(np.max(np.abs(got - want)))
-        assert err <= REL * scale, (j, err, scale)
+        err = np.abs(got - want)
+        bound = np.full(err.shape, REL * scale)
+        if j == 0 and value is not None:
+            bound = np.maximum(bound, np.abs(value - want) + ULPS * np.spacing(np.abs(value)))
+        assert np.all(err <= bound), (j, float(np.max(err)), scale)
 
 
 def assert_exactly_symmetric(d2, d3):
@@ -135,14 +145,29 @@ def charts(draw):
     return params, exprs, np.array(u)
 
 
+_U = sp.symbols("u0:2", real=True)
+# order 0 is 1.8e-12 off in relative terms, in float64 evaluation as in the jet:
+# cancellation in log(1 + x) at x = 2e-5
+_LOG_CANCELLATION = (
+    list(_U),
+    [
+        _U[0],
+        _U[0],
+        sp.log(sp.log((_U[0] + sp.Rational(1, 4)) ** 2 / (sp.cos(_U[0]) + 2) ** 2 + 1) ** 2 + 1),
+    ],
+    np.zeros(2),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(charts())
+@example(_LOG_CANCELLATION)
 def test_random_expression_jets_match_sympy(chart):
     params, exprs, u = chart
     k = len(params)
     surf = surface_from_expressions(params, exprs, domain=[[-1.0, 1.0]] * k)
     jet = surf.jet(u)
-    assert_jet_matches(jet, sympy_jet(params, exprs)(u))
+    assert_jet_matches(jet, sympy_jet(params, exprs)(u), value=surf.chart(u))
     assert_exactly_symmetric(jet[2], jet[3])
 
 

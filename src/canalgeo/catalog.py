@@ -1,26 +1,34 @@
 """Built-in surfaces and sphere families with exact derivative providers.
 
-SymPy is the input language: a chart or a planar spine is written as
-expressions, lambdified once by `taylor.jet_function`, and evaluated on
-truncated Taylor values, which gives its exact order-3 jet (order 2 for
-families) with no symbolic differentiation and no step size.  The built-in
-sphere families carry hand-written first and second derivatives (simple
-trigonometric spines); sampled families interpolate with natural cubic
-splines.
+Every built-in chart and family spine is written once, as a plain function
+over the math namespace of `taylor`: on NumPy columns it is the batched
+chart, on Taylor variables it gives the exact order-3 jet (order 2 for a
+spine) with no symbolic differentiation and no step size.  The operand
+order inside each definition is deliberate: a product of Taylor values, and
+a chain of scalar products, rounds differently when its operands swap.
+
+SymPy is only the input language of user expressions: `surface_from_expressions`,
+`family_from_expressions` and `planar_canal_surface` import it, check the
+nodes and lambdify onto the same namespace, then use the same builders.
+Sampled families and height fields interpolate with SciPy splines, imported
+where they are built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import sympy as sp
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
+from . import taylor
 from .envelope import FamilyJet, SphereFamily
 from .errors import DomainError
 from .jets import ParametricSurface
+from .taylor import cos, jet_function, sin
+
+if TYPE_CHECKING:
+    import sympy as sp
 
 __all__ = [
     "surface_catalog",
@@ -38,7 +46,91 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# symbolic charts, differentiated by Taylor arithmetic
+# one builder per kind of analytic object
+
+
+def _surface(fn, k: int, n: int, domain, name: str) -> ParametricSurface:
+    """Surface whose chart is ``fn`` on array columns and whose jet is ``fn`` on Taylor values.
+
+    ``fn`` takes k parameters and returns the n coordinates.
+    """
+
+    def chart(u):
+        u = np.asarray(u, dtype=float)
+        single = u.ndim == 1
+        pts = np.atleast_2d(u)
+        cols = fn(*(pts[:, i] for i in range(k)))
+        cols = [np.broadcast_to(np.asarray(c, dtype=float), (pts.shape[0],)) for c in cols]
+        out = np.stack(cols, axis=-1)
+        return out[0] if single else out
+
+    return ParametricSurface(
+        dim_n=n, chart=chart, jet=jet_function(fn, 3), domain=domain, name=name
+    )
+
+
+def _family(spine, dim_n: int, domain, name: str) -> SphereFamily:
+    """One-parameter family from ``spine(t) -> (center, rho)``.
+
+    Its jet is the order-2 Taylor jet of ``spine``.
+    """
+
+    def values(t):
+        center, rho = spine(t)
+        return [*center, rho]
+
+    jet = jet_function(values, 2)
+
+    def jet2(t) -> FamilyJet:
+        p, d1, d2 = jet(np.asarray(t).reshape(-1)[:1])
+        return FamilyJet(
+            c=p[:dim_n],
+            dc=d1[:, :dim_n],
+            d2c=d2[:, :, :dim_n],
+            rho=float(p[dim_n]),
+            drho=d1[:, dim_n],
+            d2rho=d2[:, :, dim_n],
+        )
+
+    return SphereFamily(dim_n=dim_n, r=1, jet2=jet2, domain=[[domain[0], domain[1]]], name=name)
+
+
+# ---------------------------------------------------------------------------
+# SymPy front end for user expressions
+
+
+def _lambdify(params, exprs):
+    """Check that ``exprs`` use only what `taylor` covers, then lambdify onto it.
+
+    Every node must be one of ``params``, a number, ``pi``, ``E``, a sum, a
+    product, a power with a numeric exponent, ``sin``, ``cos``, ``exp`` or
+    ``log``; anything else raises `DomainError` here rather than inside a jet.
+    """
+    import sympy as sp
+
+    exprs = [sp.sympify(e) for e in exprs]
+    allowed = set(params)
+    for expr in exprs:
+        for node in sp.preorder_traversal(expr):
+            if isinstance(node, sp.Symbol):
+                if node not in allowed:
+                    raise DomainError(f"chart symbol {node} is not one of the parameters")
+            elif isinstance(node, sp.Pow):
+                if not node.exp.is_Number:
+                    raise DomainError(
+                        f"Taylor jets need numeric exponents; got the power {node}"
+                    )
+            elif not (
+                isinstance(node, (sp.Add, sp.Mul, sp.Number))
+                or node.func in (sp.sin, sp.cos, sp.exp, sp.log)
+                or node in (sp.pi, sp.E)
+            ):
+                raise DomainError(
+                    f"Taylor jets do not cover the function {node.func.__name__} (in {node})"
+                )
+    namespace = {name: getattr(taylor, name) for name in taylor.__all__}
+    return sp.lambdify(params, exprs, modules=[namespace], cse=True)
+
 
 def surface_from_expressions(
     params: Sequence[sp.Symbol],
@@ -47,27 +139,11 @@ def surface_from_expressions(
     name: str = "",
 ) -> ParametricSurface:
     """Build a surface from a symbolic chart; its jet comes from Taylor arithmetic."""
-    params = list(params)
-    exprs = [sp.sympify(e) for e in exprs]
+    params, exprs = list(params), list(exprs)
     k, n = len(params), len(exprs)
     if n != k + 1:
         raise DomainError(f"chart must map {n - 1} parameters into R^{n}")
-
-    from .taylor import jet_function  # first used here: importing the CLI does not load it
-
-    jet = jet_function(params, exprs, 3)
-    chart_fn = sp.lambdify(params, exprs, modules="numpy", cse=True)
-
-    def chart(u):
-        u = np.asarray(u, dtype=float)
-        single = u.ndim == 1
-        pts = np.atleast_2d(u)
-        cols = chart_fn(*(pts[:, i] for i in range(k)))
-        cols = [np.broadcast_to(np.asarray(c, dtype=float), (pts.shape[0],)) for c in cols]
-        out = np.stack(cols, axis=-1)
-        return out[0] if single else out
-
-    return ParametricSurface(dim_n=n, chart=chart, jet=jet, domain=domain, name=name)
+    return _surface(_lambdify(params, exprs), k, n, domain, name)
 
 
 def transform_surface(
@@ -126,47 +202,40 @@ def _sphere(radius: float = 1.0) -> ParametricSurface:
     radius = float(radius)
     if radius <= 0:
         raise DomainError("sphere radius must be positive")
-    u, v = sp.symbols("u v", real=True)
-    exprs = [
-        radius * sp.cos(u) * sp.cos(v),
-        radius * sp.sin(u) * sp.cos(v),
-        radius * sp.sin(v),
-    ]
-    return surface_from_expressions(
-        [u, v], exprs, domain=[[0.0, TWO_PI], [-1.2, 1.2]], name=f"sphere(r={radius:g})"
-    )
+
+    def chart(u, v):
+        ring = radius * cos(v)
+        return [ring * cos(u), ring * sin(u), radius * sin(v)]
+
+    return _surface(chart, 2, 3, [[0.0, TWO_PI], [-1.2, 1.2]], f"sphere(r={radius:g})")
 
 
 def _plane() -> ParametricSurface:
-    u, v = sp.symbols("u v", real=True)
-    return surface_from_expressions(
-        [u, v], [u, v, sp.Integer(0)], domain=[[-1.0, 1.0], [-1.0, 1.0]], name="plane"
-    )
+    return _surface(lambda u, v: [u, v, 0.0], 2, 3, [[-1.0, 1.0], [-1.0, 1.0]], "plane")
 
 
 def _cylinder(radius: float = 1.0) -> ParametricSurface:
     radius = float(radius)
     if radius <= 0:
         raise DomainError("cylinder radius must be positive")
-    u, v = sp.symbols("u v", real=True)
-    exprs = [radius * sp.cos(u), radius * sp.sin(u), v]
-    return surface_from_expressions(
-        [u, v], exprs, domain=[[0.0, TWO_PI], [-1.0, 1.0]], name=f"cylinder(r={radius:g})"
-    )
+
+    def chart(u, v):
+        return [radius * cos(u), radius * sin(u), v]
+
+    return _surface(chart, 2, 3, [[0.0, TWO_PI], [-1.0, 1.0]], f"cylinder(r={radius:g})")
 
 
 def _torus(major: float = 2.0, minor: float = 1.0) -> ParametricSurface:
     major, minor = float(major), float(minor)
     if not (0 < minor < major):
         raise DomainError("torus needs 0 < minor < major")
-    u, v = sp.symbols("u v", real=True)
-    ring = major + minor * sp.cos(v)
-    exprs = [ring * sp.cos(u), ring * sp.sin(u), minor * sp.sin(v)]
-    return surface_from_expressions(
-        [u, v],
-        exprs,
-        domain=[[0.0, TWO_PI], [0.0, TWO_PI]],
-        name=f"torus({major:g},{minor:g})",
+
+    def chart(u, v):
+        ring = minor * cos(v) + major
+        return [ring * cos(u), ring * sin(u), minor * sin(v)]
+
+    return _surface(
+        chart, 2, 3, [[0.0, TWO_PI], [0.0, TWO_PI]], f"torus({major:g},{minor:g})"
     )
 
 
@@ -174,13 +243,13 @@ def _ellipsoid(a: float = 3.0, b: float = 2.0, c: float = 1.0) -> ParametricSurf
     a, b, c = float(a), float(b), float(c)
     if min(a, b, c) <= 0:
         raise DomainError("ellipsoid semi-axes must be positive")
-    u, v = sp.symbols("u v", real=True)
-    exprs = [a * sp.cos(u) * sp.cos(v), b * sp.sin(u) * sp.cos(v), c * sp.sin(v)]
-    return surface_from_expressions(
-        [u, v],
-        exprs,
-        domain=[[0.0, TWO_PI], [-1.2, 1.2]],
-        name=f"ellipsoid({a:g},{b:g},{c:g})",
+
+    def chart(u, v):
+        cv = cos(v)
+        return [a * cv * cos(u), b * cv * sin(u), c * sin(v)]
+
+    return _surface(
+        chart, 2, 3, [[0.0, TWO_PI], [-1.2, 1.2]], f"ellipsoid({a:g},{b:g},{c:g})"
     )
 
 
@@ -189,20 +258,18 @@ def _tube4(major: float = 2.0, minor: float = 0.5) -> ParametricSurface:
     major, minor = float(major), float(minor)
     if not (0 < minor < major):
         raise DomainError("tube needs 0 < minor < major")
-    t, ph, th = sp.symbols("t ph th", real=True)
-    er = [sp.cos(t), sp.sin(t), 0, 0]
-    unit = [
-        sp.cos(ph) * er[0],
-        sp.cos(ph) * er[1],
-        sp.sin(ph) * sp.cos(th),
-        sp.sin(ph) * sp.sin(th),
-    ]
-    exprs = [major * er[i] + minor * unit[i] for i in range(4)]
-    return surface_from_expressions(
-        [t, ph, th],
-        exprs,
-        domain=[[0.0, TWO_PI], [0.35, math.pi - 0.35], [0.0, TWO_PI]],
-        name=f"tube4({major:g},{minor:g})",
+
+    def chart(t, ph, th):
+        ct, st = cos(t), sin(t)
+        rc, rs = minor * cos(ph), minor * sin(ph)
+        return [ct * rc + major * ct, rc * st + major * st, rs * cos(th), rs * sin(th)]
+
+    return _surface(
+        chart,
+        3,
+        4,
+        [[0.0, TWO_PI], [0.35, math.pi - 0.35], [0.0, TWO_PI]],
+        f"tube4({major:g},{minor:g})",
     )
 
 
@@ -221,6 +288,8 @@ def graph_surface(
         raise DomainError("height grid must have shape (len(xs), len(ys))")
     if xs.size < 6 or ys.size < 6:
         raise DomainError("quintic height-field interpolation needs >= 6 samples per axis")
+    from scipy.interpolate import RectBivariateSpline
+
     spline = RectBivariateSpline(xs, ys, z, kx=5, ky=5)
 
     def chart(u):
@@ -295,45 +364,15 @@ def make_surface(name: str, params: dict | None = None) -> ParametricSurface:
 # sphere family catalog (one-parameter families, analytic jets to order two)
 
 
-def _family(
-    name: str,
-    dim_n: int,
-    center,
-    d_center,
-    dd_center,
-    radius,
-    d_radius,
-    dd_radius,
-    domain,
-) -> SphereFamily:
-    def jet2(t) -> FamilyJet:
-        tv = float(np.asarray(t).reshape(-1)[0])
-        return FamilyJet(
-            c=np.asarray(center(tv), dtype=float),
-            dc=np.asarray(d_center(tv), dtype=float).reshape(1, dim_n),
-            d2c=np.asarray(dd_center(tv), dtype=float).reshape(1, 1, dim_n),
-            rho=float(radius(tv)),
-            drho=np.array([float(d_radius(tv))]),
-            d2rho=np.array([[float(dd_radius(tv))]]),
-        )
-
-    return SphereFamily(dim_n=dim_n, r=1, jet2=jet2, domain=[[domain[0], domain[1]]], name=name)
-
-
 def _circle_tube(major: float = 2.0, rho: float = 0.5) -> SphereFamily:
     major, rho = float(major), float(rho)
     if major <= 0 or rho <= 0:
         raise DomainError("circle-tube needs positive major radius and rho")
     return _family(
-        f"circle-tube({major:g},{rho:g})",
+        lambda t: ([major * cos(t), major * sin(t), 0.0], rho),
         3,
-        lambda t: [major * math.cos(t), major * math.sin(t), 0.0],
-        lambda t: [-major * math.sin(t), major * math.cos(t), 0.0],
-        lambda t: [-major * math.cos(t), -major * math.sin(t), 0.0],
-        lambda t: rho,
-        lambda t: 0.0,
-        lambda t: 0.0,
         (0.0, TWO_PI),
+        f"circle-tube({major:g},{rho:g})",
     )
 
 
@@ -341,17 +380,7 @@ def _line_cone(slope: float = 0.5) -> SphereFamily:
     slope = float(slope)
     if not (0 < slope < 1):
         raise DomainError("line-cone slope must lie in (0, 1) to stay spacelike")
-    return _family(
-        f"line-cone({slope:g})",
-        3,
-        lambda t: [t, 0.0, 0.0],
-        lambda t: [1.0, 0.0, 0.0],
-        lambda t: [0.0, 0.0, 0.0],
-        lambda t: slope * t,
-        lambda t: slope,
-        lambda t: 0.0,
-        (0.5, 2.0),
-    )
+    return _family(lambda t: ([t, 0.0, 0.0], slope * t), 3, (0.5, 2.0), f"line-cone({slope:g})")
 
 
 def _helix_tube(major: float = 2.0, pitch: float = 0.5, rho: float = 0.5) -> SphereFamily:
@@ -359,15 +388,10 @@ def _helix_tube(major: float = 2.0, pitch: float = 0.5, rho: float = 0.5) -> Sph
     if major <= 0 or rho <= 0:
         raise DomainError("helix-tube needs positive major radius and rho")
     return _family(
-        f"helix-tube({major:g},{pitch:g},{rho:g})",
+        lambda t: ([major * cos(t), major * sin(t), pitch * t], rho),
         3,
-        lambda t: [major * math.cos(t), major * math.sin(t), pitch * t],
-        lambda t: [-major * math.sin(t), major * math.cos(t), pitch],
-        lambda t: [-major * math.cos(t), -major * math.sin(t), 0.0],
-        lambda t: rho,
-        lambda t: 0.0,
-        lambda t: 0.0,
         (0.0, TWO_PI),
+        f"helix-tube({major:g},{pitch:g},{rho:g})",
     )
 
 
@@ -376,15 +400,10 @@ def _r4_circle(major: float = 2.0, rho: float = 0.5) -> SphereFamily:
     if major <= 0 or rho <= 0:
         raise DomainError("r4-circle needs positive major radius and rho")
     return _family(
-        f"r4-circle({major:g},{rho:g})",
+        lambda t: ([major * cos(t), major * sin(t), 0.0, 0.0], rho),
         4,
-        lambda t: [major * math.cos(t), major * math.sin(t), 0.0, 0.0],
-        lambda t: [-major * math.sin(t), major * math.cos(t), 0.0, 0.0],
-        lambda t: [-major * math.cos(t), -major * math.sin(t), 0.0, 0.0],
-        lambda t: rho,
-        lambda t: 0.0,
-        lambda t: 0.0,
         (0.0, TWO_PI),
+        f"r4-circle({major:g},{rho:g})",
     )
 
 
@@ -400,15 +419,10 @@ def _wobble_tube(
     if rho0 <= abs(amp):
         raise DomainError("wobble-tube needs rho0 > |amp| so the radius stays positive")
     return _family(
-        f"wobble-tube({rho0:g},{amp:g},{freq:g},{sway:g},{sway_freq:g})",
+        lambda t: ([t, sway * sin(sway_freq * t), 0.0], rho0 + amp * sin(freq * t)),
         3,
-        lambda t: [t, sway * math.sin(sway_freq * t), 0.0],
-        lambda t: [1.0, sway * sway_freq * math.cos(sway_freq * t), 0.0],
-        lambda t: [0.0, -sway * sway_freq**2 * math.sin(sway_freq * t), 0.0],
-        lambda t: rho0 + amp * math.sin(freq * t),
-        lambda t: amp * freq * math.cos(freq * t),
-        lambda t: -amp * freq**2 * math.sin(freq * t),
         (0.0, TWO_PI),
+        f"wobble-tube({rho0:g},{amp:g},{freq:g},{sway:g},{sway_freq:g})",
     )
 
 
@@ -456,6 +470,8 @@ def sampled_family(t, centers, radii, name: str = "sampled") -> SphereFamily:
         raise DomainError("sample parameters must be strictly increasing")
     if np.any(radii <= 0):
         raise DomainError("sampled radii must be positive")
+    from scipy.interpolate import CubicSpline
+
     n = centers.shape[1]
     c_spl = CubicSpline(t, centers, bc_type="natural")
     r_spl = CubicSpline(t, radii, bc_type="natural")
@@ -484,26 +500,13 @@ def family_from_expressions(
     t_sym: sp.Symbol, x_expr, y_expr, rho_expr, dim_n: int, domain, name: str = ""
 ) -> SphereFamily:
     """One-parameter family with planar spine (x(t), y(t), 0, ...) and radius rho(t)."""
-    from .taylor import jet_function
+    fn = _lambdify([t_sym], [x_expr, y_expr, rho_expr])
 
-    rows = [sp.sympify(e) for e in (x_expr, y_expr)] + [sp.Integer(0)] * (dim_n - 2)
-    jet_fn = jet_function([t_sym], rows + [sp.sympify(rho_expr)], 2)
+    def spine(t):
+        x, y, rho = fn(t)
+        return [x, y] + [0.0] * (dim_n - 2), rho
 
-    def jet2(tv) -> FamilyJet:
-        p, d1, d2 = jet_fn(np.asarray(tv).reshape(-1)[:1])
-        n = dim_n
-        return FamilyJet(
-            c=p[:n],
-            dc=d1[:, :n],
-            d2c=d2[:, :, :n],
-            rho=float(p[n]),
-            drho=d1[:, n],
-            d2rho=d2[:, :, n],
-        )
-
-    return SphereFamily(
-        dim_n=dim_n, r=1, jet2=jet2, domain=[[domain[0], domain[1]]], name=name
-    )
+    return _family(spine, dim_n, domain, name)
 
 
 def planar_canal_surface(
@@ -526,6 +529,8 @@ def planar_canal_surface(
     """
     if dim_n not in (3, 4):
         raise DomainError("planar canal surfaces are provided for n = 3 and n = 4")
+    import sympy as sp
+
     x_expr, y_expr, rho_expr = sp.sympify(x_expr), sp.sympify(y_expr), sp.sympify(rho_expr)
     xp, yp = sp.diff(x_expr, t_sym), sp.diff(y_expr, t_sym)
     rp = sp.diff(rho_expr, t_sym)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Dropped, PolyVector, drop_sphere, form_matrix, lift_point
@@ -513,6 +512,8 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("the rank-drop oracle runs on r = 1 families in R^3")
+    from scipy.optimize import minimize_scalar
+
     t = float(t)
     surf = envelope_surface(family)
     two_pi = 2.0 * math.pi

@@ -20,7 +20,6 @@ from itertools import permutations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, form_matrix, lift_point
@@ -227,7 +226,13 @@ def _orthonormal_frame(d1: np.ndarray):
     q = q * signs
     r = r * signs[:, None]
     e = q.T  # rows orthonormal, e = W @ d1 with W = inv(R^T)
-    w = solve_triangular(r.T, np.eye(k), lower=True, check_finite=False)
+    # forward substitution for W, one pivot column at a time for every column
+    lower = r.T
+    pivots = 1.0 / np.diag(lower)
+    w = np.eye(k)
+    for m in range(k):
+        w[m] *= pivots[m]
+        w[m + 1 :] -= lower[m + 1 :, m : m + 1] * w[m]
     nu = _generalized_cross(e)
     nu = nu / np.linalg.norm(nu)
     return e, nu, w

@@ -4,17 +4,18 @@ A `Taylor` value holds the coefficients of a polynomial in k variables,
 truncated after total degree ``order``: the coefficient of the monomial
 ``h^alpha`` is ``D^alpha f(x0) / alpha!``.  Arithmetic on such values
 propagates exact derivatives through a program (Griewank and Walther,
-*Evaluating Derivatives*, ch. 13), so a chart evaluated on `_variables` yields
-its jet with no symbolic differentiation and no step size.
+*Evaluating Derivatives*, ch. 13), so a function evaluated on `_variables`
+yields its jet with no symbolic differentiation and no step size.
 
 Products are truncated through a precomputed table of monomial pairs; an
 elementary function composes its own Taylor series
 ``f(x0 + h) = sum_j f^(j)(x0) / j! h^j`` with the non-constant part h.
-`jet_function`, the one public entry point, lambdifies SymPy expressions onto
-this arithmetic: SymPy stays the input language and never differentiates.
-`_NAMESPACE` maps the names that ``sympy.lambdify`` prints (``sin``, ``cos``,
-``exp``, ``log``, ``sqrt``, ``pi``, ``E``) onto these functions, which fall
-back to `math` on plain numbers.
+
+The module is also the math namespace of every analytic chart and spine:
+``sin``, ``cos``, ``exp``, ``log``, ``sqrt``, ``pi`` and ``E`` accept
+floats (through `math`), NumPy arrays (through NumPy) and `Taylor` values,
+so one plain Python function gives both a batched chart and, through
+`jet_function`, its exact jet.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import itertools
 import math
 
 import numpy as np
-import sympy as sp
 
 from .errors import DomainError
 
-__all__ = ["jet_function"]
+__all__ = ["sin", "cos", "exp", "log", "sqrt", "pi", "E", "jet_function"]
 
 MAX_ORDER = 3  # the elementary series below stop at h^3
 
@@ -160,12 +160,12 @@ def _power_series(x0: float, r: float, order: int) -> list[float]:
 
 def _elementary(name: str, series_at):
     """Lift ``series_at(x0) -> [f(x0), f'(x0), f''(x0) / 2, f'''(x0) / 6]``."""
-    scalar = getattr(math, name)
+    scalar, array = getattr(math, name), getattr(np, name)
 
     def fn(x):
-        if not isinstance(x, Taylor):
-            return scalar(x)
-        return x.series(series_at(float(x.c[0]))[: x.basis.order + 1])
+        if isinstance(x, Taylor):
+            return x.series(series_at(float(x.c[0]))[: x.basis.order + 1])
+        return array(x) if isinstance(x, np.ndarray) else scalar(x)
 
     fn.__name__ = name
     return fn
@@ -191,19 +191,20 @@ def _log_series(x0):
     return [math.log(x0), inv, -0.5 * inv * inv, inv * inv * inv / 3.0]
 
 
-def _sqrt(x):
-    return x**0.5 if isinstance(x, Taylor) else math.sqrt(x)
+sin = _elementary("sin", _sin_series)
+cos = _elementary("cos", _cos_series)
+exp = _elementary("exp", _exp_series)
+log = _elementary("log", _log_series)
 
 
-_NAMESPACE = {
-    "sin": _elementary("sin", _sin_series),
-    "cos": _elementary("cos", _cos_series),
-    "exp": _elementary("exp", _exp_series),
-    "log": _elementary("log", _log_series),
-    "sqrt": _sqrt,
-    "pi": math.pi,
-    "E": math.e,
-}
+def sqrt(x):
+    if isinstance(x, Taylor):
+        return x**0.5
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+pi = math.pi
+E = math.e
 
 
 def _variables(u, order: int) -> list[Taylor]:
@@ -243,40 +244,14 @@ def _derivatives(values, k: int, order: int) -> list[np.ndarray]:
     return out
 
 
-# SymPy functions with a counterpart in _NAMESPACE (sqrt is a power)
-_SYMPY_FUNCTIONS = (sp.sin, sp.cos, sp.exp, sp.log)
+def jet_function(fn, order: int):
+    """``u -> derivative tensors of fn(*u)`` through ``order``.
 
-
-def jet_function(params, exprs, order: int):
-    """``u -> derivative tensors of exprs at u`` through ``order``.
-
-    Every node of ``exprs`` must be one of ``params``, a number, ``pi``,
-    ``E``, a sum, a product, a power with a numeric exponent, or one of
-    `_SYMPY_FUNCTIONS`; anything else raises `DomainError` here rather than
-    inside a jet.  So does a point where an elementary function is
-    undefined, when the jet is taken.
+    ``fn`` takes one argument per parameter and returns a sequence of
+    values; written over this module's functions and operators, it runs on
+    Taylor variables unchanged.  A point where an elementary function is
+    undefined raises `DomainError` when the jet is taken.
     """
-    allowed = set(params)
-    for expr in exprs:
-        for node in sp.preorder_traversal(expr):
-            if isinstance(node, sp.Symbol):
-                if node not in allowed:
-                    raise DomainError(f"chart symbol {node} is not one of the parameters")
-            elif isinstance(node, sp.Pow):
-                if not node.exp.is_Number:
-                    raise DomainError(
-                        f"Taylor jets need numeric exponents; got the power {node}"
-                    )
-            elif not (
-                isinstance(node, (sp.Add, sp.Mul, sp.Number))
-                or node.func in _SYMPY_FUNCTIONS
-                or node in (sp.pi, sp.E)
-            ):
-                raise DomainError(
-                    f"Taylor jets do not cover the function {node.func.__name__} (in {node})"
-                )
-    fn = sp.lambdify(params, exprs, modules=[_NAMESPACE], cse=True)
-    k = len(params)
 
     def jet(u) -> tuple[np.ndarray, ...]:
         u = np.asarray(u, dtype=float).reshape(-1)
@@ -284,7 +259,7 @@ def jet_function(params, exprs, order: int):
         try:
             values = fn(*seeds)
         except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"chart is not differentiable at {u.tolist()}: {exc}") from None
-        return tuple(_derivatives(values, k, order))
+            raise DomainError(f"not differentiable at {u.tolist()}: {exc}") from None
+        return tuple(_derivatives(values, u.size, order))
 
     return jet

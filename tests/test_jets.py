@@ -27,7 +27,7 @@ from canalgeo import (
     third_order_in_principal_frame,
     transform_surface,
 )
-from canalgeo.jets import FD_STEP, FD_STEP3, _symmetrize3, cell_centers
+from canalgeo.jets import FD_STEP, FD_STEP3, _orthonormal_frame, _symmetrize3, cell_centers
 from canalgeo.meshio import format_number
 from canalgeo.scene import load_scene, run_scene
 
@@ -60,6 +60,18 @@ def test_frame_is_orthonormal_and_tangent(torus):
         proj = jet.d1.T @ np.linalg.lstsq(jet.d1.T, jet.nu, rcond=None)[0]
         assert np.linalg.norm(proj) < 1e-10
 
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_basis_change_inverts_the_gram_schmidt_triangle(k):
+    # W is lower triangular with a positive diagonal and maps d1 onto e
+    rng = np.random.default_rng(30 + k)
+    for scale in (1e-3, 1.0, 1e3):
+        d1 = scale * rng.standard_normal((k, k + 1))
+        e, _, w = _orthonormal_frame(d1)
+        assert np.array_equal(np.triu(w, 1), np.zeros((k, k)))
+        assert np.all(np.diag(w) > 0)
+        assert np.allclose(w @ d1, e, rtol=0, atol=1e-13)
 
 def test_fd_jet_matches_analytic(torus):
     fd = torus.without_analytic_jet()

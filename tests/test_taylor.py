@@ -172,19 +172,88 @@ def test_random_expression_jets_match_sympy(chart):
 
 
 # ---------------------------------------------------------------------------
-# catalog charts and dented planar canal surfaces
+# catalog charts and spines, and dented planar canal surfaces
+
+
+def catalog_chart(name):
+    """(params, exprs) of ``make_surface(name)`` at its default parameters."""
+    u, v = sp.symbols("u v", real=True)
+    t, ph, th = sp.symbols("t ph th", real=True)
+    ring, half = 2 + sp.cos(v), sp.Rational(1, 2)
+    tube = 2 + half * sp.cos(ph)
+    return {
+        "sphere": ([u, v], [sp.cos(u) * sp.cos(v), sp.sin(u) * sp.cos(v), sp.sin(v)]),
+        "plane": ([u, v], [u, v, sp.Integer(0)]),
+        "cylinder": ([u, v], [sp.cos(u), sp.sin(u), v]),
+        "torus": ([u, v], [ring * sp.cos(u), ring * sp.sin(u), sp.sin(v)]),
+        "ellipsoid": ([u, v], [3 * sp.cos(u) * sp.cos(v), 2 * sp.sin(u) * sp.cos(v), sp.sin(v)]),
+        "tube4": (
+            [t, ph, th],
+            [
+                tube * sp.cos(t),
+                tube * sp.sin(t),
+                half * sp.sin(ph) * sp.cos(th),
+                half * sp.sin(ph) * sp.sin(th),
+            ],
+        ),
+    }[name]
+
+
+def catalog_spine(name):
+    """(t, [center..., rho]) of ``make_family(name)`` at its default parameters."""
+    t = sp.Symbol("t", real=True)
+    half = sp.Rational(1, 2)
+    circle = [2 * sp.cos(t), 2 * sp.sin(t)]
+    return t, {
+        "circle-tube": circle + [0, half],
+        "line-cone": [t, 0, 0, half * t],
+        "helix-tube": circle + [half * t, half],
+        "r4-circle": circle + [0, 0, half],
+        "wobble-tube": [
+            t,
+            sp.Rational(2, 5) * sp.sin(3 * t),
+            0,
+            sp.Rational(3, 5) + sp.Rational(3, 20) * sp.sin(2 * t),
+        ],
+    }[name]
+
+
+def family_jet_rows(family, tv):
+    """A family's order-2 jet at tv as rows [c..., rho], like sympy_jet's."""
+    fj = family.jet_at([tv])
+    return [
+        np.append(fj.c, fj.rho),
+        np.append(fj.dc, fj.drho[:, None], axis=1),
+        np.append(fj.d2c, fj.d2rho[:, :, None], axis=2),
+    ]
 
 
 @pytest.mark.parametrize("name", ["sphere", "plane", "cylinder", "torus", "ellipsoid", "tube4"])
-def test_catalog_jets_match_sympy(name, monkeypatch):
-    seen = captured_charts(monkeypatch)
+def test_catalog_jets_match_sympy(name):
     surf = catalog.make_surface(name)
-    (params, exprs), = seen
+    params, exprs = catalog_chart(name)
     reference = sympy_jet(params, exprs)
-    for u in surf.sample_grid(2 if surf.dim_n == 4 else 3):
+    grid = surf.sample_grid(2 if surf.dim_n == 4 else 3)
+    chart = surf.chart(grid)
+    for u, value in zip(grid, chart):
+        ref = reference(u)
         jet = surf.jet(u)
-        assert_jet_matches(jet, reference(u))
+        assert_jet_matches(jet, ref)
         assert_exactly_symmetric(jet[2], jet[3])
+        # the batched chart is the same definition on array columns
+        assert_jet_matches([value], ref[:1])
+
+
+@pytest.mark.parametrize(
+    "name", ["circle-tube", "line-cone", "helix-tube", "r4-circle", "wobble-tube"]
+)
+def test_catalog_family_jets_match_sympy(name):
+    family = catalog.make_family(name)
+    t, rows = catalog_spine(name)
+    reference = sympy_jet([t], rows, order=2)
+    lo, hi = family.domain[0]
+    for tv in lo + (hi - lo) * np.array([0.1, 0.45, 0.9]):
+        assert_jet_matches(family_jet_rows(family, tv), reference([tv]))
 
 
 @pytest.mark.parametrize("dim_n", [3, 4])
@@ -209,14 +278,7 @@ def test_dented_planar_canal_jets_match_sympy(dim_n, monkeypatch):
     rows = [x, y] + [sp.Integer(0)] * (dim_n - 2) + [rho]
     reference = sympy_jet([t], rows, order=2)
     for tv in (0.4, 2.5, 5.9):
-        ref = reference([tv])
-        fj = fam.jet_at([tv])
-        got = [
-            np.append(fj.c, fj.rho),
-            np.append(fj.dc, fj.drho[:, None], axis=1),
-            np.append(fj.d2c, fj.d2rho[:, :, None], axis=2),
-        ]
-        assert_jet_matches(got, ref)
+        assert_jet_matches(family_jet_rows(fam, tv), reference([tv]))
 
 
 # ---------------------------------------------------------------------------

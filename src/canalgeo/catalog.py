@@ -10,12 +10,13 @@ a chain of scalar products, rounds differently when its operands swap.
 SymPy is only the input language of user expressions: `surface_from_expressions`,
 `family_from_expressions` and `planar_canal_surface` import it, check the
 nodes and lambdify onto the same namespace, then use the same builders.
-Sampled families and height fields interpolate with SciPy splines, imported
-where they are built.
+Sampled families interpolate with a natural cubic spline in NumPy; height
+fields interpolate with a SciPy spline, imported where it is built.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -105,8 +106,15 @@ def _lambdify(params, exprs):
     Every node must be one of ``params``, a number, ``pi``, ``E``, a sum, a
     product, a power with a numeric exponent, ``sin``, ``cos``, ``exp`` or
     ``log``; anything else raises `DomainError` here rather than inside a jet.
+    Each ``Float`` is printed by ``repr`` of its nearest double, so the
+    chart runs with exactly that double (SymPy's own printer keeps 15 digits).
     """
     import sympy as sp
+    from sympy.printing.pycode import PythonCodePrinter
+
+    class ExactFloatPrinter(PythonCodePrinter):
+        def _print_Float(self, expr):
+            return repr(float(expr))
 
     exprs = [sp.sympify(e) for e in exprs]
     allowed = set(params)
@@ -129,7 +137,15 @@ def _lambdify(params, exprs):
                     f"Taylor jets do not cover the function {node.func.__name__} (in {node})"
                 )
     namespace = {name: getattr(taylor, name) for name in taylor.__all__}
-    return sp.lambdify(params, exprs, modules=[namespace], cse=True)
+    printer = ExactFloatPrinter(
+        {
+            "fully_qualified_modules": False,
+            "inline": True,
+            "allow_unknown_functions": True,
+            "user_functions": {name: name for name in namespace},
+        }
+    )
+    return sp.lambdify(params, exprs, modules=[namespace], printer=printer, cse=True)
 
 
 def surface_from_expressions(
@@ -457,8 +473,47 @@ def make_family(name: str, params: dict | None = None) -> SphereFamily:
     return factory(**params)
 
 
+def _natural_cubic(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through (t, y), as Horner rows of its value and derivatives.
+
+    ``y`` is (N, m): one spline per column, all over the knots ``t``.  On
+    [t_k, t_k+1] the spline is ``y_k + b s + c s^2 + d s^3`` with
+    ``s = x - t_k``.  The result ``p`` is (N - 1, 4, 3, m): ``sum_j p[k, j] s^j``
+    gives the value, first and second derivative.  The knot second
+    derivatives m_k solve the tridiagonal system with m_0 = m_last = 0, by
+    elimination without pivoting (the system is diagonally dominant).
+    """
+    h = np.diff(t)
+    slope = np.diff(y, axis=0) / h[:, None]
+    # row i couples m_i, m_i+1, m_i+2 with weights h_i, 2 (h_i + h_i+1), h_i+1;
+    # eliminate on Python floats, since a NumPy call per row costs more than the row
+    hs = h.tolist()
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rows = (6.0 * np.diff(slope, axis=0)).tolist()
+    for i in range(1, len(rows)):
+        w = hs[i] / diag[i - 1]
+        diag[i] -= w * hs[i]
+        rows[i] = [r - w * p for r, p in zip(rows[i], rows[i - 1])]
+    rows[-1] = [r / diag[-1] for r in rows[-1]]
+    for i in range(len(rows) - 2, -1, -1):
+        rows[i] = [(r - hs[i + 1] * q) / diag[i] for r, q in zip(rows[i], rows[i + 1])]
+    m = np.zeros_like(y)
+    m[1:-1] = rows
+    hc = h[:, None]
+    b = slope - hc * (2.0 * m[:-1] + m[1:]) / 6.0
+    c = 0.5 * m[:-1]
+    d = (m[1:] - m[:-1]) / (6.0 * hc)
+    zero = np.zeros_like(d)
+    horner = [[y[:-1], b, 2.0 * c], [b, 2.0 * c, 6.0 * d], [c, 3.0 * d, zero], [d, zero, zero]]
+    return np.stack([np.stack(row, axis=1) for row in horner], axis=1)
+
+
 def sampled_family(t, centers, radii, name: str = "sampled") -> SphereFamily:
-    """Interpolate (t_k, c_k, rho_k) samples with natural cubic splines."""
+    """Interpolate (t_k, c_k, rho_k) samples with natural cubic splines.
+
+    One spline runs through the stacked columns ``[centers | radii]``.
+    Outside the knots the end cubics extrapolate.
+    """
     t = np.asarray(t, dtype=float)
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -466,25 +521,32 @@ def sampled_family(t, centers, radii, name: str = "sampled") -> SphereFamily:
         raise DomainError("sampled family needs at least 4 increasing parameter values")
     if centers.ndim != 2 or centers.shape[0] != t.size or radii.shape != (t.size,):
         raise DomainError("centers must be (len(t), n) and radii (len(t),)")
+    for label, values in (("parameters", t), ("centers", centers), ("radii", radii)):
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"sample {label} must be finite")
     if np.any(np.diff(t) <= 0):
         raise DomainError("sample parameters must be strictly increasing")
     if np.any(radii <= 0):
         raise DomainError("sampled radii must be positive")
-    from scipy.interpolate import CubicSpline
 
     n = centers.shape[1]
-    c_spl = CubicSpline(t, centers, bc_type="natural")
-    r_spl = CubicSpline(t, radii, bc_type="natural")
+    poly = _natural_cubic(t, np.column_stack([centers, radii]))
+    knots = t.tolist()
+    last = len(knots) - 2
 
     def jet2(tv) -> FamilyJet:
-        tv = float(np.asarray(tv).reshape(-1)[0])
+        x = float(np.asarray(tv).reshape(-1)[0])
+        k = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
+        s = x - knots[k]
+        p0, p1, p2, p3 = poly[k]
+        value, d1, d2 = ((p3 * s + p2) * s + p1) * s + p0
         return FamilyJet(
-            c=c_spl(tv),
-            dc=c_spl(tv, 1).reshape(1, n),
-            d2c=c_spl(tv, 2).reshape(1, 1, n),
-            rho=float(r_spl(tv)),
-            drho=np.array([float(r_spl(tv, 1))]),
-            d2rho=np.array([[float(r_spl(tv, 2))]]),
+            c=value[:n],
+            dc=d1[:n].reshape(1, n),
+            d2c=d2[:n].reshape(1, 1, n),
+            rho=float(value[n]),
+            drho=d1[n:],
+            d2rho=d2[n:].reshape(1, 1),
         )
 
     return SphereFamily(

@@ -346,9 +346,8 @@ class _CharFrame:
     ref_order: tuple
 
 
-def _characteristic_core(family: SphereFamily, t):
-    """Member jet, circle center and radius, and the orthonormal spine rows."""
-    jet = family.jet_at(t)
+def _characteristic_core(jet: FamilyJet, t):
+    """Circle center and radius, and the orthonormal spine rows, of the member jet at t."""
     cmat = jet.dc
     norms = np.linalg.norm(cmat, axis=1)
     if np.any(norms <= _FRAME_FLOOR * max(1.0, float(np.max(norms, initial=0.0)))):
@@ -367,12 +366,10 @@ def _characteristic_core(family: SphereFamily, t):
     signs = np.sign(np.diag(rr))
     signs[signs == 0] = 1.0
     tangent = (q * signs).T  # (r, n), orthonormal, deterministic
-    return jet, center, radius, tangent
+    return center, radius, tangent
 
 
-def _characteristic_frame(
-    family: SphereFamily, t, ref_order: tuple | None = None
-) -> _CharFrame:
+def _characteristic_frame(jet: FamilyJet, t, ref_order: tuple | None = None) -> _CharFrame:
     """Center, radius and a smooth orthonormal basis of the contact plane.
 
     The characteristic sphere at t is the set of points of the member sphere
@@ -380,10 +377,10 @@ def _characteristic_frame(
     projections -rho drho_p.  Each complement row is seeded by the coordinate
     axis with the largest component off the span built so far.  ``ref_order``
     pins which axis seeds each row; pass the order from a reference parameter
-    to keep the basis smooth along a path.
+    to keep the basis smooth along a path.  ``jet`` is the member jet at t.
     """
-    n, r = family.dim_n, family.r
-    _, center, radius, tangent = _characteristic_core(family, t)
+    n, r = jet.c.size, jet.r
+    center, radius, tangent = _characteristic_core(jet, t)
 
     chosen = []
     basis = list(tangent)
@@ -414,7 +411,8 @@ def _characteristic_frame(
 
 
 def characteristic_sphere(family: SphereFamily, t) -> CharacteristicSphere:
-    jet, center, radius, _ = _characteristic_core(family, t)
+    jet = family.jet_at(t)
+    center, radius, _ = _characteristic_core(jet, t)
     return CharacteristicSphere(
         t=tuple(np.atleast_1d(np.asarray(t, dtype=float))),
         center=center,
@@ -504,7 +502,8 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
         if fr is None:
             if len(cache) > 512:
                 cache.clear()
-            jet, center, radius, tangent = _characteristic_core(family, np.array([tv]))
+            t = np.array([tv])
+            center, radius, tangent = _characteristic_core(family.jet_at(t), t)
             w = _rotated_complement(tangent[0], v_ref, u_ref)
             fr = (center, radius, w)
             cache[tv] = fr

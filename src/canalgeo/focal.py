@@ -197,7 +197,7 @@ def _generator_frame(
     speed = math.sqrt(speed2)
     a2 = da3 / speed
 
-    ch = _characteristic_frame(family, [t], ref_order)
+    ch = _characteristic_frame(jet, [t], ref_order)
     unit = math.cos(angle) * ch.w[0] + math.sin(angle) * ch.w[1]
     x0 = ch.center + ch.radius * unit
     x4 = ch.center - ch.radius * unit

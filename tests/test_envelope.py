@@ -139,8 +139,8 @@ def test_characteristic_frame_pinned_order_reproduces_free_seeding(fourier_famil
     for dim_n in (3, 4):
         fam = fourier_families(rng, dim_n)
         for t in (0.7, 2.9, 5.1):
-            fr = _characteristic_frame(fam, [t])
-            pinned = _characteristic_frame(fam, [t], ref_order=fr.ref_order)
+            fr = _characteristic_frame(fam.jet_at([t]), [t])
+            pinned = _characteristic_frame(fam.jet_at([t]), [t], ref_order=fr.ref_order)
             assert pinned.ref_order == fr.ref_order
             assert np.array_equal(pinned.w, fr.w)
 
@@ -148,9 +148,9 @@ def test_characteristic_frame_pinned_order_reproduces_free_seeding(fourier_famil
 def test_characteristic_frame_pinned_axis_in_tangent_span_raises():
     # the line-cone spine runs along e_x, so e_x cannot seed a complement row
     fam = make_family("line-cone", {"slope": 0.5})
-    assert _characteristic_frame(fam, [1.0]).ref_order[0] != 0
+    assert _characteristic_frame(fam.jet_at([1.0]), [1.0]).ref_order[0] != 0
     with pytest.raises(DegenerateFrameError):
-        _characteristic_frame(fam, [1.0], ref_order=(0, 1))
+        _characteristic_frame(fam.jet_at([1.0]), [1.0], ref_order=(0, 1))
 
 
 def test_envelope_chart_tangency(fourier_families, rng):
@@ -309,6 +309,59 @@ def test_sampled_family_validation():
         sampled_family(
             [0.0, 1.0, 2.0, 3.0], np.zeros((4, 3)), [1.0, -1.0, 1.0, 1.0]
         )
+
+
+@pytest.mark.parametrize("field", ["t", "centers", "radii"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampled_family_rejects_non_finite_samples(field, bad):
+    data = {
+        "t": np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+        "centers": np.arange(15.0).reshape(5, 3),
+        "radii": np.full(5, 0.5),
+    }
+    data[field][-1 if field == "t" else 2] = bad
+    with pytest.raises(DomainError, match="finite"):
+        sampled_family(**data)
+
+
+def _uneven_samples(rng, n):
+    t = np.cumsum(rng.uniform(0.05, 1.5, 9)) - 2.0
+    centers = rng.normal(size=(t.size, n))
+    radii = rng.uniform(2.0, 3.0, t.size)
+    return t, centers, radii
+
+
+def _jet_orders(fam, x):
+    jet = fam.jet_at([x])
+    return [
+        np.r_[jet.c, jet.rho],
+        np.r_[jet.dc[0], jet.drho],
+        np.r_[jet.d2c[0, 0], jet.d2rho[0]],
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sampled_family_is_natural_cubic_spline(n, rng):
+    from scipy.interpolate import CubicSpline
+
+    t, centers, radii = _uneven_samples(rng, n)
+    fam = sampled_family(t, centers, radii)
+    ref = CubicSpline(t, np.column_stack([centers, radii]), bc_type="natural")
+    mids = 0.5 * (t[:-1] + t[1:]) + 0.1 * np.diff(t)
+    xs = np.concatenate([mids, t, [t[0] - 1e-5, t[-1] + 1e-5]])
+    for order in range(3):
+        want = ref(xs, order)
+        got = np.stack([_jet_orders(fam, x)[order] for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sampled_family_second_derivative_vanishes_at_end_knots(n, rng):
+    t, centers, radii = _uneven_samples(rng, n)
+    fam = sampled_family(t, centers, radii)
+    scale = max(np.max(np.abs(_jet_orders(fam, x)[2])) for x in t)
+    for x in (t[0], t[-1]):
+        assert np.max(np.abs(_jet_orders(fam, x)[2])) <= 1e-12 * scale
 
 
 def test_envelope_requires_r1():

@@ -307,6 +307,17 @@ def test_unsupported_family_raises_at_construction():
         family_from_expressions(t, sp.cos(t), sp.sin(t), 1 + sp.Abs(sp.sin(t)) / 4, 3, (0, 1))
 
 
+def test_expression_floats_keep_every_bit():
+    # a 15-digit printer would run this radius as 0.318142180092498
+    r = 0.31814218009249834
+    u, v = sp.symbols("u v", real=True)
+    surf = surface_from_expressions(
+        [u, v], [u, v, sp.Float(r) * sp.cos(u) + v], domain=[[0.0, 1.0]] * 2
+    )
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (50, 2))
+    assert np.array_equal(surf.chart(pts)[:, 2], r * np.cos(pts[:, 0]) + pts[:, 1])
+
+
 def test_chart_outside_its_real_domain_raises_typed_error():
     u, v = sp.symbols("u v", real=True)
     surf = surface_from_expressions([u, v], [u, v, sp.sqrt(u)], domain=[[-1.0, 1.0]] * 2)

@@ -53,7 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output directory (default: $CANALGEO_OUT or current directory)",
     )
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel entry workers")
+    run_p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the entries (default 1: run in this process); "
+        "started by fork where available, else by spawn; outputs are the same "
+        "at every width",
+    )
     run_p.add_argument(
         "--tol",
         action="append",
@@ -104,6 +111,10 @@ def main(argv=None) -> int:
             print(f"  {name}: {doc}")
         return 0
 
+    if args.command == "run" and args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
+
     data = _read_scene(args.scene)
     if data is None:
         return 2
@@ -128,7 +139,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get("CANALGEO_OUT") or "."
     spec = load_scene(data, tol_overrides, grid_overrides)
-    report, written, code = run_scene(spec, out_dir, jobs=max(1, args.jobs))
+    report, written, code = run_scene(spec, out_dir, jobs=args.jobs)
     n_entries = sum(len(v) for v in report["results"].values())
     print(
         f"{n_entries} entries, {report['error_count']} errors; "

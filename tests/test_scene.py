@@ -2,13 +2,17 @@
 
 import json
 import math
+import multiprocessing
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canalgeo import CanalGeoError, scene as scene_module
 from canalgeo.cli import main
 from canalgeo.envelope import EnvelopeMesh
 from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
@@ -274,6 +278,77 @@ def test_reports_identical_across_parallel_widths(tmp_path):
         assert t1 == t8, f"{name} differs between widths 1 and 8"
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers see the test's patches only when forked",
+)
+
+
+def _two_pencil_scene(first_label):
+    pencil = _rich_scene()["pencils"][0]
+    return {"version": 1, "pencils": [dict(pencil, label=first_label), pencil]}
+
+
+def _outputs(out_dir):
+    """File name -> text of every output, the report's timestamp line dropped."""
+    return {p.name: _strip_timestamp(p.read_text()) for p in out_dir.iterdir()}
+
+
+@needs_fork
+def test_parallel_entries_run_in_worker_processes(tmp_path, monkeypatch):
+    original = scene_module._run_pencil
+
+    def recording(entry, label, spec):
+        return dict(original(entry, label, spec), pid=os.getpid())
+
+    monkeypatch.setattr(scene_module, "_run_pencil", recording)
+    spec = load_scene(_two_pencil_scene("a"))
+    report, _, code = run_scene(spec, tmp_path / "w2", jobs=2)
+    assert code == 0
+    pids = {r["pid"] for r in report["results"]["pencils"]}
+    assert os.getpid() not in pids
+    # width 1, and any width over a single entry, stay in this process
+    report, _, _ = run_scene(spec, tmp_path / "w1", jobs=1)
+    assert {r["pid"] for r in report["results"]["pencils"]} == {os.getpid()}
+    single = load_scene({"version": 1, "pencils": _rich_scene()["pencils"]})
+    report, _, _ = run_scene(single, tmp_path / "one", jobs=4)
+    assert report["results"]["pencils"][0]["pid"] == os.getpid()
+
+
+def test_pool_started_from_a_thread_spawns_and_matches_width_one(tmp_path):
+    spec = load_scene(_rich_scene())
+    run_scene(spec, tmp_path / "w1", jobs=1)
+    failure = []
+
+    def run():
+        try:
+            run_scene(spec, tmp_path / "w2", jobs=2)
+        except Exception as err:  # reported below, in the test's thread
+            failure.append(err)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and not failure
+    assert _outputs(tmp_path / "w1") == _outputs(tmp_path / "w2")
+
+
+@needs_fork
+def test_dead_worker_raises_typed_error_naming_unfinished_entries(tmp_path, monkeypatch):
+    parent = os.getpid()
+    original = scene_module._run_pencil
+
+    def dying(entry, label, spec):
+        if label.startswith("doomed") and os.getpid() != parent:
+            os._exit(3)
+        return original(entry, label, spec)
+
+    monkeypatch.setattr(scene_module, "_run_pencil", dying)
+    spec = load_scene(_two_pencil_scene("doomed"))
+    with pytest.raises(CanalGeoError, match="worker process died.*doomed-0"):
+        run_scene(spec, tmp_path, jobs=2)
+
+
 # ---------------------------------------------------------------------------
 # writers
 
@@ -412,6 +487,15 @@ def test_cli_rejects_bad_override(tmp_path, capsys):
     path = _write_scene(tmp_path, {"version": 1})
     assert main(["run", path, "--tol", "bogus=1"]) == 2
     assert main(["run", path, "--grid", "mesh_t"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    path = _write_scene(tmp_path, _rich_scene())
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out), "--jobs", jobs]) == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):

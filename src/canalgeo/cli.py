@@ -1,6 +1,8 @@
 """Command line front end: run scene files, validate them, list the catalog.
 
-Exit codes: 0 success, 1 analysis errors present in a run, 2 invalid scene.
+Exit codes: 0 success, 1 analysis errors present in a run or a run that
+could not finish (a worker process died; one line on stderr, no report), 2
+invalid scene.
 The default output directory comes from --out, falling back to the
 CANALGEO_OUT environment variable, then the current directory.
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import family_catalog, surface_catalog
 from .config import DEFAULT_TOLERANCES
+from .errors import CanalGeoError
 from .scene import DEFAULT_GRIDS, load_scene, run_scene, validate_scene
 
 __all__ = ["main"]
@@ -139,7 +142,11 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get("CANALGEO_OUT") or "."
     spec = load_scene(data, tol_overrides, grid_overrides)
-    report, written, code = run_scene(spec, out_dir, jobs=args.jobs)
+    try:
+        report, written, code = run_scene(spec, out_dir, jobs=args.jobs)
+    except CanalGeoError as err:
+        print(f"run failed: {err}", file=sys.stderr)
+        return 1
     n_entries = sum(len(v) for v in report["results"].values())
     print(
         f"{n_entries} entries, {report['error_count']} errors; "

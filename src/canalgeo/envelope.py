@@ -122,9 +122,6 @@ class SphereFamily:
             raise DimensionMismatch("family jet has inconsistent shapes")
         return jet
 
-    def domain_scale(self) -> float:
-        return float(max(np.max(self.domain[:, 1] - self.domain[:, 0]), 1e-12))
-
     @functools.cached_property
     def _reference_direction(self) -> np.ndarray:
         """A unit vector kept away from the antipode of the whole tangent curve.
@@ -342,8 +339,6 @@ class _CharFrame:
     center: np.ndarray
     radius: float
     w: np.ndarray  # (n - r, n) orthonormal basis of the characteristic plane
-    tangent: np.ndarray  # (r, n) orthonormal spine-velocity directions
-    ref_order: tuple
 
 
 def _characteristic_core(jet: FamilyJet, t):
@@ -369,26 +364,23 @@ def _characteristic_core(jet: FamilyJet, t):
     return center, radius, tangent
 
 
-def _characteristic_frame(jet: FamilyJet, t, ref_order: tuple | None = None) -> _CharFrame:
-    """Center, radius and a smooth orthonormal basis of the contact plane.
+def _characteristic_frame(jet: FamilyJet, t) -> _CharFrame:
+    """Center, radius and an orthonormal basis of the contact plane.
 
     The characteristic sphere at t is the set of points of the member sphere
     whose offset from the center is orthogonal to every dc_p with prescribed
     projections -rho drho_p.  Each complement row is seeded by the coordinate
-    axis with the largest component off the span built so far.  ``ref_order``
-    pins which axis seeds each row; pass the order from a reference parameter
-    to keep the basis smooth along a path.  ``jet`` is the member jet at t.
+    axis with the largest component off the span built so far.  ``jet`` is
+    the member jet at t.
     """
     n, r = jet.c.size, jet.r
     center, radius, tangent = _characteristic_core(jet, t)
 
-    chosen = []
     basis = list(tangent)
     remaining = set(range(n))
-    for row in range(n - r):
-        candidates = sorted(remaining) if ref_order is None else [ref_order[row]]
+    for _ in range(n - r):
         best_axis, best_norm, best_vec = -1, -1.0, None
-        for axis in candidates:
+        for axis in sorted(remaining):
             e = np.zeros(n)
             e[axis] = 1.0
             for b in basis:
@@ -399,15 +391,11 @@ def _characteristic_frame(jet: FamilyJet, t, ref_order: tuple | None = None) -> 
         if best_vec is None:
             raise DegenerateFrameError(
                 "no coordinate axis has a usable component off the tangent span"
-                if ref_order is None
-                else "reference axis order degenerated; rebuild the frame at this parameter"
             )
-        chosen.append(best_axis)
         remaining.discard(best_axis)
         basis.append(best_vec)
 
-    w = np.array(basis[r:])
-    return _CharFrame(center=center, radius=radius, w=w, tangent=tangent, ref_order=tuple(chosen))
+    return _CharFrame(center=center, radius=radius, w=np.array(basis[r:]))
 
 
 def characteristic_sphere(family: SphereFamily, t) -> CharacteristicSphere:

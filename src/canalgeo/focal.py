@@ -10,10 +10,16 @@ control where the envelope fails to be immersed: the roots of
     (x^1)^2 + 2*lam212 * x^1 x^4 + 2*c22 * (x^4)^2 = 0
 
 on the isotropy quadric of the generator plane are the singular points, so
-their count is decided by the discriminant lam212^2 - 2*c22.
+their count is decided by the discriminant lam212^2 - 2*c22.  The frame and
+its t-derivatives are closed form in the order-2 member jet at t, so no
+difference step enters the coefficients.
 
-The degree-r determinant evaluator accepts caller-supplied coefficient
-matrices; this module computes them from raw family data for r = 1 only.
+Projectively, the polar hyperplanes of A(t) envelope a tangentially
+degenerate hypersurface of rank r in P^{n+1}.  ``focal_determinant``
+evaluates its focal variety on the generator, and the r = 1 fast path above
+is that variety cut with the absolute quadric.  The degree-r evaluator
+accepts caller-supplied coefficient matrices; this module computes them from
+raw family data for r = 1 only.
 """
 
 from __future__ import annotations
@@ -52,13 +58,13 @@ _OMEGA_REL = 1e-8
 _SIGN_REL = 1e-12
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip so the first component exceeding a relative floor is positive."""
+def _canonical_sign(v: np.ndarray) -> float:
+    """Sign that makes the first component exceeding a relative floor positive."""
     scale = float(np.max(np.abs(v)))
     for x in v:
         if abs(x) > _SIGN_REL * scale:
-            return v if x > 0 else -v
-    return v
+            return 1.0 if x > 0 else -1.0
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,6 @@ class GeneratorFrame:
     radius: float
     w: np.ndarray
     angle: float
-    ref_order: tuple
 
 
 @dataclass(frozen=True)
@@ -179,15 +184,29 @@ def _form_dot(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
     return float(x @ g @ y)
 
 
-def _generator_frame(
-    family: SphereFamily,
-    t: float,
-    ref_order: tuple | None,
-    angle: float,
-    g: np.ndarray,
-    align_to: np.ndarray | None = None,
-) -> tuple[GeneratorFrame, np.ndarray, np.ndarray]:
-    """Frame at t plus the analytic first/second lift derivatives."""
+def _frame_vector(x: np.ndarray, last: float) -> np.ndarray:
+    """Lift-space vector (0, x, last): a point-lift velocity or a circle tangent."""
+    return np.concatenate(([0.0], x, [last]))
+
+
+def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficients:
+    """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at t.
+
+    Every frame vector and its t-derivative is closed form in the order-2
+    member jet at t.  With s = |c'|, T = c'/s, the characteristic circle has
+    centre C = c + delta T and radius R, delta = -rho rho'/s and
+    R^2 = rho^2 - delta^2; its plane basis (U, V) is carried along by the
+    minimal rotation U' = -(U.T') T, V' = -(V.T') T.  Any other in-plane
+    transport adds a multiple of A_1 to A_0' and of A_0 - 2R^2 A_4 to A_1',
+    both orthogonal to A_2, so the coefficients do not depend on it.  The
+    circle point x0 = C + R U starts at angle 0; if that makes the
+    transverse rate degenerate the construction retries at angles rotated
+    by pi/8 before giving up.
+    """
+    if family.r != 1 or family.dim_n != 3:
+        raise DomainError("adapted frames are computed for r = 1 families in R^3")
+    t = float(t)
+    g = form_matrix(family.dim_n)
     jet = family.jet_at([t])
     a3, da, d2a = _lift_jet(jet)
     da3, d2a3 = da[0], d2a[0, 0]
@@ -196,97 +215,67 @@ def _generator_frame(
         raise DomainError(f"family is not spacelike at t={t}; no adapted frame exists")
     speed = math.sqrt(speed2)
     a2 = da3 / speed
+    dspeed = _form_dot(da3, d2a3, g) / speed
+    da2 = d2a3 / speed - da3 * (dspeed / speed2)
 
-    ch = _characteristic_frame(jet, [t], ref_order)
-    unit = math.cos(angle) * ch.w[0] + math.sin(angle) * ch.w[1]
-    x0 = ch.center + ch.radius * unit
-    x4 = ch.center - ch.radius * unit
-    a0 = lift_point(x0).coords
-    raw4 = lift_point(x4).coords
-    denom = _form_dot(a0, raw4, g)
-    if abs(denom) < 1e-300:
-        raise DegenerateFrameError("characteristic circle degenerated to a point")
-    a4 = raw4 * (-1.0 / denom)
+    ch = _characteristic_frame(jet, [t])
+    center, radius = ch.center, ch.radius
+    if radius * radius <= 1e-12 * jet.rho**2:
+        raise DegenerateFrameError(f"characteristic circle degenerated to a point at t={t}")
+    rho, drho, d2rho = jet.rho, float(jet.drho[0]), float(jet.d2rho[0, 0])
+    dc, d2c = jet.dc[0], jet.d2c[0, 0]
+    s = float(np.linalg.norm(dc))
+    tan = dc / s
+    ds = float(d2c @ tan)
+    dtan = (d2c - ds * tan) / s
+    delta = -rho * drho / s
+    ddelta = -(drho * drho + rho * d2rho) / s + rho * drho * ds / (s * s)
+    dradius = (rho * drho - delta * ddelta) / radius
+    dcenter = dc + ddelta * tan + delta * dtan
 
-    rows = np.stack([a0, a2, a3, a4]) @ g
-    _, sv, vt = np.linalg.svd(rows)
-    v = vt[-1]
-    val = _form_dot(v, v, g)
-    if val <= 1e-12:
-        raise FrameConsistencyError(
-            "complement direction of the generator frame is not spacelike"
-        )
-    a1 = _canonical_sign(v / math.sqrt(val))
-    if align_to is not None and float(a1 @ align_to) < 0:
-        a1 = -a1
-
-    frame = GeneratorFrame(
-        t=float(t),
-        a0=a0,
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        a4=a4,
-        x0=x0,
-        x4=x4,
-        center=ch.center,
-        radius=ch.radius,
-        w=ch.w,
-        angle=float(angle),
-        ref_order=ch.ref_order,
-    )
-    return frame, da3, d2a3
-
-
-def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficients:
-    """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at t.
-
-    A_0 derivatives are taken by central differences of step
-    ``1e-5 * max(1, domain scale)`` with the frame held smooth (the axis
-    order chosen at t, sign alignment against the center frame); the
-    curve-side derivatives are analytic.  The circle point x0 starts at
-    angle 0; if that makes the transverse rate degenerate the construction
-    retries at angles rotated by pi/8 before giving up.
-    """
-    if family.r != 1 or family.dim_n != 3:
-        raise DomainError("adapted frames are computed for r = 1 families in R^3")
-    t = float(t)
-    g = form_matrix(family.dim_n)
-    h = 1e-5 * max(1.0, family.domain_scale())
-
-    last_err: Exception | None = None
     for k in range(8):
         ang = k * math.pi / 8.0
-        try:
-            fr0, da3, d2a3 = _generator_frame(family, t, None, ang, g)
-            order = fr0.ref_order
-            frp, _, _ = _generator_frame(family, t + h, order, ang, g, align_to=fr0.a1)
-            frm, _, _ = _generator_frame(family, t - h, order, ang, g, align_to=fr0.a1)
-        except (DegenerateFrameError, FrameConsistencyError) as err:
-            last_err = err
-            continue
+        cs, sn = math.cos(ang), math.sin(ang)
+        unit = cs * ch.w[0] + sn * ch.w[1]
+        perp = -sn * ch.w[0] + cs * ch.w[1]
+        dunit = -float(unit @ dtan) * tan
+        dperp = -float(perp @ dtan) * tan
+        x0 = center + radius * unit
+        x4 = center - radius * unit
+        dx0 = dcenter + dradius * unit + radius * dunit
 
-        speed = math.sqrt(_form_dot(da3, da3, g))
-        ds = _form_dot(da3, d2a3, g) / speed
-        da2 = d2a3 / speed - da3 * (ds / speed**2)
-
-        da0 = (frp.a0 - frm.a0) / (2 * h)
-        da1 = (frp.a1 - frm.a1) / (2 * h)
-        omega = _form_dot(da0, fr0.a2, g)
-        omega_scale = max(
-            1e-300, float(np.linalg.norm(da0)) * float(np.linalg.norm(fr0.a2))
-        )
+        a0 = lift_point(x0).coords
+        da0 = _frame_vector(dx0, float(x0 @ dx0))
+        omega = _form_dot(da0, a2, g)
+        omega_scale = max(1e-300, float(np.linalg.norm(da0)) * float(np.linalg.norm(a2)))
         if abs(omega) <= _OMEGA_REL * omega_scale:
-            last_err = DegenerateFrameError(
-                f"transverse rate vanished at t={t}, angle={ang}"
-            )
             continue
+
+        a4 = lift_point(x4).coords / (2.0 * radius * radius)
+        a1 = _frame_vector(perp, float(x0 @ perp))
+        da1 = _frame_vector(dperp, float(dx0 @ perp + x0 @ dperp))
+        sign = _canonical_sign(a1)
+        a1, da1 = sign * a1, sign * da1
 
         lam22 = -speed / omega
         if abs(lam22) <= 1e-12:
             raise DegenerateFrameError(f"curve velocity vanished at t={t}")
-        lam212 = _form_dot(da1, fr0.a2, g) / omega
-        c22 = -_form_dot(da2, fr0.a4, g) / omega
+        lam212 = _form_dot(da1, a2, g) / omega
+        c22 = -_form_dot(da2, a4, g) / omega
+        frame = GeneratorFrame(
+            t=t,
+            a0=a0,
+            a1=a1,
+            a2=a2,
+            a3=a3,
+            a4=a4,
+            x0=x0,
+            x4=x4,
+            center=center,
+            radius=radius,
+            w=ch.w,
+            angle=ang,
+        )
         return FocalCoefficients(
             r=1,
             lam_pq=np.array([[lam22]]),
@@ -294,11 +283,9 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
             c_pq=np.array([[c22]]),
             t=t,
             omega_rate=omega,
-            frame=fr0,
+            frame=frame,
         )
-    raise DegenerateFrameError(
-        f"no usable frame angle at t={t}: {last_err}"
-    )
+    raise DegenerateFrameError(f"transverse rate vanished at every frame angle at t={t}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from canalgeo import (
-    DegenerateFrameError,
     DomainError,
     ImaginaryCharacteristicError,
     build_tensors,
@@ -23,7 +22,7 @@ from canalgeo import (
     rank_drop_singular_points,
     sampled_family,
 )
-from canalgeo.envelope import _DIRECTION_SCAN, FamilyJet, SphereFamily, _characteristic_frame
+from canalgeo.envelope import _DIRECTION_SCAN, FamilyJet, SphereFamily
 
 
 def test_family_lift_is_unit(fourier_families, rng):
@@ -133,24 +132,6 @@ def test_characteristic_sphere_imaginary():
     fam = SphereFamily(dim_n=3, r=1, jet2=jet2, domain=((0.0, 1.0),), name="steep")
     with pytest.raises(ImaginaryCharacteristicError):
         characteristic_sphere(fam, 0.5)
-
-
-def test_characteristic_frame_pinned_order_reproduces_free_seeding(fourier_families, rng):
-    for dim_n in (3, 4):
-        fam = fourier_families(rng, dim_n)
-        for t in (0.7, 2.9, 5.1):
-            fr = _characteristic_frame(fam.jet_at([t]), [t])
-            pinned = _characteristic_frame(fam.jet_at([t]), [t], ref_order=fr.ref_order)
-            assert pinned.ref_order == fr.ref_order
-            assert np.array_equal(pinned.w, fr.w)
-
-
-def test_characteristic_frame_pinned_axis_in_tangent_span_raises():
-    # the line-cone spine runs along e_x, so e_x cannot seed a complement row
-    fam = make_family("line-cone", {"slope": 0.5})
-    assert _characteristic_frame(fam.jet_at([1.0]), [1.0]).ref_order[0] != 0
-    with pytest.raises(DegenerateFrameError):
-        _characteristic_frame(fam.jet_at([1.0]), [1.0], ref_order=(0, 1))
 
 
 def test_envelope_chart_tangency(fourier_families, rng):

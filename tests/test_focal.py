@@ -35,12 +35,12 @@ def test_selfintersecting_tube_two_singular_points():
         rep = singular_set(adapted_frame_coefficients(fam, t0))
         assert rep.count == 2
         assert not rep.degenerate
-        assert rep.discriminant == pytest.approx(0.75, abs=1e-6)
+        assert rep.discriminant == pytest.approx(0.75, abs=1e-12)
         zs = sorted(p.point[2] for p in rep.points)
-        assert zs[0] == pytest.approx(-expected, abs=1e-7)
-        assert zs[1] == pytest.approx(expected, abs=1e-7)
+        assert zs[0] == pytest.approx(-expected, abs=1e-12)
+        assert zs[1] == pytest.approx(expected, abs=1e-12)
         for p in rep.points:
-            assert np.linalg.norm(p.point[:2]) < 1e-7
+            assert np.linalg.norm(p.point[:2]) < 1e-12
 
 
 def test_tangent_tube_one_double_point_at_origin():
@@ -50,7 +50,7 @@ def test_tangent_tube_one_double_point_at_origin():
         assert rep.count == 1
         assert rep.degenerate
         assert abs(rep.discriminant) <= rep.band
-        assert np.linalg.norm(rep.points[0].point) < 1e-7
+        assert np.linalg.norm(rep.points[0].point) < 1e-12
 
 
 def test_embedded_tube_no_singular_points():
@@ -59,7 +59,28 @@ def test_embedded_tube_no_singular_points():
         rep = singular_set(adapted_frame_coefficients(fam, t0))
         assert rep.count == 0
         assert not rep.degenerate
-        assert rep.discriminant == pytest.approx(-3.75, abs=1e-6)
+        assert rep.discriminant == pytest.approx(-3.75, abs=1e-12)
+
+
+def test_helix_tube_singular_points_closed_form():
+    # constant-radius tube about a helix of curvature kappa: the envelope is
+    # singular where 1 - kappa rho cos(theta) = 0 on the normal circle, i.e.
+    # at c + N / kappa +- sqrt(rho^2 - kappa^-2) B
+    major, pitch, rho = 2.0, 0.5, 3.0
+    fam = make_family("helix-tube", {"major": major, "pitch": pitch, "rho": rho})
+    speed = math.hypot(major, pitch)
+    kappa = major / speed**2
+    half = math.sqrt(rho**2 - kappa**-2)
+    for t0 in (0.3, 1.7, 2.9, 4.4, 5.8):
+        c = np.array([major * math.cos(t0), major * math.sin(t0), pitch * t0])
+        normal = np.array([-math.cos(t0), -math.sin(t0), 0.0])
+        binormal = np.array([pitch * math.sin(t0), -pitch * math.cos(t0), major]) / speed
+        rep = singular_set(adapted_frame_coefficients(fam, t0))
+        assert rep.count == 2
+        got = sorted((p.point for p in rep.points), key=lambda p: float(p @ binormal))
+        for p, sign in zip(got, (-1.0, 1.0)):
+            want = c + normal / kappa + sign * half * binormal
+            assert np.max(np.abs(p - want)) <= 1e-12
 
 
 def test_structure_coefficients_golden_values():
@@ -70,9 +91,9 @@ def test_structure_coefficients_golden_values():
     }
     for (major, rho), (lam22, abs_lam212, c22) in cases.items():
         co = adapted_frame_coefficients(_tube(major, rho), 0.3)
-        assert co.lam22 == pytest.approx(lam22, abs=1e-6)
-        assert abs(co.lam212) == pytest.approx(abs_lam212, abs=1e-6)
-        assert co.c22 == pytest.approx(c22, abs=1e-6)
+        assert co.lam22 == pytest.approx(lam22, abs=1e-12)
+        assert abs(co.lam212) == pytest.approx(abs_lam212, abs=1e-12)
+        assert co.c22 == pytest.approx(c22, abs=1e-12)
         # r = 1 coefficients always satisfy the symmetry constraint exactly
         assert co.constraint_residual() == 0.0
 

@@ -498,6 +498,20 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_cli_reports_dead_worker_in_one_line(tmp_path, capsys, monkeypatch):
+    def dead_pool(spec, out_dir, jobs=1):
+        raise CanalGeoError("a scene worker process died; unfinished entries: pencil-0")
+
+    monkeypatch.setattr("canalgeo.cli.run_scene", dead_pool)
+    path = _write_scene(tmp_path, _rich_scene())
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "run failed: a scene worker process died; unfinished entries: pencil-0"
+    ]
+    assert captured.out == ""
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     good = _write_scene(tmp_path, _rich_scene())
     assert main(["validate", good]) == 0

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 analysis errors present in a run or a run that
 could not finish (a worker process died; one line on stderr, no report), 2
-invalid scene.
+invalid scene, including a scene made invalid by a --tol or --grid value:
+overrides are merged into the document before it is validated.
 The default output directory comes from --out, falling back to the
 CANALGEO_OUT environment variable, then the current directory.
 """
@@ -39,6 +40,15 @@ def _parse_overrides(pairs, caster, known, what):
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad value for {what} {name!r}: {value!r}")
     return out
+
+
+def _with_overrides(data, section: str, overrides: dict):
+    """The scene document with ``overrides`` merged into one section, so that
+    validation sees them; a malformed document or section is left for
+    validation to report."""
+    if not overrides or not isinstance(data, dict) or not isinstance(data.get(section, {}), dict):
+        return data
+    return {**data, section: {**data.get(section, {}), **overrides}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,6 +131,14 @@ def main(argv=None) -> int:
     data = _read_scene(args.scene)
     if data is None:
         return 2
+    if args.command == "run":
+        try:
+            tol = _parse_overrides(args.tol, float, set(DEFAULT_TOLERANCES.to_json()), "tolerance")
+            grid = _parse_overrides(args.grid, int, set(DEFAULT_GRIDS), "grid")
+        except argparse.ArgumentTypeError as err:
+            print(str(err), file=sys.stderr)
+            return 2
+        data = _with_overrides(_with_overrides(data, "tolerances", tol), "grids", grid)
     diagnostics = validate_scene(data)
 
     if args.command == "validate":
@@ -131,17 +149,8 @@ def main(argv=None) -> int:
         print(json.dumps(diagnostics, indent=2, sort_keys=True))
         return 2
 
-    try:
-        tol_overrides = _parse_overrides(
-            args.tol, float, set(DEFAULT_TOLERANCES.to_json()), "tolerance"
-        )
-        grid_overrides = _parse_overrides(args.grid, int, set(DEFAULT_GRIDS), "grid")
-    except argparse.ArgumentTypeError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-
     out_dir = args.out or os.environ.get("CANALGEO_OUT") or "."
-    spec = load_scene(data, tol_overrides, grid_overrides)
+    spec = load_scene(data)
     try:
         report, written, code = run_scene(spec, out_dir, jobs=args.jobs)
     except CanalGeoError as err:

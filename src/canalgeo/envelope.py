@@ -311,7 +311,7 @@ def causal_classify_family(
 
 
 # ---------------------------------------------------------------------------
-# characteristic spheres and frames
+# characteristic spheres
 
 
 @dataclass(frozen=True)
@@ -332,13 +332,6 @@ class CharacteristicSphere:
             "radius": self.radius,
             "dimension": self.m,
         }
-
-
-@dataclass(frozen=True)
-class _CharFrame:
-    center: np.ndarray
-    radius: float
-    w: np.ndarray  # (n - r, n) orthonormal basis of the characteristic plane
 
 
 def _characteristic_core(jet: FamilyJet, t):
@@ -362,40 +355,6 @@ def _characteristic_core(jet: FamilyJet, t):
     signs[signs == 0] = 1.0
     tangent = (q * signs).T  # (r, n), orthonormal, deterministic
     return center, radius, tangent
-
-
-def _characteristic_frame(jet: FamilyJet, t) -> _CharFrame:
-    """Center, radius and an orthonormal basis of the contact plane.
-
-    The characteristic sphere at t is the set of points of the member sphere
-    whose offset from the center is orthogonal to every dc_p with prescribed
-    projections -rho drho_p.  Each complement row is seeded by the coordinate
-    axis with the largest component off the span built so far.  ``jet`` is
-    the member jet at t.
-    """
-    n, r = jet.c.size, jet.r
-    center, radius, tangent = _characteristic_core(jet, t)
-
-    basis = list(tangent)
-    remaining = set(range(n))
-    for _ in range(n - r):
-        best_axis, best_norm, best_vec = -1, -1.0, None
-        for axis in sorted(remaining):
-            e = np.zeros(n)
-            e[axis] = 1.0
-            for b in basis:
-                e -= (e @ b) * b
-            nrm = np.linalg.norm(e)
-            if nrm > max(best_norm, _FRAME_FLOOR):
-                best_axis, best_norm, best_vec = axis, nrm, e / nrm
-        if best_vec is None:
-            raise DegenerateFrameError(
-                "no coordinate axis has a usable component off the tangent span"
-            )
-        remaining.discard(best_axis)
-        basis.append(best_vec)
-
-    return _CharFrame(center=center, radius=radius, w=np.array(basis[r:]))
 
 
 def characteristic_sphere(family: SphereFamily, t) -> CharacteristicSphere:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Dropped, PolyVector, drop_sphere, form_matrix, lift_point
-from .envelope import SphereFamily, _characteristic_frame, _lift_jet, envelope_surface
+from .envelope import _FRAME_FLOOR, SphereFamily, _lift_jet, envelope_surface
 from .errors import (
     DegenerateFrameError,
     DimensionMismatch,
@@ -195,10 +195,14 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     Every frame vector and its t-derivative is closed form in the order-2
     member jet at t.  With s = |c'|, T = c'/s, the characteristic circle has
     centre C = c + delta T and radius R, delta = -rho rho'/s and
-    R^2 = rho^2 - delta^2; its plane basis (U, V) is carried along by the
-    minimal rotation U' = -(U.T') T, V' = -(V.T') T.  Any other in-plane
-    transport adds a multiple of A_1 to A_0' and of A_0 - 2R^2 A_4 to A_1',
-    both orthogonal to A_2, so the coefficients do not depend on it.  The
+    R^2 = rho^2 - delta^2.  Past the spacelike check R^2 > 0 holds in
+    exact arithmetic, since R^2 = rho^2 (1 - rho'^2/s^2) and (A', A') =
+    (s^2 - rho'^2)/rho^2 share their sign.  The plane basis is U = the unit
+    projection of e_k off T, k the first index minimising |T_k|, and
+    V = T x U; it is carried along by the minimal rotation U' = -(U.T') T,
+    V' = -(V.T') T.  Any other in-plane transport adds a multiple of A_1 to
+    A_0' and of A_0 - 2R^2 A_4 to A_1', both orthogonal to A_2, so the
+    coefficients do not depend on it.  The
     circle point x0 = C + R U starts at angle 0; if that makes the
     transverse rate degenerate the construction retries at angles rotated
     by pi/8 before giving up.
@@ -218,17 +222,26 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     dspeed = _form_dot(da3, d2a3, g) / speed
     da2 = d2a3 / speed - da3 * (dspeed / speed2)
 
-    ch = _characteristic_frame(jet, [t])
-    center, radius = ch.center, ch.radius
-    if radius * radius <= 1e-12 * jet.rho**2:
-        raise DegenerateFrameError(f"characteristic circle degenerated to a point at t={t}")
     rho, drho, d2rho = jet.rho, float(jet.drho[0]), float(jet.d2rho[0, 0])
     dc, d2c = jet.dc[0], jet.d2c[0, 0]
     s = float(np.linalg.norm(dc))
+    if s <= _FRAME_FLOOR:
+        raise DegenerateFrameError("family spine has (numerically) stationary directions")
     tan = dc / s
+    delta = -rho * drho / s
+    radius2 = rho * rho - delta * delta
+    if radius2 <= 1e-12 * rho * rho:
+        raise DegenerateFrameError(f"characteristic circle degenerated to a point at t={t}")
+    radius = math.sqrt(radius2)
+    center = jet.c + delta * tan
+    axis = int(np.argmin(np.abs(tan)))
+    w0 = -tan[axis] * tan
+    w0[axis] += 1.0
+    w0 /= np.linalg.norm(w0)
+    w = np.array([w0, np.cross(tan, w0)])
+
     ds = float(d2c @ tan)
     dtan = (d2c - ds * tan) / s
-    delta = -rho * drho / s
     ddelta = -(drho * drho + rho * d2rho) / s + rho * drho * ds / (s * s)
     dradius = (rho * drho - delta * ddelta) / radius
     dcenter = dc + ddelta * tan + delta * dtan
@@ -236,8 +249,8 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     for k in range(8):
         ang = k * math.pi / 8.0
         cs, sn = math.cos(ang), math.sin(ang)
-        unit = cs * ch.w[0] + sn * ch.w[1]
-        perp = -sn * ch.w[0] + cs * ch.w[1]
+        unit = cs * w[0] + sn * w[1]
+        perp = -sn * w[0] + cs * w[1]
         dunit = -float(unit @ dtan) * tan
         dperp = -float(perp @ dtan) * tan
         x0 = center + radius * unit
@@ -273,7 +286,7 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
             x4=x4,
             center=center,
             radius=radius,
-            w=ch.w,
+            w=w,
             angle=ang,
         )
         return FocalCoefficients(
@@ -454,10 +467,13 @@ def classify_tube_plane(
 # ---------------------------------------------------------------------------
 # brute-force rank-drop oracle
 
-# angles scanned per circle, Jacobian difference step, singular-value ratio
-# that counts as a rank drop, and the angle (radians) within which located
-# drops are merged
+# angles scanned per circle, nested-grid refinement of each dip (points per
+# round, rounds: the bracket shrinks 16-fold a round), Jacobian difference
+# step, singular-value ratio that counts as a rank drop, and the angle
+# (radians) within which located drops are merged
 _SCAN = 720
+_REFINE_POINTS = 33
+_REFINE_ROUNDS = 5
 _JAC_STEP = 1e-5
 _DROP_REL = 1e-6
 _MERGE_TOL = 1e-2
@@ -493,14 +509,13 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
     A circle position is singular when the smaller singular value of the
     (t, angle) Jacobian falls below ``_DROP_REL`` times the larger one;
     candidate dips are located on a grid of ``_SCAN`` angles and sharpened
-    by bounded scalar minimization, then merged within ``_MERGE_TOL``
-    radians.  This is deliberately independent of the adapted-frame
-    pipeline so the two can check each other.
+    on nested grids, each round keeping the two neighbours of its best
+    point, then merged within ``_MERGE_TOL`` radians.  This is deliberately
+    independent of the adapted-frame pipeline so the two can check each
+    other.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("the rank-drop oracle runs on r = 1 families in R^3")
-    from scipy.optimize import minimize_scalar
-
     t = float(t)
     surf = envelope_surface(family)
     two_pi = 2.0 * math.pi
@@ -529,14 +544,14 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
 
     accepted = []
     for th0 in candidates:
-        res = minimize_scalar(
-            lambda th: float(ratio_batch(np.array([th]))[0]),
-            bounds=(th0 - spacing, th0 + spacing),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if res.fun < _DROP_REL:
-            accepted.append(float(res.x) % two_pi)
+        lo, hi = th0 - spacing, th0 + spacing
+        for _ in range(_REFINE_ROUNDS):
+            grid = np.linspace(lo, hi, _REFINE_POINTS)
+            fine = ratio_batch(grid)
+            best = int(np.argmin(fine))
+            lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _REFINE_POINTS - 1)]
+        if fine[best] < _DROP_REL:
+            accepted.append(float(grid[best]) % two_pi)
 
     accepted.sort()
     merged: list[float] = []

@@ -106,9 +106,12 @@ def cell_centers(domain: np.ndarray, counts) -> np.ndarray:
     ``domain`` is a (k, 2) box; ``counts`` gives the cells per axis (one
     integer broadcasts to every axis).  Axis i takes the values
     ``lo + (hi - lo) / m * (j + 0.5)`` for j < m, and the first axis varies
-    slowest.
+    slowest.  A count below 1 raises ``DomainError``: an empty grid would let
+    a caller return a verdict from no samples.
     """
     counts = np.broadcast_to(np.asarray(counts, dtype=int), (domain.shape[0],))
+    if np.any(counts < 1):
+        raise DomainError(f"grid cell counts must be at least 1, got {counts.tolist()}")
     axes = [lo + (hi - lo) / m * (np.arange(m) + 0.5) for (lo, hi), m in zip(domain, counts)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)

@@ -234,19 +234,11 @@ def validate_scene(data) -> list:
     return diags
 
 
-def load_scene(
-    data: dict,
-    tolerance_overrides: dict | None = None,
-    grid_overrides: dict | None = None,
-) -> SceneSpec:
-    """Build a SceneSpec from validated JSON data plus CLI-level overrides."""
+def load_scene(data: dict) -> SceneSpec:
+    """Build a SceneSpec from validated JSON data."""
     tol = DEFAULT_TOLERANCES.replace(**(data.get("tolerances") or {}))
-    if tolerance_overrides:
-        tol = tol.replace(**tolerance_overrides)
     grids = dict(DEFAULT_GRIDS)
     grids.update(data.get("grids") or {})
-    if grid_overrides:
-        grids.update({k: v for k, v in grid_overrides.items() if v is not None})
     return SceneSpec(
         surfaces=tuple(data.get("surfaces", [])),
         families=tuple(data.get("families", [])),

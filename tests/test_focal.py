@@ -143,7 +143,7 @@ def test_fast_path_matches_rank_drop_oracle():
                 # match points pairwise regardless of ordering
                 for row in fast:
                     dists = np.linalg.norm(slow - row, axis=1)
-                    assert dists.min() < 1e-3
+                    assert dists.min() < 1e-6
 
 
 # ---------------------------------------------------------------------------

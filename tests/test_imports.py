@@ -1,4 +1,4 @@
-"""Cold imports load neither SymPy nor SciPy; a run with sampled families loads no SciPy."""
+"""Cold imports load neither SymPy nor SciPy; sampled families and singular points load no SciPy."""
 
 import json
 import math
@@ -59,3 +59,17 @@ def test_run_with_sampled_family_loads_no_scipy(tmp_path):
         [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     )
     assert done.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_singular_points_and_oracle_load_no_scipy():
+    code = (
+        "import sys; import canalgeo as cg; "
+        "fam = cg.make_family('circle-tube', {'major': 1.0, 'rho': 2.0}); "
+        "rep = cg.singular_set(cg.adapted_frame_coefficients(fam, 0.3)); "
+        "oracle = cg.rank_drop_singular_points(fam, 0.3); "
+        "print(rep.count, oracle.count, sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "2 2 []"

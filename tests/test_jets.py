@@ -13,6 +13,7 @@ from canalgeo import (
     ParametricSurface,
     build_tensors,
     causal_classify_family,
+    detect_canal,
     envelope_surface,
     evaluate_jet,
     fundamental_forms,
@@ -217,6 +218,17 @@ def test_family_samples_are_cell_centered(tmp_path, m):
     run_scene(load_scene(scene), tmp_path)
     rows = (tmp_path / "tube-0_singular.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [format_number(t) for t in ts]
+
+
+@pytest.mark.parametrize("counts", [0, -2])
+def test_zero_sample_counts_raise(counts):
+    # an empty grid must not yield a verdict from no samples
+    fam = make_family("circle-tube", {"major": 2.0, "rho": 0.5})
+    with pytest.raises(DomainError, match="at least 1"):
+        causal_classify_family(fam, counts=counts)
+    torus = make_surface("torus", {"major": 2.0, "minor": 1.0})
+    with pytest.raises(DomainError, match="at least 1"):
+        detect_canal(torus, counts=counts)
 
 
 def test_graph_surface_round_trip():

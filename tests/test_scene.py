@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canalgeo import CanalGeoError, scene as scene_module
+from canalgeo import DEFAULT_TOLERANCES, CanalGeoError, scene as scene_module
 from canalgeo.cli import main
 from canalgeo.envelope import EnvelopeMesh
 from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
@@ -164,10 +164,9 @@ def test_validate_rejects_non_object_params(params):
 def test_load_scene_applies_overrides():
     scene = _rich_scene()
     scene["tolerances"] = {"canal": 5e-4}
-    spec = load_scene(scene, {"dupin": 2e-7}, {"mesh_t": 16})
+    spec = load_scene(scene)
     assert spec.tolerances.canal == 5e-4
-    assert spec.tolerances.dupin == 2e-7
-    assert spec.grids["mesh_t"] == 16
+    assert spec.grids["mesh_t"] == SMALL_GRIDS["mesh_t"]
     assert spec.grids["mesh_angle"] == SMALL_GRIDS["mesh_angle"]
     # untouched names keep their defaults
     assert spec.tolerances.pencil == 1e-9
@@ -476,11 +475,32 @@ def test_cli_run_grid_and_tol_overrides(tmp_path, capsys):
     }
     path = _write_scene(tmp_path, scene)
     out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out), "--grid", "mesh_t=10", "--grid", "mesh_angle=5"]) == 0
+    argv = ["run", path, "--out", str(out), "--grid", "mesh_t=10", "--grid", "mesh_angle=5"]
+    assert main(argv + ["--tol", "dupin=2e-7"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["provenance"]["grids"]["mesh_t"] == 10
+    assert report["provenance"]["grids"]["family_samples"] == DEFAULT_GRIDS["family_samples"]
+    assert report["provenance"]["tolerances"]["dupin"] == 2e-7
+    assert report["provenance"]["tolerances"]["canal"] == DEFAULT_TOLERANCES.canal
     env = report["results"]["families"][0]["analyses"]["envelope"]
     assert env["vertices"] == 50
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        (["--tol", "canal=-1"], "tolerances.canal"),
+        (["--tol", "canal=nan"], "tolerances.canal"),
+        (["--grid", "surface_samples=0"], "grids.surface_samples"),
+    ],
+)
+def test_cli_validates_overridden_scene(tmp_path, capsys, override, field):
+    path = _write_scene(tmp_path, _rich_scene())
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)] + override) == 2
+    diags = json.loads(capsys.readouterr().out)
+    assert [(d["entry"], d["field"]) for d in diags] == [("scene", field)]
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_override(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Curvature tensors of hypersurfaces and canal/Dupin detection.
 
 Everything here works in the orthonormal tangent gauge delivered by
-``jets.evaluate_jet``: the metric is the identity, the second fundamental
+``jets.evaluate_jets``: the metric is the identity, the second fundamental
 form h plays the role of the first conformal tensor, and a trace-adjusted
 cubic tensor built from the covariant derivative of h tests, direction by
 direction, whether the hypersurface is enveloped by a sphere family.
@@ -21,11 +21,11 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Dropped, PolyVector, drop_sphere
-from .errors import DomainError
 from .jets import (
     ParametricSurface,
     SurfaceJet,
-    evaluate_jet,
+    _row_dots,
+    evaluate_jets,
     fundamental_forms,
     gauge_frame,
     shape_derivative,
@@ -59,6 +59,9 @@ class ConformalTensors:
     a mu = lam1, and ``a3`` the trace-adjusted cubic tensor.  ``a3`` is None
     when ``a`` is singular (umbilic points included), in which case the
     cubic test does not apply.
+
+    `_ladder` fills the same fields with a leading point axis; there the
+    rows of ``mu`` and ``a3`` are NaN where ``a_singular`` holds.
     """
 
     jet: SurfaceJet
@@ -77,36 +80,45 @@ class ConformalTensors:
         return self.jet.dim_n
 
 
-def build_tensors(jet: SurfaceJet, tolerances: Tolerances = DEFAULT_TOLERANCES) -> ConformalTensors:
-    """Run the tensor ladder at one jet: h, its mean, trace-free and cubic parts."""
-    _, h = fundamental_forms(jet)
-    k = h.shape[0]
-    lam = float(np.trace(h)) / k
-    a = h - lam * np.eye(k)
-    lam3 = shape_derivative(jet)
-    lam1 = np.einsum("iik->k", lam3) / k
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each x[i] of a stack, as ``np.linalg.norm`` of that point alone."""
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(_row_dots(flat, flat))
 
-    h_scale = max(1.0, float(np.linalg.norm(h)))
-    umbilic = float(np.linalg.norm(a)) <= tolerances.umbilic * h_scale
+
+def _ladder(jets: SurfaceJet, tolerances: Tolerances) -> ConformalTensors:
+    """The tensor ladder at every point of a jet with a leading point axis.
+
+    Stacked einsums and `eigvalsh`; `solve` runs on the rows where a is not
+    singular.
+    """
+    _, h = fundamental_forms(jets)
+    rows, k = h.shape[:2]
+    lam = np.trace(h, axis1=1, axis2=2) / k
+    eye = np.eye(k)
+    a = h - lam[:, None, None] * eye
+    lam3 = shape_derivative(jets)
+    lam1 = np.einsum("...iik->...k", lam3) / k
+
+    h_scale = np.maximum(1.0, _norms(h))
+    umbilic = _norms(a) <= tolerances.umbilic * h_scale
     a_eigs = np.linalg.eigvalsh(a)
-    a_singular = bool(np.min(np.abs(a_eigs)) <= _A_SINGULAR_REL * h_scale)
+    a_singular = np.min(np.abs(a_eigs), axis=1) <= _A_SINGULAR_REL * h_scale
 
-    mu = None
-    a3 = None
-    if not a_singular:
-        mu = np.linalg.solve(a, lam1)
-        eye = np.eye(k)
-        a3 = (
-            lam3
-            + np.einsum("ij,k->ijk", a, mu)
-            + np.einsum("jk,i->ijk", a, mu)
-            + np.einsum("ki,j->ijk", a, mu)
-            - np.einsum("ij,k->ijk", eye, lam1)
-            - np.einsum("jk,i->ijk", eye, lam1)
-            - np.einsum("ki,j->ijk", eye, lam1)
-        )
+    regular = ~a_singular
+    mu = np.full((rows, k), np.nan)
+    mu[regular] = np.linalg.solve(a[regular], lam1[regular][:, :, None])[:, :, 0]
+    a3 = (
+        lam3
+        + np.einsum("...ij,...k->...ijk", a, mu)
+        + np.einsum("...jk,...i->...ijk", a, mu)
+        + np.einsum("...ki,...j->...ijk", a, mu)
+        - np.einsum("ij,...k->...ijk", eye, lam1)
+        - np.einsum("jk,...i->...ijk", eye, lam1)
+        - np.einsum("ki,...j->...ijk", eye, lam1)
+    )
     return ConformalTensors(
-        jet=jet,
+        jet=jets,
         h=h,
         lam=lam,
         a=a,
@@ -116,6 +128,27 @@ def build_tensors(jet: SurfaceJet, tolerances: Tolerances = DEFAULT_TOLERANCES) 
         a3=a3,
         umbilic=umbilic,
         a_singular=a_singular,
+    )
+
+
+def build_tensors(jet: SurfaceJet, tolerances: Tolerances = DEFAULT_TOLERANCES) -> ConformalTensors:
+    """Run the tensor ladder at one jet: h, its mean, trace-free and cubic parts.
+
+    A batch of one through the stacked ladder.
+    """
+    t = _ladder(jet.batch(), tolerances)
+    singular = bool(t.a_singular[0])
+    return ConformalTensors(
+        jet=jet,
+        h=t.h[0],
+        lam=float(t.lam[0]),
+        a=t.a[0],
+        lam3=t.lam3[0],
+        lam1=t.lam1[0],
+        mu=None if singular else t.mu[0],
+        a3=None if singular else t.a3[0],
+        umbilic=bool(t.umbilic[0]),
+        a_singular=singular,
     )
 
 
@@ -133,21 +166,33 @@ class PrincipalSpectrum:
         return tuple(len(c) for c in self.clusters)
 
 
+def _spectra(h: np.ndarray, tolerances: Tolerances):
+    """Stacked `eigh` of h (P, k, k), and where each row's sorted eigenvalues split into clusters.
+
+    ``breaks[i, j]`` holds when eigenvalues j and j + 1 of row i lie in
+    different clusters.
+    """
+    eigs, vecs = np.linalg.eigh(h)
+    scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+    breaks = np.diff(eigs, axis=1) > (tolerances.clustering * scale)[:, None]
+    return eigs, vecs, breaks
+
+
+def _clusters(breaks: np.ndarray) -> tuple:
+    """Index tuples of the clusters that one row of ``breaks`` separates."""
+    edges = [0, *(np.flatnonzero(breaks) + 1).tolist(), breaks.size + 1]
+    return tuple(tuple(range(lo, hi)) for lo, hi in zip(edges, edges[1:]))
+
+
 def principal_spectrum(
     tensors: ConformalTensors, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> PrincipalSpectrum:
-    eigs, vecs = np.linalg.eigh(tensors.h)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    gap = tolerances.clustering * scale
-    clusters = []
-    start = 0
-    for i in range(1, eigs.size + 1):
-        if i == eigs.size or eigs[i] - eigs[i - 1] > gap:
-            clusters.append(tuple(range(start, i)))
-            start = i
+    eigs, vecs, breaks = _spectra(tensors.h[None], tolerances)
+    eigs = eigs[0]
+    clusters = _clusters(breaks[0])
     means = tuple(float(np.mean(eigs[list(c)])) for c in clusters)
     return PrincipalSpectrum(
-        eigenvalues=eigs, vectors=vecs, clusters=tuple(clusters), cluster_means=means
+        eigenvalues=eigs, vectors=vecs[0], clusters=clusters, cluster_means=means
     )
 
 
@@ -212,8 +257,12 @@ def third_order_in_principal_frame(
         return None
     if spectrum is None:
         spectrum = principal_spectrum(tensors)
-    r = spectrum.vectors
-    return np.einsum("abc,ai,bj,ck->ijk", tensors.a3, r, r, r)
+    return _rotate3(tensors.a3, spectrum.vectors)
+
+
+def _rotate3(a3: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Cubic tensors (..., k, k, k) in the eigenbases given by the columns of r (..., k, k)."""
+    return np.einsum("...abc,...ai,...bj,...ck->...ijk", a3, r, r, r)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +322,16 @@ class CanalReport:
         }
 
 
-def _dupin_metric(tensors: ConformalTensors) -> float | None:
+def _dupin_metrics(tensors: ConformalTensors) -> np.ndarray:
+    """Dupin metric of every point of a stacked ladder; NaN where it does not apply."""
     # Both lam3 and h^2 carry the units of a3, so the denominator stays a
     # genuine scale even where the cubic ladder degenerates to zero.
-    scale = float(np.linalg.norm(tensors.h)) ** 2 + _METRIC_FLOOR
-    lam3_norm = float(np.linalg.norm(tensors.lam3))
-    if tensors.a3 is not None:
-        return float(np.linalg.norm(tensors.a3)) / (lam3_norm + scale)
-    if tensors.umbilic:
-        # Totally umbilic pieces are Dupin exactly when h stays parallel.
-        return lam3_norm / (lam3_norm + scale)
-    return None
+    scale = _norms(tensors.h) ** 2 + _METRIC_FLOOR
+    lam3_norm = _norms(tensors.lam3)
+    # Totally umbilic pieces are Dupin exactly when h stays parallel.
+    fallback = np.where(tensors.umbilic, lam3_norm, np.nan)
+    top = np.where(tensors.a_singular, fallback, _norms(tensors.a3))
+    return top / (lam3_norm + scale)
 
 
 def detect_canal(
@@ -299,40 +347,33 @@ def detect_canal(
     along it vanishes within ``tolerances.canal`` (after normalization).
     Mixed eigenvalue signatures across samples are reported as warnings, not
     errors, since clustering strata can genuinely change along a surface.
-    """
-    pts = params if params is not None else surface.sample_grid(counts)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[1] != surface.n_params:
-        raise DomainError(
-            f"expected {surface.n_params} chart parameters, got {pts.shape[1]}"
-        )
 
-    signatures: dict[tuple, int] = {}
-    records = []
-    umbilic_count = 0
-    singular_count = 0
-    dupin_vals = []
-    dupin_missing = False
-    for row in pts:
-        jet = evaluate_jet(surface, row)
-        tensors = build_tensors(jet, tolerances)
-        metric = _dupin_metric(tensors)
-        if metric is None:
-            dupin_missing = True
-        else:
-            dupin_vals.append(metric)
-        if tensors.umbilic:
-            umbilic_count += 1
-            continue
-        if tensors.a_singular:
-            singular_count += 1
-        spectrum = principal_spectrum(tensors, tolerances)
-        sig = spectrum.signature
-        signatures[sig] = signatures.get(sig, 0) + 1
-        a3p = third_order_in_principal_frame(tensors, spectrum)
-        records.append((sig, spectrum, a3p))
+    The grid is ``counts`` cells per axis of the domain box, or the rows of
+    ``params`` (at least one, all finite).  Jets, the tensor ladder and the
+    spectra are each one batched pass over the whole grid.
+    """
+    pts = surface.sample_grid(counts) if params is None else params
+    jets = evaluate_jets(surface, pts)
+    pts = jets.u
+    tensors = _ladder(jets, tolerances)
+    dupin_vals = _dupin_metrics(tensors)
 
     total = pts.shape[0]
+    kept = np.flatnonzero(~tensors.umbilic)  # umbilic samples are skipped
+    umbilic_count = total - kept.size
+    singular_count = int(np.count_nonzero(tensors.a_singular[kept]))
+    eigs, vecs, breaks = _spectra(tensors.h[kept], tolerances)
+    # one signature per distinct cluster pattern, counted in order of first appearance
+    patterns, first, which, sizes = np.unique(
+        breaks, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    signatures: dict[tuple, int] = {}
+    pattern_of: dict[tuple, int] = {}
+    for p in np.argsort(first):
+        sig = tuple(len(c) for c in _clusters(patterns[p]))
+        signatures[sig] = int(sizes[p])
+        pattern_of[sig] = p
+
     warnings = []
     umbilic_fraction = umbilic_count / total
     singular_fraction = singular_count / total
@@ -345,64 +386,56 @@ def detect_canal(
     if totally_umbilic:
         is_canal = True
         warnings.append("surface is totally umbilic; sphere/plane degenerate case")
-    elif records:
+    else:
         signature = max(signatures, key=signatures.get)
-        signature_fraction = signatures[signature] / len(records)
+        signature_fraction = signatures[signature] / kept.size
         if signature_fraction < 1.0:
             warnings.append(
                 "principal multiplicities change across samples "
                 f"({dict((str(k), v) for k, v in signatures.items())}); "
                 "verdicts use the majority stratum"
             )
-        matching = [rec for rec in records if rec[0] == signature]
+        best = pattern_of[signature]
+        matching = which.reshape(-1) == best  # the inverse's shape differs across NumPy versions
+        rows = kept[matching]
+        eig_m = eigs[matching]
+        a3p = None
+        if not tensors.a_singular[rows].any():
+            a3p = _rotate3(tensors.a3[rows], vecs[matching])
+            a3p_scale = 1.0 + _norms(a3p)
         verdicts = []
-        for pos, mult in enumerate(signature):
-            curvature = float(
-                np.mean([rec[1].cluster_means[pos] for rec in matching])
-            )
+        for mult, cluster in zip(signature, _clusters(patterns[best])):
+            curvature = float(np.mean(eig_m[:, list(cluster)].mean(axis=1)))
             if mult > 1:
                 verdicts.append(
                     ClusterVerdict(mult, curvature, True, "multiplicity", None)
                 )
                 continue
-            vals = []
-            missing = False
-            for _, spectrum, a3p in matching:
-                if a3p is None:
-                    missing = True
-                    continue
-                idx = spectrum.clusters[pos][0]
-                norm = 1.0 + float(np.linalg.norm(a3p))
-                vals.append(abs(a3p[idx, idx, idx]) / norm)
-            if missing or not vals:
+            if a3p is None:
                 verdicts.append(ClusterVerdict(mult, curvature, None, "unavailable", None))
                 warnings.append(
                     "cubic tensor unavailable at some samples (singular trace-free part)"
                 )
                 continue
-            metric = float(np.max(vals))
+            idx = cluster[0]
+            metric = float(np.max(np.abs(a3p[:, idx, idx, idx]) / a3p_scale))
             verdicts.append(
                 ClusterVerdict(mult, curvature, metric < tolerances.canal, "third-order", metric)
             )
         clusters = tuple(verdicts)
         canal_directions = sum(1 for v in verdicts if v.canal)
         is_canal = canal_directions > 0
-    else:
-        is_canal = False
-        warnings.append("no classifiable samples")
 
     if 0 < umbilic_count < total:
         warnings.append(f"{umbilic_count}/{total} samples are umbilic and were skipped")
 
     dupin = None
     dupin_metric = None
-    if dupin_vals:
-        dupin_metric = float(np.max(dupin_vals))
-    if surface.dim_n == 3:
-        if dupin_missing or dupin_metric is None:
-            dupin = None
-        else:
-            dupin = dupin_metric < tolerances.dupin
+    available = ~np.isnan(dupin_vals)
+    if available.any():
+        dupin_metric = float(np.max(dupin_vals[available]))
+    if surface.dim_n == 3 and available.all():
+        dupin = dupin_metric < tolerances.dupin
 
     return CanalReport(
         name=surface.name,

@@ -16,14 +16,13 @@ fields interpolate with a SciPy spline, imported where it is built.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import taylor
-from .envelope import FamilyJet, SphereFamily
+from .envelope import FamilyJet, SphereFamily, batched_jet
 from .errors import DomainError
 from .jets import ParametricSurface
 from .taylor import cos, jet_function, sin
@@ -82,15 +81,17 @@ def _family(spine, dim_n: int, domain, name: str) -> SphereFamily:
 
     jet = jet_function(values, 2)
 
+    @batched_jet
     def jet2(t) -> FamilyJet:
-        p, d1, d2 = jet(np.asarray(t).reshape(-1)[:1])
+        # a (1,) point or a (P, 1) batch: one Taylor pass either way
+        p, d1, d2 = jet(np.asarray(t, dtype=float)[..., :1])
         return FamilyJet(
-            c=p[:dim_n],
-            dc=d1[:, :dim_n],
-            d2c=d2[:, :, :dim_n],
-            rho=float(p[dim_n]),
-            drho=d1[:, dim_n],
-            d2rho=d2[:, :, dim_n],
+            c=p[..., :dim_n],
+            dc=d1[..., :dim_n],
+            d2c=d2[..., :dim_n],
+            rho=p[..., dim_n] if p.ndim > 1 else float(p[dim_n]),
+            drho=d1[..., dim_n],
+            d2rho=d2[..., dim_n],
         )
 
     return SphereFamily(dim_n=dim_n, r=1, jet2=jet2, domain=[[domain[0], domain[1]]], name=name)
@@ -195,11 +196,13 @@ def transform_surface(
         return out[0] if single else out
 
     def jet(u):
-        p, d1, d2, d3 = surface.jet(q @ np.asarray(u, dtype=float) + b)
-        p2 = rot @ p + s
-        d1n = np.einsum("aA,am,Nm->AN", q, d1, rot)
-        d2n = np.einsum("aA,bB,abm,Nm->ABN", q, q, d2, rot)
-        d3n = np.einsum("aA,bB,cC,abcm,Nm->ABCN", q, q, q, d3, rot)
+        # a (k,) point or a (P, k) batch, as the source jet takes them
+        u = np.asarray(u, dtype=float)
+        p, d1, d2, d3 = surface.jet((q @ u[..., None])[..., 0] + b)
+        p2 = (rot @ p[..., None])[..., 0] + s
+        d1n = np.einsum("aA,...am,Nm->...AN", q, d1, rot)
+        d2n = np.einsum("aA,bB,...abm,Nm->...ABN", q, q, d2, rot)
+        d3n = np.einsum("aA,bB,cC,...abcm,Nm->...ABCN", q, q, q, d3, rot)
         return p2, d1n, d2n, d3n
 
     dom = None
@@ -317,21 +320,27 @@ def graph_surface(
         return out[0] if single else out
 
     def jet(u):
-        x, y = float(u[0]), float(u[1])
-        d = lambda dx, dy: float(spline.ev(x, y, dx=dx, dy=dy))
-        p = np.array([x, y, d(0, 0)])
-        d1 = np.array([[1.0, 0.0, d(1, 0)], [0.0, 1.0, d(0, 1)]])
-        d2 = np.zeros((2, 2, 3))
-        d2[0, 0, 2] = d(2, 0)
-        d2[0, 1, 2] = d2[1, 0, 2] = d(1, 1)
-        d2[1, 1, 2] = d(0, 2)
-        d3 = np.zeros((2, 2, 2, 3))
-        d3[0, 0, 0, 2] = d(3, 0)
-        d3[1, 1, 1, 2] = d(0, 3)
+        # a (2,) point or a (P, 2) batch; the spline takes every point in one call
+        u = np.asarray(u, dtype=float)
+        x, y = u[..., 0], u[..., 1]
+        d = lambda dx, dy: spline.ev(x, y, dx=dx, dy=dy)
+        lead = x.shape
+        p = np.stack([x, y, d(0, 0)], axis=-1)
+        d1 = np.zeros(lead + (2, 3))
+        d1[..., 0, 0] = d1[..., 1, 1] = 1.0
+        d1[..., 0, 2] = d(1, 0)
+        d1[..., 1, 2] = d(0, 1)
+        d2 = np.zeros(lead + (2, 2, 3))
+        d2[..., 0, 0, 2] = d(2, 0)
+        d2[..., 0, 1, 2] = d2[..., 1, 0, 2] = d(1, 1)
+        d2[..., 1, 1, 2] = d(0, 2)
+        d3 = np.zeros(lead + (2, 2, 2, 3))
+        d3[..., 0, 0, 0, 2] = d(3, 0)
+        d3[..., 1, 1, 1, 2] = d(0, 3)
         for idx in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
-            d3[idx + (2,)] = d(2, 1)
+            d3[(Ellipsis,) + idx + (2,)] = d(2, 1)
         for idx in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
-            d3[idx + (2,)] = d(1, 2)
+            d3[(Ellipsis,) + idx + (2,)] = d(1, 2)
         return p, d1, d2, d3
 
     pad_x = 2 * (xs[1] - xs[0])
@@ -530,23 +539,26 @@ def sampled_family(t, centers, radii, name: str = "sampled") -> SphereFamily:
         raise DomainError("sampled radii must be positive")
 
     n = centers.shape[1]
-    poly = _natural_cubic(t, np.column_stack([centers, radii]))
-    knots = t.tolist()
-    last = len(knots) - 2
+    # (4, 3, n + 1, N - 1): the segment axis last, so a batch of points stays last
+    poly = np.moveaxis(_natural_cubic(t, np.column_stack([centers, radii])), 0, -1)
+    inner = t[1:-1]
 
+    @batched_jet
     def jet2(tv) -> FamilyJet:
-        x = float(np.asarray(tv).reshape(-1)[0])
-        k = min(max(bisect.bisect_right(knots, x) - 1, 0), last)
-        s = x - knots[k]
-        p0, p1, p2, p3 = poly[k]
+        # a (1,) point or a (P, 1) batch; segment k holds t_k <= x < t_k+1, and
+        # the end cubics extrapolate
+        x = np.asarray(tv, dtype=float)[..., 0]
+        k = inner.searchsorted(x, side="right")
+        s = x - t[k]
+        p0, p1, p2, p3 = poly[..., k]
         value, d1, d2 = ((p3 * s + p2) * s + p1) * s + p0
         return FamilyJet(
-            c=value[:n],
-            dc=d1[:n].reshape(1, n),
-            d2c=d2[:n].reshape(1, 1, n),
-            rho=float(value[n]),
-            drho=d1[n:],
-            d2rho=d2[n:].reshape(1, 1),
+            c=value[:n].T,
+            dc=d1[:n].T[..., None, :],
+            d2c=d2[:n].T[..., None, None, :],
+            rho=value[n] if value.ndim > 1 else float(value[n]),
+            drho=d1[n:].T,
+            d2rho=d2[n:].T[..., None],
         )
 
     return SphereFamily(

@@ -20,16 +20,18 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Causal, PolyVector, inner
 from .errors import (
+    CanalGeoError,
     DegenerateFrameError,
     DimensionMismatch,
     DomainError,
     ImaginaryCharacteristicError,
 )
-from .jets import ParametricSurface, cell_centers
+from .jets import ParametricSurface, _row_dots, cell_centers, parameter_grid
 
 __all__ = [
     "FamilyJet",
     "SphereFamily",
+    "batched_jet",
     "FamilySample",
     "FamilyCausalReport",
     "CharacteristicSphere",
@@ -49,11 +51,13 @@ _DIRECTION_SCAN = 512  # spine tangents sampled to place the chart reference dir
 
 @dataclass(frozen=True)
 class FamilyJet:
-    """Second-order data of a sphere family at one parameter point.
+    """Second-order data of a sphere family at one parameter point, or at P of them.
 
     ``c`` is the center, ``dc[p]`` and ``d2c[p, q]`` its derivatives along the
     family parameters, and ``rho``, ``drho``, ``d2rho`` the matching radius
     data.  Shapes: c (n,), dc (r, n), d2c (r, r, n), drho (r,), d2rho (r, r).
+    A batched jet (`SphereFamily.jets_at`) puts a leading P axis on every
+    field, ``rho`` included.
     """
 
     c: np.ndarray
@@ -65,35 +69,59 @@ class FamilyJet:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "c", c)
-        n = c.size
+        lead, n = c.shape[:-1], c.shape[-1]
         dc = np.asarray(self.dc, dtype=float)
-        r = dc.shape[0]
-        if dc.shape != (r, n):
+        r = dc.shape[-2] if dc.ndim == c.ndim + 1 else -1
+        if dc.shape != lead + (r, n):
             raise DimensionMismatch(f"dc must be (r, {n}), got {dc.shape}")
-        object.__setattr__(self, "dc", dc)
         d2c = np.asarray(self.d2c, dtype=float)
-        if d2c.shape != (r, r, n):
+        if d2c.shape != lead + (r, r, n):
             raise DimensionMismatch(f"d2c must be ({r}, {r}, {n}), got {d2c.shape}")
-        object.__setattr__(self, "d2c", d2c)
-        if not self.rho > 0:
+        if lead:
+            rho = np.asarray(self.rho, dtype=float).reshape(lead)
+            object.__setattr__(self, "rho", rho)
+            positive = rho > 0
+            if not positive.all():
+                first = rho[int(np.argmin(positive))]
+                raise DomainError(f"family radius must be positive, got {first}")
+        elif not self.rho > 0:
             raise DomainError(f"family radius must be positive, got {self.rho}")
-        drho = np.asarray(self.drho, dtype=float).reshape(r)
-        d2rho = np.asarray(self.d2rho, dtype=float).reshape(r, r)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "dc", dc)
+        object.__setattr__(self, "d2c", d2c)
+        drho = np.asarray(self.drho, dtype=float).reshape(lead + (r,))
         object.__setattr__(self, "drho", drho)
+        d2rho = np.asarray(self.d2rho, dtype=float).reshape(lead + (r, r))
         object.__setattr__(self, "d2rho", d2rho)
 
     @property
     def r(self) -> int:
-        return self.dc.shape[0]
+        return self.dc.shape[-2]
+
+    @staticmethod
+    def stack(jets) -> "FamilyJet":
+        """Single-point jets as one batched jet."""
+        return FamilyJet(*(np.stack([getattr(j, name) for j in jets]) for name in _JET_FIELDS))
+
+
+_JET_FIELDS = ("c", "dc", "d2c", "rho", "drho", "d2rho")
+
+
+def batched_jet(provider):
+    """Mark a family jet provider that also maps a (P, r) array to one batched `FamilyJet`."""
+    provider.batched = True
+    return provider
 
 
 @dataclass(frozen=True)
 class SphereFamily:
     """An r-parameter family of spheres in R^n with a second-order jet provider.
 
-    ``jet2`` maps a parameter array of shape (r,) to a FamilyJet.  ``domain``
-    is an (r, 2) box of valid parameters.
+    ``jet2`` maps a parameter array of shape (r,) to a FamilyJet.  A provider
+    marked with `batched_jet` also maps a (P, r) array to one FamilyJet with
+    a leading P axis, so `jets_at` takes a whole batch in one call; any other
+    provider is called once per row.  ``domain`` is an (r, 2) box of valid
+    parameters.
     """
 
     dim_n: int
@@ -118,7 +146,26 @@ class SphereFamily:
         if t.shape != (self.r,):
             raise DimensionMismatch(f"expected {self.r} family parameters, got shape {t.shape}")
         jet = self.jet2(t)
-        if jet.c.size != self.dim_n or jet.r != self.r:
+        if jet.c.shape != (self.dim_n,) or jet.r != self.r:
+            raise DimensionMismatch("family jet has inconsistent shapes")
+        return jet
+
+    def jets_at(self, ts) -> FamilyJet:
+        """The family jet at every row of a (P, r) parameter array, with a leading P axis.
+
+        The rows must be finite, and at least one.  A batch with a failing
+        row raises the error that the first failing row raises alone.
+        """
+        ts = parameter_grid(ts, self.r)
+        if not getattr(self.jet2, "batched", False):
+            return FamilyJet.stack([self.jet_at(t) for t in ts])
+        try:
+            jet = self.jet2(ts)
+        except CanalGeoError:
+            for t in ts:
+                self.jet_at(t)
+            raise
+        if jet.c.shape != (ts.shape[0], self.dim_n) or jet.r != self.r:
             raise DimensionMismatch("family jet has inconsistent shapes")
         return jet
 
@@ -132,15 +179,11 @@ class SphereFamily:
         with the largest clearance.  The scan runs once per family object;
         every envelope chart of the family reuses it.
         """
-        ts = cell_centers(self.domain, _DIRECTION_SCAN)[:, 0]
-        tangents = np.empty((_DIRECTION_SCAN, self.dim_n))
-        for i, tv in enumerate(ts):
-            jet = self.jet_at(np.array([tv]))
-            d = jet.dc[0]
-            nrm = np.linalg.norm(d)
-            if nrm <= _FRAME_FLOOR:
-                raise DegenerateFrameError("family spine is stationary along the scan")
-            tangents[i] = d / nrm
+        tangents = self.jets_at(cell_centers(self.domain, _DIRECTION_SCAN)).dc[:, 0]
+        norms = np.sqrt(_row_dots(tangents, tangents))
+        if np.any(norms <= _FRAME_FLOOR):
+            raise DegenerateFrameError("family spine is stationary along the scan")
+        tangents = tangents / norms[:, None]
         cands = _direction_candidates(self.dim_n)
         clearance = 1.0 + tangents @ cands.T  # (scan, n_cand)
         worst = clearance.min(axis=0)
@@ -159,37 +202,52 @@ class SphereFamily:
 
 
 def _lift_jet(jet: FamilyJet):
-    """Lift a family jet to the quadric: A with (A, A) = 1, plus dA and d2A."""
-    n = jet.c.size
-    r = jet.r
-    c, rho = jet.c, jet.rho
-    v = np.empty(n + 2)
-    v[0] = 1.0
-    v[1 : n + 1] = c
-    v[n + 1] = 0.5 * (c @ c - rho**2)
+    """Lift a family jet to the quadric: A with (A, A) = 1, plus dA and d2A.
 
-    dv = np.zeros((r, n + 2))
-    dv[:, 1 : n + 1] = jet.dc
-    dv[:, n + 1] = jet.dc @ c - rho * jet.drho
+    A batched jet gives stacks A (P, n+2), dA (P, r, n+2), d2A (P, r, r, n+2);
+    a single-point jet is a batch of one.
+    """
+    fields = (getattr(jet, name) for name in _JET_FIELDS)
+    if jet.c.ndim == 1:
+        return tuple(x[0] for x in _lift(*(np.asarray(x)[None] for x in fields)))
+    return _lift(*fields)
 
-    d2v = np.zeros((r, r, n + 2))
-    d2v[:, :, 1 : n + 1] = jet.d2c
-    d2v[:, :, n + 1] = (
-        jet.dc @ jet.dc.T
-        + jet.d2c @ c
-        - np.outer(jet.drho, jet.drho)
-        - rho * jet.d2rho
+
+def _lift(c, dc, d2c, rho, drho, d2rho):
+    """`_lift_jet` on the fields of a batched family jet."""
+    # C order, so that each row's BLAS products are those of the row alone
+    c, dc, d2c = (np.ascontiguousarray(x) for x in (c, dc, d2c))
+    rows, n = c.shape
+    r = dc.shape[1]
+    v = np.empty((rows, n + 2))
+    v[:, 0] = 1.0
+    v[:, 1 : n + 1] = c
+    v[:, n + 1] = 0.5 * (_row_dots(c, c) - rho**2)
+
+    dv = np.zeros((rows, r, n + 2))
+    dv[:, :, 1 : n + 1] = dc
+    dv[:, :, n + 1] = (dc @ c[:, :, None])[:, :, 0] - rho[:, None] * drho
+
+    drho2 = drho[:, :, None] * drho[:, None, :]  # outer products
+    d2v = np.zeros((rows, r, r, n + 2))
+    d2v[..., 1 : n + 1] = d2c
+    d2v[..., n + 1] = (
+        dc @ dc.transpose(0, 2, 1)
+        + (d2c @ c[:, None, :, None])[..., 0]
+        - drho2
+        - rho[:, None, None] * d2rho
     )
 
+    rho = rho[:, None]
+    slope = drho / rho**2
     a = v / rho
-    da = dv / rho - np.einsum("p,m->pm", jet.drho / rho**2, v)
+    da = dv / rho[:, None] - slope[:, :, None] * v[:, None, :]
+    bend = 2 * drho2 / rho[:, None] ** 3 - d2rho / rho[:, None] ** 2
     d2a = (
-        d2v / rho
-        - np.einsum("p,qm->pqm", jet.drho / rho**2, dv)
-        - np.einsum("q,pm->pqm", jet.drho / rho**2, dv)
-        + np.einsum(
-            "pq,m->pqm", 2 * np.outer(jet.drho, jet.drho) / rho**3 - jet.d2rho / rho**2, v
-        )
+        d2v / rho[:, None, None]
+        - slope[:, :, None, None] * dv[:, None, :, :]
+        - slope[:, None, :, None] * dv[:, :, None, :]
+        + bend[..., None] * v[:, None, None, :]
     )
     return a, da, d2a
 
@@ -236,30 +294,37 @@ class FamilyCausalReport:
 
 
 def _classify_velocity(a, da, d2a, tolerances: Tolerances):
-    """Per-sample causal kind of the lifted velocity, plus envelope regularity."""
-    r = da.shape[0]
-    scale = float(np.max(np.einsum("pm,pm->p", da, da))) if r else 0.0
-    lift_scale = max(1.0, float(a @ a))
-    if scale <= (_STATIONARY_REL * lift_scale) ** 2:
-        return "stationary", 0.0, scale, False
-    gram = inner(da[:, None, :], da[None, :, :])
-    eigs = np.linalg.eigvalsh(gram)
-    band = tolerances.lightcone * max(scale, 1e-300)
-    value = float(eigs[0])
-    if eigs[0] > band:
-        kind = Causal.SPACELIKE.value
-    elif eigs[0] < -band:
-        kind = Causal.TIMELIKE.value
-    else:
-        kind = Causal.LIGHTLIKE.value
+    """Causal kind of the lifted velocity at every row of a lifted batch, plus envelope regularity.
 
-    stack = d2a.reshape(r * r, -1)
-    basis = np.vstack([a[None, :], da])
-    q, _ = np.linalg.qr(basis.T)
-    resid = stack - (stack @ q) @ q.T
+    Returns per-row arrays: kind, value (the least gram eigenvalue, 0 where
+    stationary), scale and nondeg.  Stacked `eigvalsh`, QR and singular
+    values serve the whole batch.
+    """
+    rows, r, size = da.shape
+    scale = np.max(np.einsum("...pm,...pm->...p", da, da), axis=1)
+    lift_scale = np.maximum(1.0, _row_dots(a, a))
+    stationary = scale <= (_STATIONARY_REL * lift_scale) ** 2
+    gram = inner(da[:, :, None, :], da[:, None, :, :])
+    eigs = np.linalg.eigvalsh(gram)
+    band = tolerances.lightcone * np.maximum(scale, 1e-300)
+    value = eigs[:, 0]
+    kind = np.where(
+        value > band,
+        Causal.SPACELIKE.value,
+        np.where(value < -band, Causal.TIMELIKE.value, Causal.LIGHTLIKE.value),
+    )
+    kind = np.where(stationary, "stationary", kind)
+    value = np.where(stationary, 0.0, value)
+
+    stack = d2a.reshape(rows, r * r, size)
+    basis = np.concatenate([a[:, None, :], da], axis=1)
+    q, _ = np.linalg.qr(basis.transpose(0, 2, 1))
+    resid = stack - (stack @ q) @ q.transpose(0, 2, 1)
     sv = np.linalg.svd(resid, compute_uv=False)
-    rank_scale = max(float(sv[0]) if sv.size else 0.0, _RANK_REL * np.linalg.norm(stack), 1e-300)
-    nondeg = sv.size >= r and sv[r - 1] > _RANK_REL * rank_scale
+    flat = stack.reshape(rows, -1)
+    stack_norm = np.sqrt(_row_dots(flat, flat))
+    rank_scale = np.maximum(np.maximum(sv[:, 0], _RANK_REL * stack_norm), 1e-300)
+    nondeg = sv[:, r - 1] > _RANK_REL * rank_scale  # min(r * r, n + 2) >= r values
     return kind, value, scale, nondeg
 
 
@@ -275,20 +340,34 @@ def causal_classify_family(
     envelope regularity, ``no_envelope`` when timelike samples occur and no
     spacelike ones, ``mixed`` when both occur, ``degenerate`` when lightlike
     or stationary samples block the classification.
+
+    The grid is ``counts`` cells per axis of the domain box, or the rows of
+    ``params`` (at least one, all finite).  The family jets, their lifts and
+    the classification are each one batched pass over the whole grid.
     """
-    pts = params if params is not None else cell_centers(family.domain, counts)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    samples = []
+    if params is None:
+        pts = cell_centers(family.domain, counts)
+    else:
+        pts = parameter_grid(params, family.r)
+    lifted = _lift_jet(family.jets_at(pts))
+    finite = np.ones(len(pts), dtype=bool)
+    for x in lifted:
+        finite &= np.isfinite(x).reshape(len(pts), -1).all(axis=1)
+    if not finite.all():
+        bad = pts[int(np.argmin(finite))]
+        raise DomainError(f"family jet is not finite at t={tuple(bad.tolist())}")
+    kinds, values, scales, nondeg = _classify_velocity(*lifted, tolerances)
+
     counts_out = {"spacelike": 0, "timelike": 0, "lightlike": 0, "stationary": 0}
-    degenerate_regularity = 0
-    for row in pts:
-        jet = family.jet_at(row)
-        a, da, d2a = _lift_jet(jet)
-        kind, value, scale, nondeg = _classify_velocity(a, da, d2a, tolerances)
+    for kind in kinds.tolist():
         counts_out[kind] += 1
-        if kind == "spacelike" and not nondeg:
-            degenerate_regularity += 1
-        samples.append(FamilySample(t=tuple(row), kind=kind, value=value, scale=scale))
+    degenerate_regularity = np.any((kinds == "spacelike") & ~nondeg)
+    samples = tuple(
+        FamilySample(t=tuple(t), kind=kind, value=value, scale=scale)
+        for t, kind, value, scale in zip(
+            pts.tolist(), kinds.tolist(), values.tolist(), scales.tolist()
+        )
+    )
 
     if counts_out["lightlike"] or counts_out["stationary"]:
         verdict = "degenerate"
@@ -304,7 +383,7 @@ def causal_classify_family(
         name=family.name,
         dim_n=family.dim_n,
         r=family.r,
-        samples=tuple(samples),
+        samples=samples,
         verdict=verdict,
         counts=counts_out,
     )

@@ -1,11 +1,12 @@
 """Order-3 jets of parametric hypersurfaces and their adapted frames.
 
-A hypersurface is a chart ``U subset R^(n-1) -> R^n``.  `evaluate_jet`
-collects position and all partial derivatives through order three, either
-from an analytic jet callback or by central finite differences, and attaches
-an orthonormal tangent frame ``e_1..e_(n-1)`` (Gram-Schmidt on the chart
-derivatives, in order) plus the unit normal ``nu`` completing a positively
-oriented basis of R^n.
+A hypersurface is a chart ``U subset R^(n-1) -> R^n``.  `evaluate_jets`
+collects position and all partial derivatives through order three at every
+row of a parameter grid, either from an analytic jet callback or by central
+finite differences, and attaches an orthonormal tangent frame
+``e_1..e_(n-1)`` (Gram-Schmidt on the chart derivatives, in order) plus the
+unit normal ``nu`` completing a positively oriented basis of R^n.  The
+kernels carry a leading point axis; `evaluate_jet` is a batch of one.
 
 `fundamental_forms` expresses the metric (identity, by construction) and the
 second fundamental form in that frame; `gauge_frame` lifts the frame into the
@@ -15,7 +16,8 @@ calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field, fields, replace
 from itertools import permutations
 from typing import Callable
 
@@ -23,22 +25,28 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, form_matrix, lift_point
-from .errors import DomainError, FrameConsistencyError, ImmersionError
+from .errors import CanalGeoError, DomainError, FrameConsistencyError, ImmersionError
 
 __all__ = [
     "ParametricSurface",
     "SurfaceJet",
     "ConformalFrame",
     "evaluate_jet",
+    "evaluate_jets",
     "fundamental_forms",
     "gauge_frame",
     "cell_centers",
+    "parameter_grid",
 ]
 
 # Default steps for the finite-difference provider, relative to domain scale.
 FD_STEP = 1.0e-4
 FD_STEP3 = 1.0e-3
 _RANK_TOL = 1.0e-8
+# Points per batched jet pass.  Larger grids go in chunks, because the
+# transient arrays grow with the batch: one FD pass over all 1728 points of a
+# 12^3 tube4 grid raised the peak resident size by about 30 MB.
+_JET_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,9 @@ class ParametricSurface:
         one batched call.
     jet:
         Optional analytic jet callback ``u -> (p, d1, d2, d3)`` with
-        shapes (n,), (n-1, n), (n-1, n-1, n), (n-1, n-1, n-1, n).
+        shapes (n,), (n-1, n), (n-1, n-1, n), (n-1, n-1, n-1, n) for a
+        single point; like `chart`, a (m, n-1) batch gives the same tensors
+        with a leading m axis, each row as a single-point call gives it.
         When absent, derivatives come from central differences of `chart`.
     domain:
         (n-1, 2) parameter box, used for the default step scale and by
@@ -81,6 +91,13 @@ class ParametricSurface:
     @property
     def n_params(self) -> int:
         return self.dim_n - 1
+
+    @functools.cached_property
+    def _padded_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper parameter bounds, each widened by a relative 1e-9."""
+        lo, hi = self.domain[:, 0], self.domain[:, 1]
+        pad = 1e-9 * np.maximum(hi - lo, 1.0)
+        return lo - pad, hi + pad
 
     def domain_scale(self) -> float:
         if self.domain is None:
@@ -117,9 +134,30 @@ def cell_centers(domain: np.ndarray, counts) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def parameter_grid(params, k: int) -> np.ndarray:
+    """An explicit grid of parameter rows as a (P, k) array.
+
+    Raises ``DomainError`` for rows of another width, for a grid with no rows
+    (a verdict from no samples) and for a non-finite row, naming the first.
+    """
+    pts = np.atleast_2d(np.asarray(params, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != k:
+        raise DomainError(f"expected rows of {k} parameters, got shape {pts.shape}")
+    if pts.shape[0] == 0:
+        raise DomainError("parameter grid has no rows")
+    if not np.isfinite(pts).all():
+        j = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise DomainError(f"parameter row {j} is not finite: {pts[j].tolist()}")
+    return pts
+
+
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Position, derivatives through order 3, and the adapted frame at u."""
+    """Position, derivatives through order 3, and the adapted frame at u.
+
+    `evaluate_jets` gives every array a leading point axis (``u`` (P, n-1),
+    ``p`` (P, n), ``d1`` (P, n-1, n), ...); `row` takes out one point.
+    """
 
     u: np.ndarray
     p: np.ndarray
@@ -132,7 +170,18 @@ class SurfaceJet:
 
     @property
     def dim_n(self) -> int:
-        return self.p.size
+        return self.p.shape[-1]
+
+    def row(self, i: int) -> "SurfaceJet":
+        """Point i of a jet with a leading point axis."""
+        w = self.basis_change
+        return SurfaceJet(
+            self.u[i], self.p[i], self.d1[i], self.d2[i], self.d3[i], self.e[i], self.nu[i], w[i]
+        )
+
+    def batch(self) -> "SurfaceJet":
+        """This single-point jet as a batch of one."""
+        return SurfaceJet(*(np.asarray(getattr(self, f.name))[None] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -156,98 +205,175 @@ class ConformalFrame:
 
 
 def _symmetrize3(d3: np.ndarray) -> np.ndarray:
+    """Mean of d3 (..., k, k, k, n) over the permutations of its derivative indices."""
     acc = np.zeros_like(d3)
-    for perm in permutations(range(3)):
-        acc += np.transpose(d3, perm + (3,))
+    for axes in _index_permutations(d3.ndim):
+        acc += d3.transpose(axes)
     return acc / 6.0
 
 
+@functools.lru_cache(maxsize=None)
+def _index_permutations(ndim: int) -> tuple[tuple, ...]:
+    """Axis orders of a (..., k, k, k, n) array permuting its three k axes."""
+    lead = tuple(range(ndim - 4))
+    shifted = (tuple(len(lead) + a for a in perm) for perm in permutations(range(3)))
+    return tuple(lead + axes + (ndim - 1,) for axes in shifted)
+
+
 def _fd_jet(surface: ParametricSurface, u: np.ndarray):
-    """Central differences of the chart, all stencil points in one chart call.
+    """Central differences of the chart at the rows of u, every stencil point in one chart call.
 
     Second derivatives come from the 2k^2 + 1 point stencil at step h around
     each of 2k + 1 bases: u itself and u +- h3 along each axis.  Third
     derivatives difference the second derivatives of the shifted bases.
     """
     n = surface.dim_n
-    k = surface.n_params
+    rows, k = u.shape
     scale = surface.domain_scale()
     h = FD_STEP * scale
     h3 = FD_STEP3 * scale
     steps = np.eye(k) * h  # row a is h along axis a
     shifts = np.eye(k) * h3
 
-    bases = np.concatenate([u[None], u + shifts, u - shifts])  # (2k+1, k)
-    plus = bases[:, None] + steps  # base + e_a, (2k+1, k, k)
-    minus = bases[:, None] - steps
+    u = u[:, None]
+    bases = np.concatenate([u, u + shifts, u - shifts], axis=1)  # (P, 2k+1, k)
+    plus = bases[:, :, None] + steps  # base + e_a, (P, 2k+1, k, k)
+    minus = bases[:, :, None] - steps
     ia, ib = np.triu_indices(k, 1)
-    stencil = [bases[:, None], plus, minus]
-    stencil += [side[:, ia] + steps[ib] for side in (plus, minus)]  # base +- e_a + e_b
-    stencil += [side[:, ia] - steps[ib] for side in (plus, minus)]  # base +- e_a - e_b
-    counts = [part.shape[1] for part in stencil]
-    flat = np.concatenate(stencil, axis=1).reshape(-1, k)
-    values = np.asarray(surface.chart(flat), dtype=float).reshape(bases.shape[0], -1, n)
-    p0, vp, vm, vpp, vmp, vpm, vmm = np.split(values, np.cumsum(counts)[:-1], axis=1)
-    p0 = p0[:, 0]
+    stencil = [bases[:, :, None], plus, minus]
+    stencil += [side[:, :, ia] + steps[ib] for side in (plus, minus)]  # base +- e_a + e_b
+    stencil += [side[:, :, ia] - steps[ib] for side in (plus, minus)]  # base +- e_a - e_b
+    counts = [part.shape[2] for part in stencil]
+    flat = np.concatenate(stencil, axis=2).reshape(-1, k)
+    values = np.asarray(surface.chart(flat), dtype=float).reshape(bases.shape[:2] + (-1, n))
+    p0, vp, vm, vpp, vmp, vpm, vmm = np.split(values, np.cumsum(counts)[:-1], axis=2)
+    p0 = p0[:, :, 0]
 
-    d2 = np.empty((bases.shape[0], k, k, n))
-    diag = (vp - 2 * p0[:, None] + vm) / (h * h)
-    d2[:, np.arange(k), np.arange(k)] = diag
+    d2 = np.empty(bases.shape[:2] + (k, k, n))
+    diag = (vp - 2 * p0[:, :, None] + vm) / (h * h)
+    d2[:, :, np.arange(k), np.arange(k)] = diag
     mixed = (vpp - vpm - vmp + vmm) / (4 * h * h)
-    d2[:, ia, ib] = mixed
-    d2[:, ib, ia] = mixed
+    d2[:, :, ia, ib] = mixed
+    d2[:, :, ib, ia] = mixed
 
-    p = p0[0]
-    d1 = (vp[0] - vm[0]) / (2 * h)
-    d3 = (d2[1 : k + 1] - d2[k + 1 :]) / (2 * h3)  # axis 0 is the differenced index c
-    return p, d1, d2[0], _symmetrize3(np.ascontiguousarray(np.moveaxis(d3, 0, 2)))
+    p = p0[:, 0]
+    d1 = (vp[:, 0] - vm[:, 0]) / (2 * h)
+    d3 = (d2[:, 1 : k + 1] - d2[:, k + 1 :]) / (2 * h3)  # axis 1 is the differenced index c
+    return p, d1, d2[:, 0], _symmetrize3(np.ascontiguousarray(d3.transpose(0, 2, 3, 1, 4)))
 
 
 def _generalized_cross(e: np.ndarray) -> np.ndarray:
-    """Vector v with det[e_1; ...; e_(n-1); w] = v . w for all w."""
-    k, n = e.shape
-    # minor j drops column j; one batched det over all n of them
+    """Rows v with det[e_1; ...; e_(n-1); w] = v . w for all w, from e (P, n-1, n)."""
+    dropped, signs = _minor_columns(e.shape[-1])
+    # minor j drops column j; one stacked det over all n of them at every point
+    return signs * np.linalg.det(e[:, :, dropped].transpose(0, 2, 1, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns kept by each of the n maximal minors of an (n-1, n) matrix, and their signs."""
     dropped = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-    minors = e[:, dropped].transpose(1, 0, 2)
-    return (-1.0) ** (n + np.arange(n) + 1) * np.linalg.det(minors)
+    signs = (-1.0) ** (n + np.arange(n) + 1)
+    dropped.setflags(write=False)  # shared by every call
+    signs.setflags(write=False)
+    return dropped, signs
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[i] . y[i]`` of (P, m) rows, each the unit-stride BLAS dot of that row alone."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
 def _orthonormal_frame(d1: np.ndarray):
-    """Gram-Schmidt rows of d1 plus the normal; raises on rank deficiency."""
-    k, n = d1.shape
+    """Gram-Schmidt rows of each d1 (P, n-1, n) plus the normal; raises on rank deficiency.
+
+    One stacked QR and one stacked det serve the whole batch; the error
+    names the first failing row's data.  A single (n-1, n) d1 is a batch of one.
+    """
+    if d1.ndim == 2:
+        return tuple(x[0] for x in _orthonormal_frame(d1[None]))
+    rows, k, n = d1.shape
     if not np.isfinite(d1).all():
         raise ImmersionError("chart derivative is not finite")
-    q, r = np.linalg.qr(d1.T)
-    diag = np.diag(r).copy()
-    smallest = np.min(np.abs(diag))
-    largest = np.max(np.abs(diag))
-    if largest == 0.0 or smallest < _RANK_TOL * largest:
+    q, r = np.linalg.qr(d1.transpose(0, 2, 1))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    magnitudes = np.abs(diag)
+    smallest, largest = magnitudes.min(axis=1), magnitudes.max(axis=1)
+    deficient = (largest == 0.0) | (smallest < _RANK_TOL * largest)
+    if deficient.any():
+        j = int(np.argmax(deficient))
         raise ImmersionError(
-            f"chart derivative is rank-deficient (singular ratio {smallest:.3e} / {largest:.3e})"
+            "chart derivative is rank-deficient "
+            f"(singular ratio {smallest[j]:.3e} / {largest[j]:.3e})"
         )
     signs = np.where(diag >= 0.0, 1.0, -1.0)
-    q = q * signs
-    r = r * signs[:, None]
-    e = q.T  # rows orthonormal, e = W @ d1 with W = inv(R^T)
+    q = q * signs[:, None, :]
+    r = r * signs[:, :, None]
+    e = q.transpose(0, 2, 1)  # rows orthonormal, e = W @ d1 with W = inv(R^T)
     # forward substitution for W, one pivot column at a time for every column
-    lower = r.T
-    pivots = 1.0 / np.diag(lower)
-    w = np.eye(k)
+    lower = r.transpose(0, 2, 1)
+    pivots = 1.0 / magnitudes  # the diagonal of the sign-fixed r
+    w = np.eye(k)[None].repeat(rows, axis=0)
     for m in range(k):
-        w[m] *= pivots[m]
-        w[m + 1 :] -= lower[m + 1 :, m : m + 1] * w[m]
-    nu = _generalized_cross(e)
-    nu = nu / np.linalg.norm(nu)
+        w[:, m] *= pivots[:, m, None]
+        w[:, m + 1 :] -= lower[:, m + 1 :, m : m + 1] * w[:, m, None]
+    nu = np.ascontiguousarray(_generalized_cross(e))
+    nu = nu / np.sqrt(_row_dots(nu, nu))[:, None]
     return e, nu, w
+
+
+def evaluate_jets(surface: ParametricSurface, params) -> SurfaceJet:
+    """Jets and adapted frames at every row of a (P, n-1) parameter grid.
+
+    Returns one `SurfaceJet` whose arrays carry a leading point axis.  An
+    analytic jet callback takes the whole grid in one call; without one,
+    second-order central differences (third derivatives by differencing the
+    finite-difference second derivatives) evaluate the stencils of every
+    point in one batched `chart` call.  Grids of more than ``_JET_CHUNK``
+    points take one such pass per chunk.  A grid with a failing row raises
+    the typed error that the first failing row raises alone.
+    """
+    u = parameter_grid(params, surface.n_params)
+    try:
+        chunks = [_jets(surface, u[i : i + _JET_CHUNK]) for i in range(0, len(u), _JET_CHUNK)]
+    except CanalGeoError:
+        if u.shape[0] > 1:
+            for row in u:
+                _jets(surface, row[None])
+        raise
+    if len(chunks) == 1:
+        return chunks[0]
+    names = [f.name for f in fields(SurfaceJet)]
+    return SurfaceJet(*(np.concatenate([getattr(c, name) for c in chunks]) for name in names))
+
+
+def _jets(surface: ParametricSurface, u: np.ndarray) -> SurfaceJet:
+    if surface.domain is not None:
+        low, high = surface._padded_box
+        outside = (u < low) | (u > high)
+        if outside.any():
+            row = u[int(np.argmax(outside.any(axis=1)))]
+            raise DomainError(f"parameter {row.tolist()} outside the domain box")
+
+    rows, k, n = u.shape[0], surface.n_params, surface.dim_n
+    tensors = surface.jet(u) if surface.jet is not None else _fd_jet(surface, u)
+    # C order, so that every kernel below sees each point laid out alike in any batch
+    p, d1, d2, d3 = (
+        np.ascontiguousarray(t, dtype=float).reshape((rows,) + (k,) * j + (n,))
+        for j, t in enumerate(tensors)
+    )
+
+    e, nu, w = _orthonormal_frame(d1)
+    return SurfaceJet(u=u, p=p, d1=d1, d2=d2, d3=d3, e=e, nu=nu, basis_change=w)
 
 
 def evaluate_jet(surface: ParametricSurface, u) -> SurfaceJet:
     """Position, derivatives through order 3, and the adapted frame at ``u``.
 
-    Uses the analytic jet callback when the surface carries one, otherwise
-    second-order central differences (third derivatives by differencing the
-    finite-difference second derivatives), with every stencil point
-    evaluated in one batched `chart` call.
+    A batch of one through `evaluate_jets`: analytic derivatives when the
+    surface carries a jet callback, central differences of the chart
+    otherwise.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size != surface.n_params:
@@ -255,24 +381,12 @@ def evaluate_jet(surface: ParametricSurface, u) -> SurfaceJet:
             f"chart of {surface.dim_n}-dimensional ambient space expects "
             f"{surface.n_params} parameters, got {u.size}"
         )
-    if surface.domain is not None:
-        lo, hi = surface.domain[:, 0], surface.domain[:, 1]
-        pad = 1e-9 * np.maximum(hi - lo, 1.0)
-        if np.any(u < lo - pad) or np.any(u > hi + pad):
-            raise DomainError(f"parameter {u.tolist()} outside the domain box")
+    return evaluate_jets(surface, u[None]).row(0)
 
-    if surface.jet is not None:
-        p, d1, d2, d3 = surface.jet(u)
-        k, n = surface.n_params, surface.dim_n
-        p = np.asarray(p, dtype=float).reshape(n)
-        d1 = np.asarray(d1, dtype=float).reshape(k, n)
-        d2 = np.asarray(d2, dtype=float).reshape(k, k, n)
-        d3 = np.asarray(d3, dtype=float).reshape(k, k, k, n)
-    else:
-        p, d1, d2, d3 = _fd_jet(surface, u)
 
-    e, nu, w = _orthonormal_frame(d1)
-    return SurfaceJet(u=u, p=p, d1=d1, d2=d2, d3=d3, e=e, nu=nu, basis_change=w)
+def _second_form_params(jet: SurfaceJet) -> np.ndarray:
+    """``nu . p_{,ab}`` at every point, (P, k, k): one stacked product per point."""
+    return (jet.d2 @ jet.nu[:, None, :, None])[..., 0]
 
 
 def fundamental_forms(jet: SurfaceJet) -> tuple[np.ndarray, np.ndarray]:
@@ -280,13 +394,18 @@ def fundamental_forms(jet: SurfaceJet) -> tuple[np.ndarray, np.ndarray]:
 
     The metric is the identity by construction.  The shape components are
     ``h_ij = nu . (d^2 p)(e_i, e_j)``, obtained from the parameter-space
-    second derivatives by the Gram-Schmidt change of basis.
+    second derivatives by the Gram-Schmidt change of basis.  A jet with a
+    leading point axis gives forms with that axis; a single point is a
+    batch of one.
     """
+    if jet.p.ndim == 1:
+        g, h = fundamental_forms(jet.batch())
+        return g[0], h[0]
     w = jet.basis_change
-    b_param = jet.d2 @ jet.nu  # (k, k) = nu . p_{,ab}
-    h = w @ b_param @ w.T
-    h = 0.5 * (h + h.T)
-    g = np.eye(h.shape[0])
+    b_param = _second_form_params(jet)
+    h = w @ b_param @ w.transpose(0, 2, 1)
+    h = 0.5 * (h + h.transpose(0, 2, 1))
+    g = np.repeat(np.eye(h.shape[-1])[None], h.shape[0], axis=0)
     return g, h
 
 
@@ -300,20 +419,28 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
 
     then pushed into the frame.  Flat ambient space makes the result totally
     symmetric; the residual from exact symmetry is a numerical health check.
+    A jet with a leading point axis gives a (P, k, k, k) stack; a single
+    point is a batch of one.
     """
+    if jet.p.ndim == 1:
+        return shape_derivative(jet.batch())[0]
     j = jet.d1
     w = jet.basis_change
-    g = j @ j.T
+    g = j @ j.transpose(0, 2, 1)
     ginv = np.linalg.inv(g)
-    b = jet.d2 @ jet.nu                       # b_ab
-    gam_low = np.einsum("abm,dm->abd", jet.d2, j)   # p_{,ab} . p_{,d}
-    gam = np.einsum("ed,abd->abe", ginv, gam_low)    # Gamma^e_ab
-    b_mixed = ginv @ b                        # b^d_c indexed [d, c]
+    b = _second_form_params(jet)                       # b_ab
+    gam_low = np.einsum("...abm,...dm->...abd", jet.d2, j)   # p_{,ab} . p_{,d}
+    gam = np.einsum("...ed,...abd->...abe", ginv, gam_low)    # Gamma^e_ab
+    b_mixed = ginv @ b                                  # b^d_c indexed [d, c]
 
-    db = np.einsum("abcm,m->abc", jet.d3, jet.nu)
-    db -= np.einsum("dc,abd->abc", b_mixed, gam_low)
-    nabla = db - np.einsum("cad,db->abc", gam, b) - np.einsum("cbd,ad->abc", gam, b)
-    return np.einsum("ia,jb,kc,abc->ijk", w, w, w, nabla)
+    db = np.einsum("...abcm,...m->...abc", jet.d3, jet.nu)
+    db -= np.einsum("...dc,...abd->...abc", b_mixed, gam_low)
+    nabla = (
+        db
+        - np.einsum("...cad,...db->...abc", gam, b)
+        - np.einsum("...cbd,...ad->...abc", gam, b)
+    )
+    return np.einsum("...ia,...jb,...kc,...abc->...ijk", w, w, w, nabla)
 
 
 def gauge_frame(

@@ -7,8 +7,10 @@ propagates exact derivatives through a program (Griewank and Walther,
 *Evaluating Derivatives*, ch. 13), so a function evaluated on `_variables`
 yields its jet with no symbolic differentiation and no step size.
 
-Products are truncated through a precomputed table of monomial pairs; an
-elementary function composes its own Taylor series
+Every value holds a batch of P points: its coefficients are the P rows of
+M monomial coefficients, stored flat, and each row comes out exactly as it
+would alone.  Products are truncated through a precomputed table of
+monomial pairs; an elementary function composes its own Taylor series
 ``f(x0 + h) = sum_j f^(j)(x0) / j! h^j`` with the non-constant part h.
 
 The module is also the math namespace of every analytic chart and spine:
@@ -63,6 +65,19 @@ class _Basis:
         self.factorials = np.array(
             [[math.prod(math.factorial(m.count(a)) for a in set(m))] for m in multis], dtype=float
         )
+        bounds = list(itertools.accumulate((k**deg for deg in range(order + 1)), initial=0))
+        self.degrees = list(zip(bounds[:-1], bounds[1:]))  # gather rows of each order
+        self._pairs: dict[int, tuple] = {}
+
+    def pairs(self, rows: int) -> tuple[np.ndarray, ...]:
+        """The product table's left, right and output monomials as flat indices of ``rows`` rows."""
+        flat = self._pairs.get(rows)
+        if flat is None:
+            offsets = np.arange(rows)[:, None] * self.size
+            flat = tuple((offsets + col).ravel() for col in (self.left, self.right, self.out))
+            if len(self._pairs) < 64:
+                self._pairs[rows] = flat
+        return flat
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,29 +86,43 @@ def _basis(k: int, order: int) -> _Basis:
 
 
 def _product(basis: _Basis, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the truncated product of two coefficient vectors."""
-    return np.bincount(basis.out, x[basis.left] * y[basis.right], basis.size)
+    """Flat coefficients of the truncated products of two flat coefficient batches.
+
+    One bincount over every row visits each row's monomial pairs in the
+    order a single-row bincount does, so no row depends on its batch.
+    """
+    left, right, bins = basis.pairs(x.size // basis.size)
+    return np.bincount(bins, x[left] * y[right], x.size)
 
 
 class Taylor:
-    """Truncated Taylor polynomial of one value in k variables.
+    """Truncated Taylor polynomials of one value in k variables, at P points.
 
-    ``_powers`` caches the rows h^0 .. h^order of the non-constant part h.
+    ``c`` holds the P rows of M coefficients, flat (P * M,).  ``_powers``
+    caches h^0 .. h^order of the non-constant part h, (P, order + 1, M),
+    and ``_trig`` the sines and cosines of the constant terms (see `trig`).
     """
 
-    __slots__ = ("c", "basis", "_powers")
+    __slots__ = ("c", "basis", "_powers", "_trig")
     __array_ufunc__ = None  # NumPy scalars defer to the reflected operators
 
     def __init__(self, coeffs: np.ndarray, basis: _Basis):
         self.c = coeffs
         self.basis = basis
         self._powers = None
+        self._trig = None
+
+    @property
+    def x0(self) -> np.ndarray:
+        """The constant terms, one per point."""
+        return self.c[:: self.basis.size]
 
     def __add__(self, other):
         if isinstance(other, Taylor):
             return Taylor(self.c + other.c, self.basis)
         c = self.c.copy()
-        c[0] += other
+        x0 = c[:: self.basis.size]
+        x0 += other  # in place, through the view
         return Taylor(c, self.basis)
 
     __radd__ = __add__
@@ -118,77 +147,105 @@ class Taylor:
 
     def __truediv__(self, other):
         if isinstance(other, Taylor):
-            return self * other.series(_power_series(other.c[0], -1.0, other.basis.order))
+            return self * other.series(_power_series(other.x0, -1.0, other.basis.order))
         return self * (1.0 / other)
 
     def __rtruediv__(self, other):
-        return self.series(_power_series(self.c[0], -1.0, self.basis.order)) * other
+        return self.series(_power_series(self.x0, -1.0, self.basis.order)) * other
 
     def __pow__(self, r):
         if isinstance(r, Taylor):
             return NotImplemented
-        return self.series(_power_series(self.c[0], r, self.basis.order))
+        return self.series(_power_series(self.x0, r, self.basis.order))
 
-    def series(self, coeffs) -> "Taylor":
-        """``sum_j coeffs[j] h^j`` for j <= order, h the non-constant part of self.
+    def trig(self) -> np.ndarray:
+        """Series rows of sin and of cos at the constant terms, (P, 8), columns 0-3 and 4-7.
 
-        The powers of h are computed once per value, so every function of the
-        same argument costs one matrix-vector product.
+        Computed once per value, which then serves both functions.
         """
+        if self._trig is None:
+            x0 = self.x0
+            sin_cos = np.array([np.sin(x0), np.cos(x0)])
+            self._trig = sin_cos[_TRIG_ROWS].T / _TRIG_DIVISORS
+        return self._trig
+
+    def series(self, coeffs: np.ndarray) -> "Taylor":
+        """``sum_j coeffs[:, j] h^j`` for j <= order, h the non-constant part of self.
+
+        ``coeffs`` is (P, order + 1), one row per point.  The powers of h are
+        computed once per value, so every function of the same argument costs
+        one stacked vector-matrix product: per row, the ``dot`` that row
+        alone would make.
+        """
+        basis = self.basis
         powers = self._powers
         if powers is None:
-            basis = self.basis
-            powers = np.zeros((basis.order + 1, basis.size))
-            powers[0, 0] = 1.0
-            powers[1, 1:] = self.c[1:]
+            flat = np.zeros((basis.order + 1, self.c.size))
+            flat[0, :: basis.size] = 1.0
+            flat[1] = self.c
+            flat[1, :: basis.size] = 0.0
             for j in range(2, basis.order + 1):
-                powers[j] = _product(basis, powers[j - 1], powers[1])
+                flat[j] = _product(basis, flat[j - 1], flat[1])
+            # (P, order + 1, M), unit stride along M
+            powers = flat.reshape(basis.order + 1, -1, basis.size).transpose(1, 0, 2)
             self._powers = powers
-        return Taylor(np.dot(coeffs, powers), self.basis)
+        return Taylor(np.matmul(coeffs[:, None, :], powers).reshape(-1), basis)
 
 
-def _power_series(x0: float, r: float, order: int) -> list[float]:
-    """Taylor coefficients of ``x**r`` at x0; an integer r >= 0 stops at degree r."""
-    x0, r = float(x0), float(r)
+def _power_series(x0: np.ndarray, r: float, order: int) -> np.ndarray:
+    """Taylor coefficients of ``x**r`` at each x0 (P,), shape (P, order + 1).
+
+    An integer r >= 0 stops at degree r.  Where x**r is undefined the
+    coefficients come out non-finite.
+    """
+    r = float(r)
     top = order if r < 0 or r != int(r) else min(order, int(r))
-    coeffs, binom = [], 1.0
-    for j in range(top + 1):
-        coeffs.append(binom * math.pow(x0, r - j))
-        binom *= (r - j) / (j + 1)
-    return coeffs + [0.0] * (order - top)
+    coeffs, binom = np.zeros((x0.size, order + 1)), 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(top + 1):
+            coeffs[:, j] = binom * np.power(x0, r - j)
+            binom *= (r - j) / (j + 1)
+    return coeffs
 
 
-def _elementary(name: str, series_at):
-    """Lift ``series_at(x0) -> [f(x0), f'(x0), f''(x0) / 2, f'''(x0) / 6]``."""
+def _elementary(name: str, series_of):
+    """Lift ``series_of(x)``: per point, the row f(x0), f'(x0), f''(x0) / 2, f'''(x0) / 6."""
     scalar, array = getattr(math, name), getattr(np, name)
 
     def fn(x):
         if isinstance(x, Taylor):
-            return x.series(series_at(float(x.c[0]))[: x.basis.order + 1])
+            return x.series(series_of(x)[:, : x.basis.order + 1])
         return array(x) if isinstance(x, np.ndarray) else scalar(x)
 
     fn.__name__ = name
     return fn
 
 
-def _sin_series(x0):
-    s, c = math.sin(x0), math.cos(x0)
-    return [s, c, -0.5 * s, -c / 6.0]
+# sin's series row is (s, c, -s / 2, -c / 6) and cos's (c, -s, -c / 2, s / 6), each
+# term a division: s / -2 rounds exactly as -0.5 * s
+_TRIG_ROWS = np.array([0, 1, 0, 1, 1, 0, 1, 0])  # s or c, term by term
+_TRIG_DIVISORS = np.array([1.0, 1.0, -2.0, -6.0, 1.0, -1.0, -2.0, 6.0])
+_EXP_DIVISORS = np.array([1.0, 1.0, 2.0, 6.0])
 
 
-def _cos_series(x0):
-    s, c = math.sin(x0), math.cos(x0)
-    return [c, -s, -0.5 * c, s / 6.0]
+def _sin_series(x: Taylor) -> np.ndarray:
+    return x.trig()[:, :4]
 
 
-def _exp_series(x0):
-    e = math.exp(x0)
-    return [e, e, 0.5 * e, e / 6.0]
+def _cos_series(x: Taylor) -> np.ndarray:
+    return x.trig()[:, 4:]
 
 
-def _log_series(x0):
-    inv = 1.0 / x0
-    return [math.log(x0), inv, -0.5 * inv * inv, inv * inv * inv / 3.0]
+def _exp_series(x: Taylor) -> np.ndarray:
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite jet
+        return np.exp(x.x0)[:, None] / _EXP_DIVISORS
+
+
+def _log_series(x: Taylor) -> np.ndarray:
+    x0 = x.x0
+    with np.errstate(divide="ignore", invalid="ignore"):  # x0 <= 0 shows as a non-finite jet
+        inv = 1.0 / x0
+        return np.stack([np.log(x0), inv, -0.5 * inv * inv, inv * inv * inv / 3.0], axis=1)
 
 
 sin = _elementary("sin", _sin_series)
@@ -207,59 +264,79 @@ pi = math.pi
 E = math.e
 
 
-def _variables(u, order: int) -> list[Taylor]:
-    """Independent variables ``u_a + h_a`` as Taylor values of order <= 3."""
+def _variables(u: np.ndarray, order: int) -> list[Taylor]:
+    """Independent variables ``u_a + h_a`` at every row of u (P, k), order <= 3."""
     if not 0 < order <= MAX_ORDER:
         raise ValueError(f"Taylor arithmetic is provided for orders 1..{MAX_ORDER}, not {order}")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    basis = _basis(u.size, order)
+    rows, k = u.shape
+    basis = _basis(k, order)
     out = []
-    for a, ua in enumerate(u):
-        c = np.zeros(basis.size)
-        c[0], c[1 + a] = ua, 1.0
+    for a in range(k):
+        c = np.zeros(rows * basis.size)
+        c[:: basis.size] = u[:, a]
+        c[1 + a :: basis.size] = 1.0
         out.append(Taylor(c, basis))
     return out
 
 
-def _constant(basis: _Basis, value) -> np.ndarray:
-    c = np.zeros(basis.size)
-    c[0] = value
-    return c
+def _coefficients(values, basis: _Basis, lead: tuple) -> np.ndarray:
+    """Coefficients (*lead, M, n) of a vector of n Taylor values (or constants)."""
+    n = len(values)
+    out = np.zeros((n, math.prod(lead) * basis.size))
+    for i, v in enumerate(values):
+        if isinstance(v, Taylor):
+            out[i] = v.c
+        else:
+            out[i, :: basis.size] = v
+    axes = tuple(range(1, len(lead) + 2)) + (0,)
+    return out.reshape((n,) + lead + (basis.size,)).transpose(axes)
 
 
-def _derivatives(values, k: int, order: int) -> list[np.ndarray]:
-    """Derivative tensors of a vector of Taylor values (or constants).
+def _derivatives(coeffs: np.ndarray, basis: _Basis, k: int) -> list[np.ndarray]:
+    """Derivative tensors of the coefficients (*lead, M, n) of n values.
 
-    Entry j of the result has shape ``(k,) * j + (n,)`` for n values and
-    holds every partial derivative of order j; it is exactly symmetric in
-    its first j indices.
+    Entry j of the result has shape ``lead + (k,) * j + (n,)`` and holds every
+    partial derivative of order j; it is exactly symmetric in its j
+    derivative indices.
     """
-    basis = _basis(k, order)
-    columns = [v.c if isinstance(v, Taylor) else _constant(basis, v) for v in values]
-    flat = np.stack(columns, axis=1)[basis.gather] * basis.factorials
-    out, start = [], 0
-    for deg in range(order + 1):
-        out.append(flat[start : start + k**deg].reshape((k,) * deg + (len(values),)))
-        start += k**deg
-    return out
+    lead, n = coeffs.shape[:-2], coeffs.shape[-1]
+    flat = np.take(coeffs, basis.gather, axis=-2) * basis.factorials
+    return [
+        flat[..., start:stop, :].reshape(lead + (k,) * deg + (n,))
+        for deg, (start, stop) in enumerate(basis.degrees)
+    ]
 
 
 def jet_function(fn, order: int):
     """``u -> derivative tensors of fn(*u)`` through ``order``.
 
-    ``fn`` takes one argument per parameter and returns a sequence of
+    ``fn`` takes one argument per parameter and returns a sequence of n
     values; written over this module's functions and operators, it runs on
-    Taylor variables unchanged.  A point where an elementary function is
-    undefined raises `DomainError` when the jet is taken.
+    Taylor variables unchanged.  As for a chart, a (k,) point gives tensors
+    of shapes (n,), (k, n), (k, k, n), ... and a (P, k) batch gives them with
+    a leading P axis, each row as that point alone gives it.  Where an
+    elementary function is undefined (a finite point whose jet is not
+    finite) the jet raises `DomainError` naming the first such row.
     """
 
     def jet(u) -> tuple[np.ndarray, ...]:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        seeds = _variables(u, order)
+        u = np.asarray(u, dtype=float)
+        pts = u.reshape(-1, u.shape[-1])  # a single point is a batch of one
+        seeds = _variables(pts, order)
+        basis = seeds[0].basis
         try:
-            values = fn(*seeds)
+            coeffs = _coefficients(fn(*seeds), basis, u.shape[:-1])
         except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"not differentiable at {u.tolist()}: {exc}") from None
-        return tuple(_derivatives(values, u.size, order))
+            raise DomainError(f"not differentiable at {pts[0].tolist()}: {exc}") from None
+        if not np.isfinite(coeffs).all():
+            defined = np.isfinite(coeffs).reshape(len(pts), -1).all(axis=1)
+            undefined = ~defined & np.isfinite(pts).all(axis=1)
+            if undefined.any():
+                row = pts[int(np.argmax(undefined))]
+                raise DomainError(
+                    f"not differentiable at {row.tolist()}: "
+                    "an elementary function is undefined or overflows there"
+                )
+        return tuple(_derivatives(coeffs, basis, pts.shape[1]))
 
     return jet

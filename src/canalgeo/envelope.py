@@ -170,14 +170,16 @@ class SphereFamily:
         return jet
 
     @functools.cached_property
-    def _reference_direction(self) -> np.ndarray:
-        """A unit vector kept away from the antipode of the whole tangent curve.
+    def _reference_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """A unit vector v kept away from the antipode of the whole tangent curve, and
+        a fixed orthonormal basis (n - 1, n) of its complement.
 
-        The envelope chart frame is the fixed complement of this vector
-        rotated onto the spine tangent; that rotation is smooth as long as
-        the tangent never hits the vector's antipode, so pick the candidate
-        with the largest clearance.  The scan runs once per family object;
-        every envelope chart of the family reuses it.
+        `_rotated_complement` carries that basis onto the characteristic plane
+        at t by the minimal rotation taking v to the spine tangent; this is
+        the one plane basis of the envelope chart, its meshes and the
+        adapted frames of `focal`.  The rotation is smooth as long as the
+        tangent never hits the antipode of v, so v is the candidate with the
+        largest clearance.  The scan runs once per family object.
         """
         tangents = self.jets_at(cell_centers(self.domain, _DIRECTION_SCAN)).dc[:, 0]
         norms = np.sqrt(_row_dots(tangents, tangents))
@@ -193,8 +195,10 @@ class SphereFamily:
                 "spine tangent sweeps too much of the sphere; no smooth chart frame"
             )
         direction = cands[best]
-        direction.setflags(write=False)  # shared by every chart of this family
-        return direction
+        complement = np.linalg.svd(direction.reshape(1, -1))[2][1:]
+        for x in (direction, complement):
+            x.setflags(write=False)  # shared by every frame of this family
+        return direction, complement
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +520,7 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
         raise DomainError("envelope charts are provided for one-parameter families")
     n = family.dim_n
     lo, hi = family.domain[0]
-    v_ref = family._reference_direction
-    # fixed orthonormal complement of v_ref, deterministic
-    _, _, vt = np.linalg.svd(v_ref.reshape(1, -1))
-    u_ref = vt[1:]
+    v_ref, u_ref = family._reference_frame
 
     cache: dict[float, tuple] = {}
 
@@ -597,15 +598,14 @@ def envelope_mesh(
     grid = np.stack([g.ravel() for g in mesh], axis=-1)
 
     # the grid is t-major: each t owns one contiguous block of rows, so one
-    # member jet and one chart call serve the whole block
+    # chart call serves the whole block
     block = math.prod(len(a) for a in axes[1:])
-    verts = np.empty((grid.shape[0], n))
-    normals = np.empty_like(verts)
-    for k in range(t_count):
-        rows = slice(k * block, (k + 1) * block)
-        jet = family.jet_at(ts[k : k + 1])
-        verts[rows] = surf.chart(grid[rows])
-        normals[rows] = (verts[rows] - jet.c) / jet.rho
+    verts = np.empty((t_count, block, n))
+    for k, rows in enumerate(grid.reshape(t_count, block, -1)):
+        verts[k] = surf.chart(rows)
+    jet = family.jets_at(ts[:, None])
+    normals = verts - jet.c[:, None]
+    normals /= jet.rho[:, None, None]
 
     faces = None
     if n == 3:
@@ -616,8 +616,8 @@ def envelope_mesh(
         faces = np.stack([np.stack([a, b, d], -1), np.stack([a, d, c], -1)], axis=2).reshape(-1, 3)
 
     return EnvelopeMesh(
-        vertices=verts,
-        normals=normals,
+        vertices=verts.reshape(-1, n),
+        normals=normals.reshape(-1, n),
         params=grid,
         faces=faces,
         name=name or (family.name + "-envelope" if family.name else "envelope"),

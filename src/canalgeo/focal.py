@@ -12,7 +12,11 @@ control where the envelope fails to be immersed: the roots of
 on the isotropy quadric of the generator plane are the singular points, so
 their count is decided by the discriminant lam212^2 - 2*c22.  The frame and
 its t-derivatives are closed form in the order-2 member jet at t, so no
-difference step enters the coefficients.
+difference step enters the coefficients.  The circle's plane basis is the
+one of `envelope_surface`, the family's reference complement rotated onto
+the spine tangent, so the angle of a singular point on its circle is its
+chart coordinate: ``envelope_surface(family).chart([t, angle])`` is the
+point.
 
 Projectively, the polar hyperplanes of A(t) envelope a tangentially
 degenerate hypersurface of rank r in P^{n+1}.  ``focal_determinant``
@@ -31,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Dropped, PolyVector, drop_sphere, form_matrix, lift_point
-from .envelope import _FRAME_FLOOR, SphereFamily, _lift_jet, envelope_surface
+from .envelope import _FRAME_FLOOR, SphereFamily, _lift_jet, _rotated_complement, envelope_surface
 from .errors import (
     DegenerateFrameError,
     DimensionMismatch,
@@ -55,16 +59,6 @@ __all__ = [
 ]
 
 _OMEGA_REL = 1e-8
-_SIGN_REL = 1e-12
-
-
-def _canonical_sign(v: np.ndarray) -> float:
-    """Sign that makes the first component exceeding a relative floor positive."""
-    scale = float(np.max(np.abs(v)))
-    for x in v:
-        if abs(x) > _SIGN_REL * scale:
-            return 1.0 if x > 0 else -1.0
-    return 1.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,9 @@ class GeneratorFrame:
 
     a0 and a4 are isotropic lifts of antipodal points x0, x4 of the
     characteristic circle with (a0, a4) = -1; a1 is the unit circle tangent
-    at x0; a2 the unit curve velocity; a3 the enveloped sphere itself.
+    at x0, pointing along increasing chart angle; a2 the unit curve
+    velocity; a3 the enveloped sphere itself.  w (2, 3) is the envelope
+    chart's plane basis at t and angle the chart angle of x0.
     """
 
     t: float
@@ -197,15 +193,21 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     centre C = c + delta T and radius R, delta = -rho rho'/s and
     R^2 = rho^2 - delta^2.  Past the spacelike check R^2 > 0 holds in
     exact arithmetic, since R^2 = rho^2 (1 - rho'^2/s^2) and (A', A') =
-    (s^2 - rho'^2)/rho^2 share their sign.  The plane basis is U = the unit
-    projection of e_k off T, k the first index minimising |T_k|, and
-    V = T x U; it is carried along by the minimal rotation U' = -(U.T') T,
-    V' = -(V.T') T.  Any other in-plane transport adds a multiple of A_1 to
-    A_0' and of A_0 - 2R^2 A_4 to A_1', both orthogonal to A_2, so the
-    coefficients do not depend on it.  The
-    circle point x0 = C + R U starts at angle 0; if that makes the
-    transverse rate degenerate the construction retries at angles rotated
-    by pi/8 before giving up.
+    (s^2 - rho'^2)/rho^2 share their sign.
+
+    The plane basis (W_0, W_1) is the envelope chart's, the family's
+    reference complement rotated onto T, so x = C + R (cos th W_0 +
+    sin th W_1) is the chart point at angle th.  Each basis vector U moves
+    by the minimal rotation U' = -(U.T') T; any other in-plane transport
+    adds a multiple of A_1 to A_0' and of A_0 - 2R^2 A_4 to A_1', both
+    orthogonal to A_2, so the coefficients do not depend on it.
+
+    The base point x0 is the one of the 8 angles k pi/8 with the largest
+    |omega| = |(A_0', A_2)|; a fixed angle would sweep through singular
+    points, where omega vanishes.  If even that |omega| is within
+    ``_OMEGA_REL`` of (|C'| + |R'| + R |T'|) |A_2|, a frame-free bound on
+    |x0'| |A_2| over the circle, the frame is degenerate.  A_1 is the unit
+    circle tangent at x0 along increasing chart angle.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("adapted frames are computed for r = 1 families in R^3")
@@ -234,11 +236,7 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
         raise DegenerateFrameError(f"characteristic circle degenerated to a point at t={t}")
     radius = math.sqrt(radius2)
     center = jet.c + delta * tan
-    axis = int(np.argmin(np.abs(tan)))
-    w0 = -tan[axis] * tan
-    w0[axis] += 1.0
-    w0 /= np.linalg.norm(w0)
-    w = np.array([w0, np.cross(tan, w0)])
+    w = _rotated_complement(tan, *family._reference_frame)
 
     ds = float(d2c @ tan)
     dtan = (d2c - ds * tan) / s
@@ -246,59 +244,57 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     dradius = (rho * drho - delta * ddelta) / radius
     dcenter = dc + ddelta * tan + delta * dtan
 
-    for k in range(8):
-        ang = k * math.pi / 8.0
-        cs, sn = math.cos(ang), math.sin(ang)
-        unit = cs * w[0] + sn * w[1]
-        perp = -sn * w[0] + cs * w[1]
-        dunit = -float(unit @ dtan) * tan
-        dperp = -float(perp @ dtan) * tan
-        x0 = center + radius * unit
-        x4 = center - radius * unit
-        dx0 = dcenter + dradius * unit + radius * dunit
+    angles = np.arange(8) * (math.pi / 8.0)
+    cs, sn = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    units = cs * w[0] + sn * w[1]
+    x0s = center + radius * units
+    dx0s = dcenter + dradius * units - radius * (units @ dtan)[:, None] * tan
+    da0s = np.column_stack([np.zeros(8), dx0s, np.sum(x0s * dx0s, axis=1)])
+    omegas = da0s @ (g @ a2)
+    k = int(np.argmax(np.abs(omegas)))
+    omega = float(omegas[k])
+    scale = float(np.linalg.norm(dcenter)) + abs(dradius) + radius * float(np.linalg.norm(dtan))
+    if not abs(omega) > _OMEGA_REL * scale * float(np.linalg.norm(a2)):
+        raise DegenerateFrameError(f"transverse rate vanished at every frame angle at t={t}")
 
-        a0 = lift_point(x0).coords
-        da0 = _frame_vector(dx0, float(x0 @ dx0))
-        omega = _form_dot(da0, a2, g)
-        omega_scale = max(1e-300, float(np.linalg.norm(da0)) * float(np.linalg.norm(a2)))
-        if abs(omega) <= _OMEGA_REL * omega_scale:
-            continue
+    ang = float(angles[k])
+    x0, dx0 = x0s[k], dx0s[k]
+    x4 = center - radius * units[k]
+    perp = -sn[k] * w[0] + cs[k] * w[1]
+    dperp = -float(perp @ dtan) * tan
+    a0 = lift_point(x0).coords
+    a4 = lift_point(x4).coords / (2.0 * radius * radius)
+    a1 = _frame_vector(perp, float(x0 @ perp))
+    da1 = _frame_vector(dperp, float(dx0 @ perp + x0 @ dperp))
 
-        a4 = lift_point(x4).coords / (2.0 * radius * radius)
-        a1 = _frame_vector(perp, float(x0 @ perp))
-        da1 = _frame_vector(dperp, float(dx0 @ perp + x0 @ dperp))
-        sign = _canonical_sign(a1)
-        a1, da1 = sign * a1, sign * da1
-
-        lam22 = -speed / omega
-        if abs(lam22) <= 1e-12:
-            raise DegenerateFrameError(f"curve velocity vanished at t={t}")
-        lam212 = _form_dot(da1, a2, g) / omega
-        c22 = -_form_dot(da2, a4, g) / omega
-        frame = GeneratorFrame(
-            t=t,
-            a0=a0,
-            a1=a1,
-            a2=a2,
-            a3=a3,
-            a4=a4,
-            x0=x0,
-            x4=x4,
-            center=center,
-            radius=radius,
-            w=w,
-            angle=ang,
-        )
-        return FocalCoefficients(
-            r=1,
-            lam_pq=np.array([[lam22]]),
-            lam_apq=np.array([[[lam212]]]),
-            c_pq=np.array([[c22]]),
-            t=t,
-            omega_rate=omega,
-            frame=frame,
-        )
-    raise DegenerateFrameError(f"transverse rate vanished at every frame angle at t={t}")
+    lam22 = -speed / omega
+    if abs(lam22) <= 1e-12:
+        raise DegenerateFrameError(f"curve velocity vanished at t={t}")
+    lam212 = _form_dot(da1, a2, g) / omega
+    c22 = -_form_dot(da2, a4, g) / omega
+    frame = GeneratorFrame(
+        t=t,
+        a0=a0,
+        a1=a1,
+        a2=a2,
+        a3=a3,
+        a4=a4,
+        x0=x0,
+        x4=x4,
+        center=center,
+        radius=radius,
+        w=w,
+        angle=ang,
+    )
+    return FocalCoefficients(
+        r=1,
+        lam_pq=np.array([[lam22]]),
+        lam_apq=np.array([[[lam212]]]),
+        c_pq=np.array([[c22]]),
+        t=t,
+        omega_rate=omega,
+        frame=frame,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +346,17 @@ def singular_set(
     focal plane x^0 + lam212 x^1 + c22 x^4 = 0 gives the quadratic
     (x^1)^2 + 2 lam212 x^1 x^4 + 2 c22 (x^4)^2 = 0, so the number of real
     points is the sign of D = lam212^2 - 2 c22: two for D > 0, none for
-    D < 0, one double point inside the tolerance band.
+    D < 0, one double point inside the tolerance band.  D and lam22 both
+    depend on the frame's base point, but D / lam22^2 does not (it is
+    (rho kappa)^2 - 1 on a constant-radius tube), so the band is
+    ``tolerances.discriminant * lam22^2``.
     """
     if coeffs.r != 1 or coeffs.frame is None:
         raise DomainError("singular_set needs r = 1 coefficients carrying their frame")
     lam = coeffs.lam212
     c = coeffs.c22
     disc = lam * lam - 2.0 * c
-    band = tolerances.discriminant * (lam * lam + abs(4.0 * c))
+    band = tolerances.discriminant * coeffs.lam22**2
     fr = coeffs.frame
 
     if disc > band:

@@ -1,6 +1,8 @@
 """Adapted frames, focal determinants, singular points, and plane classes."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +12,45 @@ from canalgeo import (
     adapted_frame_coefficients,
     classify_tube_plane,
     constraint_residual,
+    envelope_surface,
     focal_determinant,
     make_family,
     rank_drop_singular_points,
     singular_set,
 )
 from canalgeo.conformal import form_matrix
+from canalgeo.envelope import FamilyJet, SphereFamily
 from canalgeo.errors import DimensionMismatch, DomainError
 from canalgeo.focal import FocalCoefficients
+from canalgeo.jets import cell_centers
 
 
 def _tube(major, rho):
     return make_family("circle-tube", {"major": major, "rho": rho})
+
+
+def _circle_tube_closed_form(co, major, rho):
+    """lam22, |lam212|, c22 and D / lam22^2 of a circle tube at the frame's base point.
+
+    psi is the angle of u = (x0 - c) / rho from the inward spine normal and
+    omega = major - rho cos(psi); see CHANGES.md for the derivation.
+    """
+    c = co.frame.center
+    u = (co.frame.x0 - c) / rho
+    cos_psi = float(u @ (-c / major))
+    sin_psi = float(u[2])
+    omega = major - rho * cos_psi
+    return (
+        -major / (rho * omega),
+        abs(sin_psi) / abs(omega),
+        (major + rho * cos_psi) / (2.0 * rho * rho * omega),
+        (rho / major) ** 2 - 1.0,
+    )
+
+
+def _ratio(rep):
+    """D / lam22^2, which does not depend on the frame's base point."""
+    return rep.discriminant / rep.coefficients.lam22**2
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +64,7 @@ def test_selfintersecting_tube_two_singular_points():
         rep = singular_set(adapted_frame_coefficients(fam, t0))
         assert rep.count == 2
         assert not rep.degenerate
-        assert rep.discriminant == pytest.approx(0.75, abs=1e-12)
+        assert _ratio(rep) == pytest.approx(3.0, abs=1e-12)
         zs = sorted(p.point[2] for p in rep.points)
         assert zs[0] == pytest.approx(-expected, abs=1e-12)
         assert zs[1] == pytest.approx(expected, abs=1e-12)
@@ -45,7 +74,9 @@ def test_selfintersecting_tube_two_singular_points():
 
 def test_tangent_tube_one_double_point_at_origin():
     fam = _tube(1.0, 1.0)
-    for t0 in (0.3, 2.1):
+    # at t = pi/2 the base point's antipode x4 is the double point itself,
+    # so lam212 and c22 both vanish and only a frame-free band sees it
+    for t0 in (0.3, math.pi / 2, 2.1):
         rep = singular_set(adapted_frame_coefficients(fam, t0))
         assert rep.count == 1
         assert rep.degenerate
@@ -59,7 +90,7 @@ def test_embedded_tube_no_singular_points():
         rep = singular_set(adapted_frame_coefficients(fam, t0))
         assert rep.count == 0
         assert not rep.degenerate
-        assert rep.discriminant == pytest.approx(-3.75, abs=1e-12)
+        assert _ratio(rep) == pytest.approx(-15.0 / 16.0, abs=1e-12)
 
 
 def test_helix_tube_singular_points_closed_form():
@@ -77,6 +108,7 @@ def test_helix_tube_singular_points_closed_form():
         binormal = np.array([pitch * math.sin(t0), -pitch * math.cos(t0), major]) / speed
         rep = singular_set(adapted_frame_coefficients(fam, t0))
         assert rep.count == 2
+        assert _ratio(rep) == pytest.approx((rho * kappa) ** 2 - 1.0, rel=1e-12)
         got = sorted((p.point for p in rep.points), key=lambda p: float(p @ binormal))
         for p, sign in zip(got, (-1.0, 1.0)):
             want = c + normal / kappa + sign * half * binormal
@@ -84,18 +116,77 @@ def test_helix_tube_singular_points_closed_form():
 
 
 def test_structure_coefficients_golden_values():
-    cases = {
-        (1.0, 2.0): (-0.5, 1.0, 0.125),
-        (1.0, 1.0): (-1.0, 1.0, 0.5),
-        (2.0, 0.5): (-2.0, 0.5, 2.0),
-    }
-    for (major, rho), (lam22, abs_lam212, c22) in cases.items():
-        co = adapted_frame_coefficients(_tube(major, rho), 0.3)
-        assert co.lam22 == pytest.approx(lam22, abs=1e-12)
-        assert abs(co.lam212) == pytest.approx(abs_lam212, abs=1e-12)
-        assert co.c22 == pytest.approx(c22, abs=1e-12)
-        # r = 1 coefficients always satisfy the symmetry constraint exactly
-        assert co.constraint_residual() == 0.0
+    # the closed forms hold at any base point, so check them along the tube
+    for major, rho in [(1.0, 2.0), (1.0, 1.0), (2.0, 0.5)]:
+        for t0 in (0.3, math.pi / 2, 2.1, 3.665, 5.0):
+            co = adapted_frame_coefficients(_tube(major, rho), t0)
+            lam22, abs_lam212, c22, ratio = _circle_tube_closed_form(co, major, rho)
+            assert co.lam22 == pytest.approx(lam22, abs=1e-12)
+            assert abs(co.lam212) == pytest.approx(abs_lam212, abs=1e-12)
+            assert co.c22 == pytest.approx(c22, abs=1e-12)
+            disc = co.lam212**2 - 2.0 * co.c22
+            assert disc / co.lam22**2 == pytest.approx(ratio, abs=1e-12)
+            # r = 1 coefficients always satisfy the symmetry constraint exactly
+            assert co.constraint_residual() == 0.0
+
+
+def _tilted_circle_tube(alpha=0.7, major=1.0, rho=2.0):
+    """Fat circle tube about a(cos t, sin t cos alpha, sin t sin alpha), exact order-2 jet."""
+    ca, sa = math.cos(alpha), math.sin(alpha)
+
+    def jet2(t):
+        tv = float(t[0])
+        c = major * np.array([math.cos(tv), math.sin(tv) * ca, math.sin(tv) * sa])
+        dc = major * np.array([-math.sin(tv), math.cos(tv) * ca, math.cos(tv) * sa])
+        return FamilyJet(c=c, dc=dc[None], d2c=-c[None, None], rho=rho, drho=[0.0], d2rho=[[0.0]])
+
+    return SphereFamily(dim_n=3, r=1, jet2=jet2, domain=[[0.0, 2.0 * math.pi]], name="tilted")
+
+
+def test_base_point_keeps_clear_of_singular_points():
+    # a base point near a singular point makes omega = (A_0', A_2) small and
+    # the generator equations ill-conditioned; t_bad gave omega = -6.8e-5 and
+    # a generator residual of 2.3e-8 under a fixed base angle
+    t_bad = 3.8969051867781377
+    fam = _tilted_circle_tube()
+    ts = np.append(np.linspace(0.0, 2.0 * math.pi, 401), t_bad)
+    for t0 in ts:
+        co = adapted_frame_coefficients(fam, t0)
+        # |x0'| <= |C'| + R |T'| = 3 here; the best of 8 angles is far from 0
+        assert abs(co.omega_rate) > 0.5
+        rep = singular_set(co)
+        assert rep.count == 2
+        for p in rep.points:
+            x0, x1, x4 = p.generator
+            assert abs(x1 * x1 - 2.0 * x0 * x4) <= 1e-12
+            assert abs(x0 + co.lam212 * x1 + co.c22 * x4) <= 1e-12
+
+
+def _scene_batch_families(seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return [make_family(e["name"], e["data"]) for e in inputs.batch_scene(seed)["families"]]
+
+
+def test_singular_point_angles_are_chart_coordinates():
+    fams = [
+        _tube(1.0, 2.0),
+        _tube(1.0, 1.0),
+        make_family("helix-tube", {"major": 2.0, "pitch": 0.5, "rho": 3.0}),
+        make_family("wobble-tube"),
+    ] + _scene_batch_families(4000)
+    checked = 0
+    for fam in fams:
+        surf = envelope_surface(fam)
+        for t0 in cell_centers(fam.domain, 24)[:, 0]:
+            rep = singular_set(adapted_frame_coefficients(fam, t0))
+            for p in rep.points:
+                assert np.max(np.abs(surf.chart([t0, p.angle]) - p.point)) <= 1e-12
+                checked += 1
+    assert checked > 500
 
 
 def test_singular_points_satisfy_isotropy_and_focal_plane():
@@ -131,19 +222,26 @@ def test_adapted_frame_requires_r1_in_r3():
 
 
 def test_fast_path_matches_rank_drop_oracle():
-    for major, rho, want in [(1.0, 2.0, 2), (2.0, 0.5, 0)]:
-        fam = _tube(major, rho)
-        for t0 in (0.3, 2.1):
+    # the oracle scans the envelope chart, so it locates points by chart angle
+    two_pi = 2.0 * math.pi
+    helix = make_family("helix-tube", {"major": 2.0, "pitch": 0.5, "rho": 3.0})
+    cases = [
+        (_tube(1.0, 2.0), (2, 2)),
+        (_tube(2.0, 0.5), (0, 0)),
+        (helix, (2, 2)),
+        (make_family("wobble-tube"), (2, 0)),
+    ]
+    for fam, wants in cases:
+        for t0, want in zip((0.3, 2.1), wants):
             rep = singular_set(adapted_frame_coefficients(fam, t0))
             oracle = rank_drop_singular_points(fam, t0)
             assert rep.count == oracle.count == want
-            if want:
-                fast = np.array([p.point for p in rep.points])
-                slow = np.asarray(oracle.points)
+            slow = np.asarray(oracle.points)
+            for p in rep.points:
                 # match points pairwise regardless of ordering
-                for row in fast:
-                    dists = np.linalg.norm(slow - row, axis=1)
-                    assert dists.min() < 1e-6
+                assert np.linalg.norm(slow - p.point, axis=1).min() < 1e-6
+                gaps = (np.array(oracle.angles) - p.angle + math.pi) % two_pi - math.pi
+                assert np.min(np.abs(gaps)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

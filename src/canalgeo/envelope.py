@@ -5,6 +5,8 @@ t -> A(t) is a path on the unit quadric of the Minkowski model, and the
 causal type of the velocity vectors decides whether a real envelope exists.
 Where it does, the envelope is swept by characteristic spheres: the
 intersection of each sphere with the zero sets of the derivative conditions.
+One closed-form batched pass, `_characteristic`, gives them to the envelope
+chart, the meshes, `characteristic_sphere` and the adapted frames of `focal`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -174,7 +177,7 @@ class SphereFamily:
         """A unit vector v kept away from the antipode of the whole tangent curve, and
         a fixed orthonormal basis (n - 1, n) of its complement.
 
-        `_rotated_complement` carries that basis onto the characteristic plane
+        `_characteristic` carries that basis onto the characteristic plane
         at t by the minimal rotation taking v to the spine tangent; this is
         the one plane basis of the envelope chart, its meshes and the
         adapted frames of `focal`.  The rotation is smooth as long as the
@@ -206,21 +209,11 @@ class SphereFamily:
 
 
 def _lift_jet(jet: FamilyJet):
-    """Lift a family jet to the quadric: A with (A, A) = 1, plus dA and d2A.
-
-    A batched jet gives stacks A (P, n+2), dA (P, r, n+2), d2A (P, r, r, n+2);
-    a single-point jet is a batch of one.
-    """
-    fields = (getattr(jet, name) for name in _JET_FIELDS)
-    if jet.c.ndim == 1:
-        return tuple(x[0] for x in _lift(*(np.asarray(x)[None] for x in fields)))
-    return _lift(*fields)
-
-
-def _lift(c, dc, d2c, rho, drho, d2rho):
-    """`_lift_jet` on the fields of a batched family jet."""
+    """Lift a batched family jet to the quadric: A (P, n+2) with (A, A) = 1, plus
+    dA (P, r, n+2) and d2A (P, r, r, n+2)."""
     # C order, so that each row's BLAS products are those of the row alone
-    c, dc, d2c = (np.ascontiguousarray(x) for x in (c, dc, d2c))
+    c, dc, d2c = (np.ascontiguousarray(x) for x in (jet.c, jet.dc, jet.d2c))
+    rho, drho, d2rho = jet.rho, jet.drho, jet.d2rho
     rows, n = c.shape
     r = dc.shape[1]
     v = np.empty((rows, n + 2))
@@ -258,8 +251,8 @@ def _lift(c, dc, d2c, rho, drho, d2rho):
 
 def family_lift(family: SphereFamily, t) -> tuple[PolyVector, np.ndarray]:
     """Unit-quadric lift A(t) of the family and its velocity rows dA (r, n+2)."""
-    a, da, _ = _lift_jet(family.jet_at(t))
-    return PolyVector(a), da
+    a, da, _ = _lift_jet(family.jets_at(np.atleast_1d(np.asarray(t, dtype=float))[None]))
+    return PolyVector(a[0]), da[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,39 +410,78 @@ class CharacteristicSphere:
         }
 
 
-def _characteristic_core(jet: FamilyJet, t):
-    """Circle center and radius, and the orthonormal spine rows, of the member jet at t."""
-    cmat = jet.dc
-    norms = np.linalg.norm(cmat, axis=1)
-    if np.any(norms <= _FRAME_FLOOR * max(1.0, float(np.max(norms, initial=0.0)))):
-        raise DegenerateFrameError("family spine has (numerically) stationary directions")
-    y0, *_ = np.linalg.lstsq(cmat, -jet.rho * jet.drho, rcond=None)
-    rad2 = jet.rho**2 - y0 @ y0
-    band = 1e-12 * jet.rho**2
-    if rad2 < -band:
-        raise ImaginaryCharacteristicError(
-            f"characteristic sphere is imaginary at t={tuple(np.atleast_1d(t))}"
-        )
-    radius = math.sqrt(max(rad2, 0.0))
-    center = jet.c + y0
+# the characteristic spheres of P members: center (P, n) and radius (P,); the
+# Gram-Schmidt rows of dc (P, r, n), their pivots (P, r; |c'| for r = 1) and the
+# centre's offset along them (P, r); for r = 1 on request the plane basis w (P, n-1, n)
+_Circles = namedtuple("_Circles", "center radius spine speed delta w")
 
-    q, rr = np.linalg.qr(cmat.T)
-    signs = np.sign(np.diag(rr))
-    signs[signs == 0] = 1.0
-    tangent = (q * signs).T  # (r, n), orthonormal, deterministic
-    return center, radius, tangent
+
+def _characteristic(jet: FamilyJet, ts: np.ndarray, reference=None) -> _Circles:
+    """The characteristic sphere of every row of a batched family jet, in closed form.
+
+    The envelope conditions (x - c).dc_p = -rho drho_p put the centre at
+    c - rho dc^T G^-1 drho, G = dc dc^T, and the squared radius at
+    rho^2 - |centre - c|^2.  Gram-Schmidt on the rows of dc is the Cholesky
+    factor of G, so G is solved by forward substitution; a pivot within
+    ``_FRAME_FLOOR`` of max(1, max_p |dc_p|) means G is singular.  For r = 1
+    this is T = c'/s and delta = -rho rho'/s with s = |c'|.  Given the
+    family's ``reference`` frame, W is its complement rotated onto T.  Each
+    step is elementwise or a per-row BLAS product, so a row's bits do not
+    depend on its batch.
+    """
+    dc, rho, drho = jet.dc, jet.rho, jet.drho
+    norms = np.sqrt(np.einsum("ipn,ipn->ip", dc, dc))
+    floor = _FRAME_FLOOR * np.maximum(1.0, norms.max(axis=1))
+    spine, speed, delta = np.empty_like(dc), np.empty_like(drho), np.empty_like(drho)
+    for k in range(dc.shape[1]):
+        v, num = dc[:, k], -rho * drho[:, k]
+        for j in range(k):
+            proj = _row_dots(dc[:, k], spine[:, j])
+            v = v - proj[:, None] * spine[:, j]
+            num = num - proj * delta[:, j]
+        s = np.sqrt(_row_dots(v, v))
+        _raise_at(s <= floor, ts, DegenerateFrameError, "family spine is (numerically) rank-deficient")
+        spine[:, k] = v / s[:, None]
+        speed[:, k] = s
+        delta[:, k] = num / s
+
+    center = jet.c + (delta[:, :, None] * spine).sum(axis=1)
+    rad2 = rho * rho - (delta * delta).sum(axis=1)
+    imaginary = rad2 < -1e-12 * rho * rho
+    _raise_at(imaginary, ts, ImaginaryCharacteristicError, "characteristic sphere is imaginary")
+    radius = np.sqrt(np.maximum(rad2, 0.0))
+
+    w = None
+    if reference is not None:
+        # the minimal rotation taking v_ref to the tangent, applied to u_ref
+        v_ref, u_ref = reference
+        tau = spine[:, 0]
+        denom = 1.0 + (tau[:, None, :] @ v_ref[:, None])[:, 0, 0]  # one dot per row
+        antipode = denom < 1e-9
+        _raise_at(antipode, ts, DegenerateFrameError, "spine tangent hit the reference antipode")
+        vt = v_ref + tau
+        coef = np.matmul(u_ref, vt[:, :, None])[..., 0] / denom[:, None]  # (P, n-1)
+        w = u_ref - coef[:, :, None] * vt[:, None, :]
+    return _Circles(center, radius, spine, speed, delta, w)
+
+
+def _raise_at(bad: np.ndarray, ts: np.ndarray, error: type, what: str) -> None:
+    if bad.any():
+        t = ts[int(np.argmax(bad))]
+        raise error(f"{what} at t={tuple(t.tolist())}")
 
 
 def characteristic_sphere(family: SphereFamily, t) -> CharacteristicSphere:
-    jet = family.jet_at(t)
-    center, radius, _ = _characteristic_core(jet, t)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))[None]
+    jet = family.jets_at(ts)
+    circle = _characteristic(jet, ts)
     return CharacteristicSphere(
-        t=tuple(np.atleast_1d(np.asarray(t, dtype=float))),
-        center=center,
-        radius=radius,
+        t=tuple(ts[0]),
+        center=circle.center[0],
+        radius=float(circle.radius[0]),
         m=family.dim_n - family.r - 1,
-        member_center=jet.c,
-        member_radius=jet.rho,
+        member_center=jet.c[0],
+        member_radius=float(jet.rho[0]),
     )
 
 
@@ -458,21 +490,18 @@ def characteristic_sphere(family: SphereFamily, t) -> CharacteristicSphere:
 
 
 def _spherical_unit(angles: np.ndarray) -> np.ndarray:
-    """Points on the unit sphere S^m from m angles (first m-1 polar, last azimuthal).
+    """Points (k, m+1) on the unit sphere S^m from k rows of m angles.
 
-    Accepts a single angle row (m,) or a batch (k, m); returns (m+1,) or (k, m+1).
+    The first m-1 angles are polar, the last azimuthal.
     """
-    angles = np.asarray(angles, dtype=float)
-    single = angles.ndim == 1
-    rows = np.atleast_2d(angles)
-    k, m = rows.shape
+    k, m = angles.shape
     out = np.empty((k, m + 1))
     sin_prod = np.ones(k)
     for i in range(m):
-        out[:, i] = sin_prod * np.cos(rows[:, i])
-        sin_prod = sin_prod * np.sin(rows[:, i])
+        out[:, i] = sin_prod * np.cos(angles[:, i])
+        sin_prod = sin_prod * np.sin(angles[:, i])
     out[:, m] = sin_prod
-    return out[0] if single else out
+    return out
 
 
 def _direction_candidates(n: int) -> np.ndarray:
@@ -494,62 +523,36 @@ def _direction_candidates(n: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _rotated_complement(tau: np.ndarray, v_ref: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
-    """Complement basis of v_ref carried onto the complement of tau.
-
-    Applies the minimal rotation taking v_ref to tau; closed form, smooth in
-    tau away from the antipode of v_ref.
-    """
-    denom = 1.0 + float(tau @ v_ref)
-    if denom < 1e-9:
-        raise DegenerateFrameError("spine tangent reached the reference antipode")
-    coef = (u_ref @ (v_ref + tau)) / denom  # (n-1,)
-    return u_ref - np.outer(coef, v_ref + tau)
-
-
 def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
     """Envelope of a one-parameter family as a parametric chart (t, angles).
 
     The chart is exact; it carries no analytic jet, so `evaluate_jet` takes
     its derivatives by finite differences at the default steps.  Use the
-    analytic catalog surfaces when derivative accuracy is critical.  The
-    angular frame is globally smooth in t (a fixed basis rotated onto the
-    spine tangent), so finite differences of any order stay meaningful.
+    analytic catalog surfaces when derivative accuracy is critical.  A chart
+    call takes one batched member jet over its distinct t and one
+    closed-form `_characteristic` pass; nothing is cached between calls.
+    The angular frame is globally smooth in t (the family's reference
+    complement rotated onto the spine tangent), so finite differences of any
+    order stay meaningful.
     """
     if family.r != 1:
         raise DomainError("envelope charts are provided for one-parameter families")
     n = family.dim_n
     lo, hi = family.domain[0]
-    v_ref, u_ref = family._reference_frame
-
-    cache: dict[float, tuple] = {}
-
-    def frame_at(tv: float) -> tuple:
-        fr = cache.get(tv)
-        if fr is None:
-            if len(cache) > 512:
-                cache.clear()
-            t = np.array([tv])
-            center, radius, tangent = _characteristic_core(family.jet_at(t), t)
-            w = _rotated_complement(tangent[0], v_ref, u_ref)
-            fr = (center, radius, w)
-            cache[tv] = fr
-        return fr
+    reference = family._reference_frame
 
     def chart(u):
         u = np.asarray(u, dtype=float)
-        single = u.ndim == 1
         pts = np.atleast_2d(u)
-        out = np.empty((pts.shape[0], n))
-        units = _spherical_unit(pts[:, 1:])
-        uniq, inv = np.unique(pts[:, 0], return_inverse=True)
-        for gi, tv in enumerate(uniq):
-            center, radius, w = frame_at(float(tv))
-            mask = inv == gi
-            # one (1, n-1) @ (n-1, n) product per row, as a single-point call
-            # makes: a batched matmul may take another kernel and round differently
-            out[mask] = center + radius * (units[mask][:, None, :] @ w)[:, 0]
-        return out[0] if single else out
+        if not len(pts):
+            return np.empty((0, n))
+        ts, inv = np.unique(pts[:, 0], return_inverse=True)
+        ts = ts[:, None]
+        circle = _characteristic(family.jets_at(ts), ts, reference)
+        units = _spherical_unit(pts[:, 1:])[:, :, None]
+        # units @ w as an elementwise sum, which rounds alike in any batch
+        out = circle.center[inv] + circle.radius[inv, None] * (units * circle.w[inv]).sum(axis=1)
+        return out[0] if u.ndim == 1 else out
 
     domain = [[lo, hi]]
     domain += [[0.35, math.pi - 0.35] for _ in range(n - 3)]
@@ -586,7 +589,6 @@ def envelope_mesh(
     if family.r != 1:
         raise DomainError("meshes are generated for one-parameter families")
     n = family.dim_n
-    surf = envelope_surface(family, name=name)
     lo, hi = family.domain[0]
     ts = np.linspace(lo, hi, t_count)
     thetas = np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False)
@@ -597,13 +599,15 @@ def envelope_mesh(
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([g.ravel() for g in mesh], axis=-1)
 
-    # the grid is t-major: each t owns one contiguous block of rows, so one
-    # chart call serves the whole block
-    block = math.prod(len(a) for a in axes[1:])
-    verts = np.empty((t_count, block, n))
-    for k, rows in enumerate(grid.reshape(t_count, block, -1)):
-        verts[k] = surf.chart(rows)
+    # the grid is t-major: each t owns one contiguous block of rows, and
+    # one batched member jet serves the circles and the normals of every block
     jet = family.jets_at(ts[:, None])
+    circle = _characteristic(jet, ts[:, None], family._reference_frame)
+    block = math.prod(len(a) for a in axes[1:])
+    units = _spherical_unit(grid[:block, 1:])[:, :, None]
+    verts = np.empty((t_count, block, n))
+    for k in range(t_count):  # the chart's sum, one block at a time
+        verts[k] = circle.center[k] + circle.radius[k] * (units * circle.w[k]).sum(axis=1)
     normals = verts - jet.c[:, None]
     normals /= jet.rho[:, None, None]
 

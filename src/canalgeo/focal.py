@@ -12,11 +12,11 @@ control where the envelope fails to be immersed: the roots of
 on the isotropy quadric of the generator plane are the singular points, so
 their count is decided by the discriminant lam212^2 - 2*c22.  The frame and
 its t-derivatives are closed form in the order-2 member jet at t, so no
-difference step enters the coefficients.  The circle's plane basis is the
-one of `envelope_surface`, the family's reference complement rotated onto
-the spine tangent, so the angle of a singular point on its circle is its
-chart coordinate: ``envelope_surface(family).chart([t, angle])`` is the
-point.
+difference step enters the coefficients.  The circle (centre, radius and
+plane basis) is the one `envelope_surface` draws, from the same closed-form
+`envelope._characteristic`, so the angle of a singular point on its circle
+is its chart coordinate: ``envelope_surface(family).chart([t, angle])`` is
+the point.
 
 Projectively, the polar hyperplanes of A(t) envelope a tangentially
 degenerate hypersurface of rank r in P^{n+1}.  ``focal_determinant``
@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Dropped, PolyVector, drop_sphere, form_matrix, lift_point
-from .envelope import _FRAME_FLOOR, SphereFamily, _lift_jet, _rotated_complement, envelope_surface
+from .envelope import SphereFamily, _characteristic, _lift_jet, envelope_surface
 from .errors import (
     DegenerateFrameError,
     DimensionMismatch,
@@ -195,12 +195,13 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     exact arithmetic, since R^2 = rho^2 (1 - rho'^2/s^2) and (A', A') =
     (s^2 - rho'^2)/rho^2 share their sign.
 
-    The plane basis (W_0, W_1) is the envelope chart's, the family's
-    reference complement rotated onto T, so x = C + R (cos th W_0 +
-    sin th W_1) is the chart point at angle th.  Each basis vector U moves
-    by the minimal rotation U' = -(U.T') T; any other in-plane transport
-    adds a multiple of A_1 to A_0' and of A_0 - 2R^2 A_4 to A_1', both
-    orthogonal to A_2, so the coefficients do not depend on it.
+    The circle itself, with the plane basis (W_0, W_1), comes from the
+    envelope chart's `_characteristic`, so x = C + R (cos th W_0 + sin th W_1)
+    is the chart point at angle th; only the t-derivatives are derived here.
+    Each basis vector U moves by the minimal rotation U' = -(U.T') T; any
+    other in-plane transport adds a multiple of A_1 to A_0' and of
+    A_0 - 2R^2 A_4 to A_1', both orthogonal to A_2, so the coefficients do
+    not depend on it.
 
     The base point x0 is the one of the 8 angles k pi/8 with the largest
     |omega| = |(A_0', A_2)|; a fixed angle would sweep through singular
@@ -213,8 +214,9 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
         raise DomainError("adapted frames are computed for r = 1 families in R^3")
     t = float(t)
     g = form_matrix(family.dim_n)
-    jet = family.jet_at([t])
-    a3, da, d2a = _lift_jet(jet)
+    ts = np.array([[t]])
+    jet = family.jets_at(ts)
+    a3, da, d2a = (x[0] for x in _lift_jet(jet))
     da3, d2a3 = da[0], d2a[0, 0]
     speed2 = _form_dot(da3, da3, g)
     if speed2 <= 0 or not math.isfinite(speed2):
@@ -224,20 +226,14 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     dspeed = _form_dot(da3, d2a3, g) / speed
     da2 = d2a3 / speed - da3 * (dspeed / speed2)
 
-    rho, drho, d2rho = jet.rho, float(jet.drho[0]), float(jet.d2rho[0, 0])
-    dc, d2c = jet.dc[0], jet.d2c[0, 0]
-    s = float(np.linalg.norm(dc))
-    if s <= _FRAME_FLOOR:
-        raise DegenerateFrameError("family spine has (numerically) stationary directions")
-    tan = dc / s
-    delta = -rho * drho / s
-    radius2 = rho * rho - delta * delta
-    if radius2 <= 1e-12 * rho * rho:
+    circle = _characteristic(jet, ts, family._reference_frame)
+    center, radius, w = circle.center[0], float(circle.radius[0]), circle.w[0]
+    tan, s, delta = circle.spine[0, 0], float(circle.speed[0, 0]), float(circle.delta[0, 0])
+    rho, drho, d2rho = float(jet.rho[0]), float(jet.drho[0, 0]), float(jet.d2rho[0, 0, 0])
+    if radius <= 1e-6 * rho:
         raise DegenerateFrameError(f"characteristic circle degenerated to a point at t={t}")
-    radius = math.sqrt(radius2)
-    center = jet.c + delta * tan
-    w = _rotated_complement(tan, *family._reference_frame)
 
+    dc, d2c = jet.dc[0, 0], jet.d2c[0, 0, 0]
     ds = float(d2c @ tan)
     dtan = (d2c - ds * tan) / s
     ddelta = -(drho * drho + rho * d2rho) / s + rho * drho * ds / (s * s)
@@ -522,12 +518,10 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
     def ratio_batch(thetas: np.ndarray) -> np.ndarray:
         k = thetas.size
         u = np.stack([np.full(k, t), thetas], axis=-1)
-        cols = []
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = _JAC_STEP
-            cols.append((surf.chart(u + e) - surf.chart(u - e)) / (2 * _JAC_STEP))
-        jac = np.stack(cols, axis=-1)
+        steps = np.array([[_JAC_STEP, 0.0], [-_JAC_STEP, 0.0], [0.0, _JAC_STEP], [0.0, -_JAC_STEP]])
+        # the whole +-t, +-angle stencil is one chart call: one member jet per distinct t
+        x = surf.chart((u + steps[:, None]).reshape(-1, 2)).reshape(4, k, -1)
+        jac = np.stack([x[0] - x[1], x[2] - x[3]], axis=-1) / (2 * _JAC_STEP)
         sv = np.linalg.svd(jac, compute_uv=False)
         return sv[:, 1] / sv[:, 0]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from canalgeo import (
+    DegenerateFrameError,
     DomainError,
     ImaginaryCharacteristicError,
     build_tensors,
@@ -22,7 +23,7 @@ from canalgeo import (
     rank_drop_singular_points,
     sampled_family,
 )
-from canalgeo.envelope import _DIRECTION_SCAN, FamilyJet, SphereFamily
+from canalgeo.envelope import _DIRECTION_SCAN, FamilyJet, SphereFamily, batched_jet
 
 
 def test_family_lift_is_unit(fourier_families, rng):
@@ -132,6 +133,46 @@ def test_characteristic_sphere_imaginary():
     fam = SphereFamily(dim_n=3, r=1, jet2=jet2, domain=((0.0, 1.0),), name="steep")
     with pytest.raises(ImaginaryCharacteristicError):
         characteristic_sphere(fam, 0.5)
+
+
+def _sheet_family(dc_rows, drho):
+    """An r = 2 family in R^4 with constant spine rows and radius slopes."""
+    dc_rows, drho = np.asarray(dc_rows, dtype=float), np.asarray(drho, dtype=float)
+
+    def jet2(t):
+        t = np.asarray(t, dtype=float).reshape(-1)
+        return FamilyJet(
+            c=t @ dc_rows,
+            dc=dc_rows,
+            d2c=np.zeros((2, 2, 4)),
+            rho=1.0 + float(drho @ t),
+            drho=drho,
+            d2rho=np.zeros((2, 2)),
+        )
+
+    return SphereFamily(dim_n=4, r=2, jet2=jet2, domain=((0.0, 1.0), (0.0, 1.0)), name="sheet")
+
+
+def test_characteristic_sphere_r2_closed_form():
+    # c = (t0, t1, 0, 0), rho = 1 + 0.3 t0: the conditions (x - c).e_p = -rho drho_p
+    # put the centre at c - 0.3 rho e_0, and the radius is rho sqrt(1 - 0.09)
+    fam = _sheet_family([[1.0, 0, 0, 0], [0, 1.0, 0, 0]], [0.3, 0.0])
+    for t in ([0.2, 0.7], [0.9, 0.1], [0.5, 0.5]):
+        ch = characteristic_sphere(fam, t)
+        rho = 1.0 + 0.3 * t[0]
+        assert ch.m == 1
+        want = np.array([t[0] - 0.3 * rho, t[1], 0.0, 0.0])
+        assert np.max(np.abs(ch.center - want)) <= 1e-15
+        assert ch.radius == pytest.approx(rho * np.sqrt(0.91), rel=1e-15)
+        assert ch.member_radius == pytest.approx(rho, rel=1e-15)
+
+
+def test_characteristic_sphere_rank_deficient_spine_raises():
+    # two equal spine rows with different radius slopes: the envelope
+    # conditions are inconsistent, so there is no characteristic sphere
+    fam = _sheet_family([[1.0, 0, 0, 0], [1.0, 0, 0, 0]], [0.3, 0.1])
+    with pytest.raises(DegenerateFrameError):
+        characteristic_sphere(fam, [0.5, 0.5])
 
 
 def test_envelope_chart_tangency(fourier_families, rng):
@@ -254,6 +295,30 @@ def test_reference_direction_scanned_once_per_family():
     u = envelope_surface(fresh).sample_grid(6)
     for chart in charts:
         assert np.array_equal(chart.chart(u), envelope_surface(source).chart(u))
+
+
+def test_envelope_chart_and_mesh_take_one_batched_jet_call():
+    source = make_family("wobble-tube")
+    calls = []
+
+    @batched_jet
+    def counted(t):
+        calls.append(np.shape(t))
+        return source.jet2(t)
+
+    fam = dataclasses.replace(source, jet2=counted)
+    surf = envelope_surface(fam)  # the reference scan: one batched call
+    assert calls == [(_DIRECTION_SCAN, 1)]
+    del calls[:]
+    envelope_mesh(fam, t_count=16, angle_count=8)
+    assert calls == [(16, 1)]
+    del calls[:]
+    rows = np.column_stack([np.repeat([0.4, 1.1, 2.5, 3.0, 5.2], 7), np.linspace(0.0, 6.0, 35)])
+    surf.chart(rows[np.random.default_rng(3).permutation(35)])
+    assert calls == [(5, 1)]
+    del calls[:]
+    assert surf.chart(np.empty((0, 2))).shape == (0, 3)
+    assert calls == []
 
 
 def test_envelope_mesh_r4_has_no_faces():

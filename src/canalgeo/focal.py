@@ -12,11 +12,14 @@ control where the envelope fails to be immersed: the roots of
 on the isotropy quadric of the generator plane are the singular points, so
 their count is decided by the discriminant lam212^2 - 2*c22.  The frame and
 its t-derivatives are closed form in the order-2 member jet at t, so no
-difference step enters the coefficients.  The circle (centre, radius and
-plane basis) is the one `envelope_surface` draws, from the same closed-form
-`envelope._characteristic`, so the angle of a singular point on its circle
-is its chart coordinate: ``envelope_surface(family).chart([t, angle])`` is
-the point.
+difference step enters the coefficients.  `adapted_frames` builds them for
+a whole t grid in one batched pass (one member jet, one lift and one
+characteristic call), each row bit for bit the frame of its t alone;
+`adapted_frame_coefficients` is row 0 of a batch of one.  The circle
+(centre, radius and plane basis) is the one `envelope_surface` draws, from
+the same closed-form `envelope._characteristic`, so the angle of a singular
+point on its circle is its chart coordinate:
+``envelope_surface(family).chart([t, angle])`` is the point.
 
 Projectively, the polar hyperplanes of A(t) envelope a tangentially
 degenerate hypersurface of rank r in P^{n+1}.  ``focal_determinant``
@@ -34,14 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import Dropped, PolyVector, drop_sphere, form_matrix, lift_point
+from .conformal import Dropped, PolyVector, drop_sphere, form_matrix
 from .envelope import SphereFamily, _characteristic, _lift_jet, envelope_surface
 from .errors import (
+    CanalGeoError,
     DegenerateFrameError,
     DimensionMismatch,
     DomainError,
     FrameConsistencyError,
 )
+from .jets import _row_dots, parameter_grid
 
 __all__ = [
     "GeneratorFrame",
@@ -51,6 +56,7 @@ __all__ = [
     "PlaneClass",
     "RankDropReport",
     "adapted_frame_coefficients",
+    "adapted_frames",
     "focal_determinant",
     "constraint_residual",
     "singular_set",
@@ -176,17 +182,39 @@ def focal_determinant(coeffs: FocalCoefficients, x) -> float:
 # r = 1 frame construction
 
 
-def _form_dot(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
-    return float(x @ g @ y)
+def _row_forms(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(x[i], y[i]) of (P, n+2) rows under the form g: per row one BLAS product and one dot."""
+    return _row_dots(np.matmul(x[:, None, :], g)[:, 0], y)
 
 
-def _frame_vector(x: np.ndarray, last: float) -> np.ndarray:
-    """Lift-space vector (0, x, last): a point-lift velocity or a circle tangent."""
-    return np.concatenate(([0.0], x, [last]))
+def _lift_rows(first: float, x: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Lift-space rows (first, x, last) along the last axis: point lifts
+    (1, x, |x|^2/2), their velocities and circle tangents (0, x, last)."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
+    out[..., 0] = first
+    out[..., 1:-1] = x
+    out[..., -1] = last
+    return out
+
+
+def _raise_first(bad: np.ndarray, ts: np.ndarray, error: type, what: str) -> None:
+    """Raise ``error(what)`` with {t} the parameter of the first bad row, if any."""
+    if bad.any():
+        raise error(what.format(t=float(ts[int(np.argmax(bad)), 0])))
 
 
 def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficients:
     """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at t.
+
+    Row 0 of `adapted_frames` on the batch of one [[t]]; a grid of t takes
+    one `adapted_frames` call instead of one call per t.
+    """
+    return adapted_frames(family, [[float(t)]])[0]
+
+
+def adapted_frames(family: SphereFamily, ts) -> list[FocalCoefficients]:
+    """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at
+    every row of a (P, 1) parameter grid, one `FocalCoefficients` per row.
 
     Every frame vector and its t-derivative is closed form in the order-2
     member jet at t.  With s = |c'|, T = c'/s, the characteristic circle has
@@ -209,88 +237,111 @@ def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficie
     ``_OMEGA_REL`` of (|C'| + |R'| + R |T'|) |A_2|, a frame-free bound on
     |x0'| |A_2| over the circle, the frame is degenerate.  A_1 is the unit
     circle tangent at x0 along increasing chart angle.
+
+    The grid makes one `jets_at`, one `_lift_jet` and one `_characteristic`
+    call.  Each step is elementwise or a per-row BLAS product, so a row's
+    bits do not depend on its batch.  The checks run in this order, each
+    before the square root or division it guards: spacelike, point circle,
+    the omega bound, |lam22|.  A batch with a failing row raises the error
+    that the first failing row raises alone.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("adapted frames are computed for r = 1 families in R^3")
-    t = float(t)
+    ts = parameter_grid(ts, 1)
+    try:
+        return _adapted_rows(family, ts)
+    except CanalGeoError:
+        if len(ts) > 1:
+            for row in ts:
+                _adapted_rows(family, row[None])
+        raise
+
+
+def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> list[FocalCoefficients]:
+    """The batched pass of `adapted_frames`; a failing check raises at its first row."""
     g = form_matrix(family.dim_n)
-    ts = np.array([[t]])
     jet = family.jets_at(ts)
-    a3, da, d2a = (x[0] for x in _lift_jet(jet))
-    da3, d2a3 = da[0], d2a[0, 0]
-    speed2 = _form_dot(da3, da3, g)
-    if speed2 <= 0 or not math.isfinite(speed2):
-        raise DomainError(f"family is not spacelike at t={t}; no adapted frame exists")
-    speed = math.sqrt(speed2)
-    a2 = da3 / speed
-    dspeed = _form_dot(da3, d2a3, g) / speed
-    da2 = d2a3 / speed - da3 * (dspeed / speed2)
+    a3, da, d2a = _lift_jet(jet)
+    da3, d2a3 = da[:, 0], d2a[:, 0, 0]
+    speed2 = _row_forms(da3, da3, g)
+    spacelike = np.isfinite(speed2) & (speed2 > 0)
+    what = "family is not spacelike at t={t}; no adapted frame exists"
+    _raise_first(~spacelike, ts, DomainError, what)
+    speed = np.sqrt(speed2)
+    a2 = da3 / speed[:, None]
+    dspeed = _row_forms(da3, d2a3, g) / speed
+    da2 = d2a3 / speed[:, None] - da3 * (dspeed / speed2)[:, None]
 
     circle = _characteristic(jet, ts, family._reference_frame)
-    center, radius, w = circle.center[0], float(circle.radius[0]), circle.w[0]
-    tan, s, delta = circle.spine[0, 0], float(circle.speed[0, 0]), float(circle.delta[0, 0])
-    rho, drho, d2rho = float(jet.rho[0]), float(jet.drho[0, 0]), float(jet.d2rho[0, 0, 0])
-    if radius <= 1e-6 * rho:
-        raise DegenerateFrameError(f"characteristic circle degenerated to a point at t={t}")
+    center, radius, w = circle.center, circle.radius, circle.w
+    tan, s, delta = circle.spine[:, 0], circle.speed[:, 0], circle.delta[:, 0]
+    rho, drho, d2rho = jet.rho, jet.drho[:, 0], jet.d2rho[:, 0, 0]
+    what = "characteristic circle degenerated to a point at t={t}"
+    _raise_first(radius <= 1e-6 * rho, ts, DegenerateFrameError, what)
 
-    dc, d2c = jet.dc[0, 0], jet.d2c[0, 0, 0]
-    ds = float(d2c @ tan)
-    dtan = (d2c - ds * tan) / s
+    dc, d2c = jet.dc[:, 0], jet.d2c[:, 0, 0]
+    ds = _row_dots(d2c, tan)
+    dtan = (d2c - ds[:, None] * tan) / s[:, None]
     ddelta = -(drho * drho + rho * d2rho) / s + rho * drho * ds / (s * s)
     dradius = (rho * drho - delta * ddelta) / radius
-    dcenter = dc + ddelta * tan + delta * dtan
+    dcenter = dc + ddelta[:, None] * tan + delta[:, None] * dtan
 
+    rows = np.arange(len(ts))
     angles = np.arange(8) * (math.pi / 8.0)
     cs, sn = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    units = cs * w[0] + sn * w[1]
-    x0s = center + radius * units
-    dx0s = dcenter + dradius * units - radius * (units @ dtan)[:, None] * tan
-    da0s = np.column_stack([np.zeros(8), dx0s, np.sum(x0s * dx0s, axis=1)])
-    omegas = da0s @ (g @ a2)
-    k = int(np.argmax(np.abs(omegas)))
-    omega = float(omegas[k])
-    scale = float(np.linalg.norm(dcenter)) + abs(dradius) + radius * float(np.linalg.norm(dtan))
-    if not abs(omega) > _OMEGA_REL * scale * float(np.linalg.norm(a2)):
-        raise DegenerateFrameError(f"transverse rate vanished at every frame angle at t={t}")
+    units = cs * w[:, None, 0] + sn * w[:, None, 1]  # (P, 8, 3)
+    x0s = center[:, None] + radius[:, None, None] * units
+    along = np.matmul(units, dtan[:, :, None])  # (P, 8, 1)
+    dx0s = (
+        dcenter[:, None]
+        + dradius[:, None, None] * units
+        - radius[:, None, None] * along * tan[:, None]
+    )
+    da0s = _lift_rows(0.0, dx0s, np.sum(x0s * dx0s, axis=2))
+    omegas = np.matmul(da0s, np.matmul(g, a2[:, :, None]))[..., 0]  # (P, 8)
+    k = np.argmax(np.abs(omegas), axis=1)
+    omega = omegas[rows, k]
+    scale = np.sqrt(_row_dots(dcenter, dcenter)) + np.abs(dradius)
+    scale = scale + radius * np.sqrt(_row_dots(dtan, dtan))
+    transverse = np.abs(omega) > _OMEGA_REL * scale * np.sqrt(_row_dots(a2, a2))
+    what = "transverse rate vanished at every frame angle at t={t}"
+    _raise_first(~transverse, ts, DegenerateFrameError, what)
 
-    ang = float(angles[k])
-    x0, dx0 = x0s[k], dx0s[k]
-    x4 = center - radius * units[k]
-    perp = -sn[k] * w[0] + cs[k] * w[1]
-    dperp = -float(perp @ dtan) * tan
-    a0 = lift_point(x0).coords
-    a4 = lift_point(x4).coords / (2.0 * radius * radius)
-    a1 = _frame_vector(perp, float(x0 @ perp))
-    da1 = _frame_vector(dperp, float(dx0 @ perp + x0 @ dperp))
+    x0, dx0 = x0s[rows, k], dx0s[rows, k]
+    x4 = center - radius[:, None] * units[rows, k]
+    perp = -sn[k] * w[:, 0] + cs[k] * w[:, 1]
+    dperp = -_row_dots(perp, dtan)[:, None] * tan
+    a0 = _lift_rows(1.0, x0, 0.5 * _row_dots(x0, x0))
+    a4 = _lift_rows(1.0, x4, 0.5 * _row_dots(x4, x4)) / (2.0 * radius * radius)[:, None]
+    a1 = _lift_rows(0.0, perp, _row_dots(x0, perp))
+    da1 = _lift_rows(0.0, dperp, _row_dots(dx0, perp) + _row_dots(x0, dperp))
 
     lam22 = -speed / omega
-    if abs(lam22) <= 1e-12:
-        raise DegenerateFrameError(f"curve velocity vanished at t={t}")
-    lam212 = _form_dot(da1, a2, g) / omega
-    c22 = -_form_dot(da2, a4, g) / omega
-    frame = GeneratorFrame(
-        t=t,
-        a0=a0,
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        a4=a4,
-        x0=x0,
-        x4=x4,
-        center=center,
-        radius=radius,
-        w=w,
-        angle=ang,
-    )
-    return FocalCoefficients(
-        r=1,
-        lam_pq=np.array([[lam22]]),
-        lam_apq=np.array([[[lam212]]]),
-        c_pq=np.array([[c22]]),
-        t=t,
-        omega_rate=omega,
-        frame=frame,
-    )
+    what = "curve velocity vanished at t={t}"
+    _raise_first(np.abs(lam22) <= 1e-12, ts, DegenerateFrameError, what)
+    lam212 = _row_forms(da1, a2, g) / omega
+    c22 = -_row_forms(da2, a4, g) / omega
+    vectors = dict(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, x0=x0, x4=x4, center=center, w=w)
+    out = []
+    for i, t in enumerate(ts[:, 0].tolist()):
+        frame = GeneratorFrame(
+            t=t,
+            radius=float(radius[i]),
+            angle=float(angles[k[i]]),
+            **{name: v[i] for name, v in vectors.items()},
+        )
+        out.append(
+            FocalCoefficients(
+                r=1,
+                lam_pq=lam22[i, None, None],
+                lam_apq=lam212[i, None, None, None],
+                c_pq=c22[i, None, None],
+                t=t,
+                omega_rate=float(omega[i]),
+                frame=frame,
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -420,14 +420,25 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
     then pushed into the frame.  Flat ambient space makes the result totally
     symmetric; the residual from exact symmetry is a numerical health check.
     A jet with a leading point axis gives a (P, k, k, k) stack; a single
-    point is a batch of one.
+    point is a batch of one.  A metric that is singular in floating point
+    raises `ImmersionError` naming its first row.
     """
     if jet.p.ndim == 1:
         return shape_derivative(jet.batch())[0]
     j = jet.d1
     w = jet.basis_change
     g = j @ j.transpose(0, 2, 1)
-    ginv = np.linalg.inv(g)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        # e.g. a metric that underflowed to zero, which the scale-free frame check lets through
+        for u, gi in zip(jet.u, g):
+            try:
+                np.linalg.inv(gi)
+            except np.linalg.LinAlgError:
+                what = f"first fundamental form is singular at u={u.tolist()}"
+                raise ImmersionError(what) from None
+        raise
     b = _second_form_params(jet)                       # b_ab
     gam_low = np.einsum("...abm,...dm->...abd", jet.d2, j)   # p_{,ab} . p_{,d}
     gam = np.einsum("...ed,...abd->...abe", ginv, gam_low)    # Gamma^e_ab

@@ -36,7 +36,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, classify_pencil, lift_sphere
 from .envelope import causal_classify_family, envelope_mesh
 from .errors import CanalGeoError
-from .focal import adapted_frame_coefficients, classify_tube_plane, singular_set
+from .focal import adapted_frame_coefficients, adapted_frames, classify_tube_plane, singular_set
 from .jets import cell_centers
 from .meshio import obj_text, singular_csv_text, xyz_text
 
@@ -267,6 +267,21 @@ def _run_surface(entry: dict, label: str, spec: SceneSpec) -> dict:
     return out
 
 
+def _frames_or_errors(family, grid: np.ndarray) -> list:
+    """The adapted frame of every t of the grid from one batched pass; if a t
+    fails, every t runs alone, so that each failing one keeps its own error."""
+    try:
+        return adapted_frames(family, grid)
+    except CanalGeoError:
+        out = []
+        for t in grid[:, 0]:
+            try:
+                out.append(adapted_frame_coefficients(family, float(t)))
+            except CanalGeoError as err:
+                out.append(err)
+        return out
+
+
 def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
     analyses = entry.get("analyses") or ["causal"]
     family = make_family(entry["name"], entry.get("params") or entry.get("data"))
@@ -295,15 +310,16 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
         if family.r != 1 or family.dim_n != 3:
             raise CanalGeoError("singularities analysis needs an r = 1 family in R^3")
         m = spec.grids["singular_samples"]
-        ts = cell_centers(family.domain, m)[:, 0]
+        grid = cell_centers(family.domain, m)
         rows = []
         sigma_points = []
         counts = {"0": 0, "1": 0, "2": 0}
         max_resid = 0.0
         errors = 0
-        for t in ts:
+        for t, coeffs in zip(grid[:, 0], _frames_or_errors(family, grid)):
             try:
-                coeffs = adapted_frame_coefficients(family, float(t))
+                if isinstance(coeffs, CanalGeoError):
+                    raise coeffs
                 rep = singular_set(coeffs, tolerances=spec.tolerances)
             except CanalGeoError as err:
                 rows.append({"t": float(t), "error": str(err)})

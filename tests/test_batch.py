@@ -17,6 +17,8 @@ from canalgeo import (
     CanalGeoError,
     DomainError,
     ImmersionError,
+    adapted_frame_coefficients,
+    adapted_frames,
     build_tensors,
     causal_classify_family,
     detect_canal,
@@ -29,6 +31,7 @@ from canalgeo import (
     planar_canal_surface,
     principal_spectrum,
     sampled_family,
+    singular_set,
     surface_from_expressions,
     transform_surface,
 )
@@ -292,6 +295,73 @@ def test_family_batch_raises_the_first_failing_rows_error():
     with pytest.raises(DomainError) as causal:
         causal_classify_family(fam, params=grid)
     assert str(causal.value) == str(alone.value)
+
+
+# ---------------------------------------------------------------------------
+# adapted frames: one pass over a t grid
+
+
+def _sampled_tube(rho0):
+    ts = np.linspace(0.0, 2 * np.pi, 48)
+    centers = np.stack([2 * np.cos(ts), np.sin(ts), 0.3 * np.sin(2 * ts)], axis=1)
+    return sampled_family(ts, centers, rho0 + 0.1 * np.sin(ts))
+
+
+FRAME_FAMILIES = {
+    "thin": lambda: _sampled_tube(0.3),
+    "fat": lambda: _sampled_tube(1.5),
+    "helix-tube": lambda: make_family("helix-tube"),
+    "line-cone": lambda: make_family("line-cone"),
+}
+
+
+@pytest.mark.parametrize("name", list(FRAME_FAMILIES))
+def test_adapted_frames_match_single_t(name):
+    fam = FRAME_FAMILIES[name]()
+    lo, hi = fam.domain[0]
+    ts = lo + (hi - lo) * (np.arange(24) + 0.5) / 24
+    batch = adapted_frames(fam, ts[:, None])
+    assert len(batch) == 24
+    counts = set()
+    for t, row in zip(ts, batch):
+        one = adapted_frame_coefficients(fam, t)
+        assert row.t == one.t == t
+        for field in ("lam22", "lam212", "c22", "omega_rate"):
+            assert getattr(row, field) == getattr(one, field), field
+        for field in ("a0", "a1", "a2", "a3", "a4", "x0", "x4", "center", "w"):
+            assert np.array_equal(getattr(row.frame, field), getattr(one.frame, field)), field
+        assert row.frame.angle == one.frame.angle
+        assert row.frame.radius == one.frame.radius
+        counts.add(singular_set(row).count)
+    if name == "fat":
+        assert 2 in counts  # a fat tube: circles with two singular points
+
+
+def test_adapted_frames_raise_the_first_failing_rows_error():
+    # radius 4 + 3 sin t against spine speed 2: not spacelike where |3 cos t| > 2
+    ts = np.linspace(0.0, 2 * np.pi, 48)
+    centers = np.stack([2 * np.cos(ts), 2 * np.sin(ts), 0 * ts], axis=1)
+    fam = sampled_family(ts, centers, 4 + 3 * np.sin(ts))
+    grid = np.array([[1.5], [1.6], [3.0], [0.1], [1.4]])
+    adapted_frame_coefficients(fam, 1.5)
+    with pytest.raises(DomainError) as alone:
+        adapted_frame_coefficients(fam, 3.0)
+    assert "not spacelike" in str(alone.value)
+    with pytest.raises(DomainError) as batch:
+        adapted_frames(fam, grid)
+    assert str(batch.value) == str(alone.value)
+
+    # t = 1 alone fails a later check than t = 2, and the batch still raises t = 1's error
+    t = sp.Symbol("t", real=True)
+    slope = 1 - sp.Rational(2, 10**13)
+    cone = family_from_expressions(t, t, 0, slope * t + (t - 1) ** 2 / 10, 3, (0.5, 2.5))
+    with pytest.raises(CanalGeoError) as alone:
+        adapted_frame_coefficients(cone, 1.0)
+    assert "degenerated to a point" in str(alone.value)
+    with pytest.raises(CanalGeoError) as batch:
+        adapted_frames(cone, [[0.8], [1.0], [2.0]])
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sympy as sp
 from canalgeo import (
     build_tensors,
     contact_spheres,
+    ImmersionError,
     detect_canal,
     evaluate_jet,
     make_surface,
@@ -154,6 +155,17 @@ def test_detect_canal_sphere_umbilic():
     assert rep.is_canal
     assert rep.dupin is True
     assert rep.umbilic_fraction == pytest.approx(1.0)
+
+
+def test_underflowed_metric_raises_immersion_error():
+    # radius 1e-300: the first fundamental form, about 1e-600, underflows to zero
+    tiny = make_surface("sphere", {"radius": 1e-300})
+    with pytest.raises(ImmersionError, match=r"singular at u=\[0\.5, -0\.4\]"):
+        detect_canal(tiny, params=[[0.5, -0.4], [1.0, 0.3]])
+    with pytest.raises(ImmersionError, match="first fundamental form is singular"):
+        detect_canal(tiny, counts=3)
+    # a small metric that still inverts keeps its verdict
+    assert detect_canal(make_surface("sphere", {"radius": 1e-150}), counts=3).is_canal
 
 
 def test_detect_canal_tube4_multiplicity():

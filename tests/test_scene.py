@@ -255,6 +255,50 @@ def test_run_scene_entry_error_sets_exit_code(tmp_path):
     assert report["results"]["families"][1]["analyses"]["causal"]["verdict"] == "canal"
 
 
+def _fallback_scene():
+    """A sampled family whose radius 4 + 3 sin t outruns its spine speed 2 on half of [0, 2 pi]."""
+    ts = np.linspace(0.0, 2.0 * math.pi, 48)
+    data = {
+        "t": ts.tolist(),
+        "centers": np.stack([2 * np.cos(ts), 2 * np.sin(ts), 0 * ts], axis=1).tolist(),
+        "radii": (4 + 3 * np.sin(ts)).tolist(),
+    }
+    family = {"name": "sampled", "label": "wide", "data": data, "analyses": ["causal", "singularities"]}
+    return {"version": 1, "families": [family]}
+
+
+def test_singularities_with_failing_samples_keep_their_error_cells(tmp_path):
+    # the batched frame pass raises on this entry, and every t then runs alone
+    spec = load_scene(_fallback_scene())
+    report, _, code = run_scene(spec, tmp_path)
+    assert code == 0
+    sing = report["results"]["families"][0]["analyses"]["singularities"]
+    assert sing["errors"] == 12
+    assert sing["counts"] == {"0": 8, "1": 0, "2": 4}
+    lines = (tmp_path / sing["file"]).read_text().strip().splitlines()[1:]
+    errors = [line.split(",")[-1] for line in lines if line.split(",")[-1]]
+    assert len(errors) == 12
+    for cell in errors:
+        assert re.fullmatch(r"family is not spacelike at t=[^;]+; no adapted frame exists", cell)
+
+
+def test_singularities_take_one_batched_frame_pass(tmp_path, monkeypatch):
+    single = []
+    original = scene_module.adapted_frame_coefficients
+    monkeypatch.setattr(
+        scene_module,
+        "adapted_frame_coefficients",
+        lambda family, t: single.append(t) or original(family, t),
+    )
+    spec = load_scene(_rich_scene())
+    report, _, code = run_scene(spec, tmp_path, jobs=1)
+    assert code == 0
+    assert single == []
+    # a failing t sends its entry back to one t at a time
+    run_scene(load_scene(_fallback_scene()), tmp_path / "fallback", jobs=1)
+    assert len(single) == DEFAULT_GRIDS["singular_samples"]
+
+
 def _strip_timestamp(text: str) -> str:
     return re.sub(r'^\s*"timestamp": .*\n', "", text, flags=re.M)
 

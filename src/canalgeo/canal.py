@@ -211,14 +211,6 @@ class ContactSphere:
     sphere: Dropped
     directions: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "curvature": self.curvature,
-            "multiplicity": self.multiplicity,
-            "sphere": self.sphere.to_json(),
-            "directions": [[float(x) for x in row] for row in self.directions],
-        }
-
 
 def contact_spheres(
     jet: SurfaceJet,
@@ -301,7 +293,6 @@ class CanalReport:
     dupin_metric: float | None
     totally_umbilic: bool
     umbilic_fraction: float
-    singular_fraction: float
     warnings: tuple
 
     def to_json(self) -> dict:
@@ -361,7 +352,6 @@ def detect_canal(
     total = pts.shape[0]
     kept = np.flatnonzero(~tensors.umbilic)  # umbilic samples are skipped
     umbilic_count = total - kept.size
-    singular_count = int(np.count_nonzero(tensors.a_singular[kept]))
     eigs, vecs, breaks = _spectra(tensors.h[kept], tolerances)
     # one signature per distinct cluster pattern, counted in order of first appearance
     patterns, first, which, sizes = np.unique(
@@ -376,7 +366,6 @@ def detect_canal(
 
     warnings = []
     umbilic_fraction = umbilic_count / total
-    singular_fraction = singular_count / total
     totally_umbilic = umbilic_count == total
 
     signature = None
@@ -450,6 +439,5 @@ def detect_canal(
         dupin_metric=dupin_metric,
         totally_umbilic=totally_umbilic,
         umbilic_fraction=umbilic_fraction,
-        singular_fraction=singular_fraction,
         warnings=tuple(warnings),
     )

@@ -1,9 +1,8 @@
 """Command line front end: run scene files, validate them, list the catalog.
 
-Exit codes: 0 success, 1 analysis errors present in a run or a run that
-could not finish (a worker process died; one line on stderr, no report), 2
-invalid scene, including a scene made invalid by a --tol or --grid value:
-overrides are merged into the document before it is validated.
+Exit codes: 0 success, 1 analysis errors present in a run, 2 invalid
+scene, including a scene made invalid by a --tol or --grid value: overrides
+are merged into the document before it is validated.
 The default output directory comes from --out, falling back to the
 CANALGEO_OUT environment variable, then the current directory.
 """
@@ -19,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .catalog import family_catalog, surface_catalog
 from .config import DEFAULT_TOLERANCES
-from .errors import CanalGeoError
 from .scene import DEFAULT_GRIDS, load_scene, run_scene, validate_scene
 
 __all__ = ["main"]
@@ -70,9 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the entries (default 1: run in this process); "
-        "started by fork where available, else by spawn; outputs are the same "
-        "at every width",
+        help="has no effect: every entry runs in this process; accepted, and "
+        "checked to be at least 1, for existing callers",
     )
     run_p.add_argument(
         "--tol",
@@ -151,11 +148,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get("CANALGEO_OUT") or "."
     spec = load_scene(data)
-    try:
-        report, written, code = run_scene(spec, out_dir, jobs=args.jobs)
-    except CanalGeoError as err:
-        print(f"run failed: {err}", file=sys.stderr)
-        return 1
+    report, written, code = run_scene(spec, out_dir)
     n_entries = sum(len(v) for v in report["results"].values())
     print(
         f"{n_entries} entries, {report['error_count']} errors; "

@@ -101,9 +101,6 @@ class PolyVector:
     def scaled(self, factor: float) -> "PolyVector":
         return PolyVector(self.coords * factor, self.dim_n)
 
-    def to_json(self) -> list[float]:
-        return [float(c) for c in self.coords]
-
     def __repr__(self) -> str:  # compact, round-trippable enough for logs
         body = ", ".join(f"{c:.12g}" for c in self.coords)
         return f"PolyVector([{body}])"
@@ -187,9 +184,6 @@ class PencilKind(enum.Enum):
 class PencilClass:
     kind: PencilKind
     inversive_value: float
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "inversive_value": self.inversive_value}
 
 
 @dataclass(frozen=True)

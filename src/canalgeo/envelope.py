@@ -401,14 +401,6 @@ class CharacteristicSphere:
     member_center: np.ndarray
     member_radius: float
 
-    def to_json(self) -> dict:
-        return {
-            "t": list(self.t),
-            "center": [float(x) for x in self.center],
-            "radius": self.radius,
-            "dimension": self.m,
-        }
-
 
 # the characteristic spheres of P members: center (P, n) and radius (P,); the
 # Gram-Schmidt rows of dc (P, r, n), their pivots (P, r; |c'| for r = 1) and the

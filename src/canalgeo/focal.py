@@ -536,17 +536,6 @@ class RankDropReport:
     def count(self) -> int:
         return len(self.angles)
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "count": self.count,
-            "angles": [float(a) for a in self.angles],
-            "points": [[float(x) for x in row] for row in np.atleast_2d(self.points)]
-            if self.count
-            else [],
-            "min_ratio": self.min_ratio,
-        }
-
 
 def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
     """Definitional singularity check: scan one characteristic circle for

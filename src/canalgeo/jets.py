@@ -419,26 +419,28 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
 
     then pushed into the frame.  Flat ambient space makes the result totally
     symmetric; the residual from exact symmetry is a numerical health check.
-    A jet with a leading point axis gives a (P, k, k, k) stack; a single
-    point is a batch of one.  A metric that is singular in floating point
-    raises `ImmersionError` naming its first row.
+    Each row runs on its jet divided by s, the largest power of two not
+    above that row's largest |d1| entry (and W times s), so that
+    g = d1 d1^T neither overflows nor underflows; scaling by a power of two
+    is exact.  A jet with a leading point axis gives a (P, k, k, k) stack; a
+    single point is a batch of one.  A row whose result is not finite (a
+    metric beyond floating point) raises `ImmersionError` naming the first
+    such row.
     """
     if jet.p.ndim == 1:
         return shape_derivative(jet.batch())[0]
+    _, s = np.frexp(np.max(np.abs(jet.d1), axis=(1, 2)))
+    s = np.ldexp(1.0, s - 1)[:, None, None]
+    jet = replace(
+        jet,
+        d1=jet.d1 / s,
+        d2=jet.d2 / s[..., None],
+        d3=jet.d3 / s[..., None, None],
+        basis_change=jet.basis_change * s,
+    )
     j = jet.d1
     w = jet.basis_change
-    g = j @ j.transpose(0, 2, 1)
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        # e.g. a metric that underflowed to zero, which the scale-free frame check lets through
-        for u, gi in zip(jet.u, g):
-            try:
-                np.linalg.inv(gi)
-            except np.linalg.LinAlgError:
-                what = f"first fundamental form is singular at u={u.tolist()}"
-                raise ImmersionError(what) from None
-        raise
+    ginv = np.linalg.inv(j @ j.transpose(0, 2, 1))
     b = _second_form_params(jet)                       # b_ab
     gam_low = np.einsum("...abm,...dm->...abd", jet.d2, j)   # p_{,ab} . p_{,d}
     gam = np.einsum("...ed,...abd->...abe", ginv, gam_low)    # Gamma^e_ab
@@ -451,7 +453,14 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
         - np.einsum("...cad,...db->...abc", gam, b)
         - np.einsum("...cbd,...ad->...abc", gam, b)
     )
-    return np.einsum("...ia,...jb,...kc,...abc->...ijk", w, w, w, nabla)
+    lam3 = np.einsum("...ia,...jb,...kc,...abc->...ijk", w, w, w, nabla)
+    with np.errstate(over="ignore"):
+        lam3 = lam3 / s[..., None] / s[..., None]
+    bad = ~np.isfinite(lam3).all(axis=(1, 2, 3))
+    if bad.any():
+        u = jet.u[int(np.argmax(bad))]
+        raise ImmersionError(f"first fundamental form is singular at u={u.tolist()}")
+    return lam3
 
 
 def gauge_frame(

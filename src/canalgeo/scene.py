@@ -7,15 +7,8 @@ writes meshes and singular-locus files, and assembles a deterministic JSON
 report: identical scenes yield byte-identical reports apart from the
 timestamp field.
 
-At width ``jobs`` > 1 the entries run in up to ``jobs`` worker processes
-(never more than there are entries).  They start with the ``fork`` method
-where the platform has it and the calling process runs no other Python
-thread, and with ``spawn`` otherwise.  Each worker receives the scene once,
-when it starts, and writes its entries' files into the output directory
-itself; only result dicts and file names come back.  The report is
-assembled from the results in scene order, so every output is byte-identical
-at any width.  A worker that dies raises ``CanalGeoError`` naming the
-entries left unfinished.
+Entries run one after another in the calling process, in scene order, and
+each entry's files are written as soon as it finishes.
 """
 
 from __future__ import annotations
@@ -399,113 +392,41 @@ def _entry_task(kind: str, index: int, entry: dict, spec: SceneSpec):
         )
 
 
-def _scene_tasks(spec: SceneSpec) -> list:
-    """(kind, index, entry) of every entry, in report order."""
-    return [
-        (kind, i, entry)
-        for kind, entries in (
-            ("surface", spec.surfaces),
-            ("family", spec.families),
-            ("pencil", spec.pencils),
-            ("plane", spec.planes),
-        )
-        for i, entry in enumerate(entries)
-    ]
-
-
-def _run_entry(kind: str, index: int, entry: dict, spec: SceneSpec, out_path: Path):
-    """Run one entry and write its files; returns (result, file names)."""
-    result, files = _entry_task(kind, index, entry, spec)
-    for fname, text in files:
-        (out_path / fname).write_text(text)
-    return result, [fname for fname, _ in files]
-
-
-# the (tasks, spec, out_path) of the pool this worker process serves
-_WORKER_STATE = None
-
-
-def _init_worker(spec: SceneSpec, out_path: Path) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (_scene_tasks(spec), spec, out_path)
-
-
-def _worker_entry(number: int):
-    tasks, spec, out_path = _WORKER_STATE
-    return _run_entry(*tasks[number], spec, out_path)
-
-
-def _run_pool(tasks: list, spec: SceneSpec, out_path: Path, workers: int) -> list:
-    """Every entry in a pool of worker processes; outcomes in task order."""
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork skips the workers' re-import of the package, but a child forked
-    # while another thread holds a lock inherits that lock held forever
-    forkable = threading.active_count() == 1
-    method = "fork" if forkable and "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context(method),
-        initializer=_init_worker,
-        initargs=(spec, out_path),
-    ) as pool:
-        futures = [pool.submit(_worker_entry, n) for n in range(len(tasks))]
-        try:
-            return [f.result() for f in futures]
-        except BrokenProcessPool as err:
-            unfinished = [
-                _label_for(kind, i, entry)
-                for (kind, i, entry), f in zip(tasks, futures)
-                if not f.done() or f.exception() is not None
-            ]
-            raise CanalGeoError(
-                f"a scene worker process died; unfinished entries: {', '.join(unfinished)}"
-            ) from err
-
-
-def run_scene(
-    spec: SceneSpec, out_dir, jobs: int = 1
-) -> tuple[dict, list, int]:
-    """Execute a scene; returns (report dict, written file paths, exit code).
-
-    ``jobs`` > 1 runs the entries in up to that many worker processes; the
-    outputs are the same at every width.
-    """
+def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
+    """Execute a scene; returns (report dict, written file paths, exit code)."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
-    tasks = _scene_tasks(spec)
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        outcomes = _run_pool(tasks, spec, out_path, workers)
-    else:
-        outcomes = [_run_entry(k, i, e, spec, out_path) for k, i, e in tasks]
-
     results = {"surfaces": [], "families": [], "pencils": [], "planes": []}
-    key_for = {"surface": "surfaces", "family": "families", "pencil": "pencils", "plane": "planes"}
     files: list[str] = []
     error_count = 0
     max_dupin = None
     max_generator_residual = None
-    for (kind, _, _), (result, entry_files) in zip(tasks, outcomes):
-        results[key_for[kind]].append(result)
-        files.extend(entry_files)
-        if "error" in result:
-            error_count += 1
-            continue
-        canal = result.get("analyses", {}).get("canal-detect")
-        if canal and canal.get("dupin_metric") is not None:
-            val = canal["dupin_metric"]
-            max_dupin = val if max_dupin is None else max(max_dupin, val)
-        sing = result.get("analyses", {}).get("singularities")
-        if sing:
-            val = sing["max_generator_residual"]
-            max_generator_residual = (
-                val if max_generator_residual is None else max(max_generator_residual, val)
-            )
+    for kind, key in (
+        ("surface", "surfaces"),
+        ("family", "families"),
+        ("pencil", "pencils"),
+        ("plane", "planes"),
+    ):
+        for index, entry in enumerate(getattr(spec, key)):
+            result, entry_files = _entry_task(kind, index, entry, spec)
+            for fname, text in entry_files:
+                (out_path / fname).write_text(text)
+                files.append(fname)
+            results[key].append(result)
+            if "error" in result:
+                error_count += 1
+                continue
+            canal = result["analyses"].get("canal-detect")
+            if canal and canal.get("dupin_metric") is not None:
+                val = canal["dupin_metric"]
+                max_dupin = val if max_dupin is None else max(max_dupin, val)
+            sing = result["analyses"].get("singularities")
+            if sing:
+                val = sing["max_generator_residual"]
+                max_generator_residual = (
+                    val if max_generator_residual is None else max(max_generator_residual, val)
+                )
 
     written = [str(out_path / fname) for fname in sorted(files)]
 

@@ -1,5 +1,7 @@
 """Curvature ladder, principal clusters, contact spheres, canal detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -166,6 +168,13 @@ def test_underflowed_metric_raises_immersion_error():
         detect_canal(tiny, counts=3)
     # a small metric that still inverts keeps its verdict
     assert detect_canal(make_surface("sphere", {"radius": 1e-150}), counts=3).is_canal
+
+
+def test_huge_chart_keeps_its_dupin_verdict():
+    # radius 1e300: g = d1 d1^T, about 1e600, would overflow unless each row is rescaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert detect_canal(make_surface("sphere", {"radius": 1e300}), counts=3).dupin is True
 
 
 def test_detect_canal_tube4_multiplicity():

@@ -2,17 +2,15 @@
 
 import json
 import math
-import multiprocessing
 import os
 import re
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canalgeo import DEFAULT_TOLERANCES, CanalGeoError, scene as scene_module
+from canalgeo import DEFAULT_TOLERANCES, scene as scene_module
 from canalgeo.cli import main
 from canalgeo.envelope import EnvelopeMesh
 from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
@@ -291,11 +289,11 @@ def test_singularities_take_one_batched_frame_pass(tmp_path, monkeypatch):
         lambda family, t: single.append(t) or original(family, t),
     )
     spec = load_scene(_rich_scene())
-    report, _, code = run_scene(spec, tmp_path, jobs=1)
+    report, _, code = run_scene(spec, tmp_path)
     assert code == 0
     assert single == []
     # a failing t sends its entry back to one t at a time
-    run_scene(load_scene(_fallback_scene()), tmp_path / "fallback", jobs=1)
+    run_scene(load_scene(_fallback_scene()), tmp_path / "fallback")
     assert len(single) == DEFAULT_GRIDS["singular_samples"]
 
 
@@ -304,92 +302,17 @@ def _strip_timestamp(text: str) -> str:
 
 
 def test_reports_identical_across_parallel_widths(tmp_path):
-    scene = _rich_scene()
-    spec = load_scene(scene)
-    d1, d8 = tmp_path / "w1", tmp_path / "w8"
-    _, written1, code1 = run_scene(spec, d1, jobs=1)
-    _, written8, code8 = run_scene(spec, d8, jobs=8)
-    assert code1 == code8 == 0
-    names1 = sorted(p.rsplit("/", 1)[-1] for p in written1)
-    names8 = sorted(p.rsplit("/", 1)[-1] for p in written8)
-    assert names1 == names8
-    for name in names1:
-        t1 = (d1 / name).read_text()
-        t8 = (d8 / name).read_text()
-        if name == "report.json":
-            t1, t8 = _strip_timestamp(t1), _strip_timestamp(t8)
-        assert t1 == t8, f"{name} differs between widths 1 and 8"
-
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="workers see the test's patches only when forked",
-)
-
-
-def _two_pencil_scene(first_label):
-    pencil = _rich_scene()["pencils"][0]
-    return {"version": 1, "pencils": [dict(pencil, label=first_label), pencil]}
+    # two runs of one scene write byte-identical files, the timestamp aside
+    spec = load_scene(_rich_scene())
+    _, _, code1 = run_scene(spec, tmp_path / "run1")
+    _, _, code2 = run_scene(spec, tmp_path / "run2")
+    assert code1 == code2 == 0
+    assert _outputs(tmp_path / "run1") == _outputs(tmp_path / "run2")
 
 
 def _outputs(out_dir):
     """File name -> text of every output, the report's timestamp line dropped."""
     return {p.name: _strip_timestamp(p.read_text()) for p in out_dir.iterdir()}
-
-
-@needs_fork
-def test_parallel_entries_run_in_worker_processes(tmp_path, monkeypatch):
-    original = scene_module._run_pencil
-
-    def recording(entry, label, spec):
-        return dict(original(entry, label, spec), pid=os.getpid())
-
-    monkeypatch.setattr(scene_module, "_run_pencil", recording)
-    spec = load_scene(_two_pencil_scene("a"))
-    report, _, code = run_scene(spec, tmp_path / "w2", jobs=2)
-    assert code == 0
-    pids = {r["pid"] for r in report["results"]["pencils"]}
-    assert os.getpid() not in pids
-    # width 1, and any width over a single entry, stay in this process
-    report, _, _ = run_scene(spec, tmp_path / "w1", jobs=1)
-    assert {r["pid"] for r in report["results"]["pencils"]} == {os.getpid()}
-    single = load_scene({"version": 1, "pencils": _rich_scene()["pencils"]})
-    report, _, _ = run_scene(single, tmp_path / "one", jobs=4)
-    assert report["results"]["pencils"][0]["pid"] == os.getpid()
-
-
-def test_pool_started_from_a_thread_spawns_and_matches_width_one(tmp_path):
-    spec = load_scene(_rich_scene())
-    run_scene(spec, tmp_path / "w1", jobs=1)
-    failure = []
-
-    def run():
-        try:
-            run_scene(spec, tmp_path / "w2", jobs=2)
-        except Exception as err:  # reported below, in the test's thread
-            failure.append(err)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive() and not failure
-    assert _outputs(tmp_path / "w1") == _outputs(tmp_path / "w2")
-
-
-@needs_fork
-def test_dead_worker_raises_typed_error_naming_unfinished_entries(tmp_path, monkeypatch):
-    parent = os.getpid()
-    original = scene_module._run_pencil
-
-    def dying(entry, label, spec):
-        if label.startswith("doomed") and os.getpid() != parent:
-            os._exit(3)
-        return original(entry, label, spec)
-
-    monkeypatch.setattr(scene_module, "_run_pencil", dying)
-    spec = load_scene(_two_pencil_scene("doomed"))
-    with pytest.raises(CanalGeoError, match="worker process died.*doomed-0"):
-        run_scene(spec, tmp_path, jobs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +485,19 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-def test_cli_reports_dead_worker_in_one_line(tmp_path, capsys, monkeypatch):
-    def dead_pool(spec, out_dir, jobs=1):
-        raise CanalGeoError("a scene worker process died; unfinished entries: pencil-0")
+def test_cli_runs_every_entry_in_the_calling_process(tmp_path, monkeypatch):
+    original = scene_module._run_pencil
 
-    monkeypatch.setattr("canalgeo.cli.run_scene", dead_pool)
-    path = _write_scene(tmp_path, _rich_scene())
-    assert main(["run", path, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "run failed: a scene worker process died; unfinished entries: pencil-0"
-    ]
-    assert captured.out == ""
+    def recording(entry, label, spec):
+        return dict(original(entry, label, spec), pid=os.getpid())
+
+    monkeypatch.setattr(scene_module, "_run_pencil", recording)
+    pencil = _rich_scene()["pencils"][0]
+    path = _write_scene(tmp_path, {"version": 1, "pencils": [pencil, pencil]})
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--jobs", "2"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [r["pid"] for r in report["results"]["pencils"]] == [os.getpid()] * 2
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):

@@ -24,6 +24,7 @@ from .conformal import Dropped, PolyVector, drop_sphere
 from .jets import (
     ParametricSurface,
     SurfaceJet,
+    _pow2_floor,
     _row_dots,
     evaluate_jets,
     fundamental_forms,
@@ -81,9 +82,17 @@ class ConformalTensors:
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each x[i] of a stack, as ``np.linalg.norm`` of that point alone."""
+    """Frobenius norm of each x[i] of a stack, as ``np.linalg.norm`` of that point alone.
+
+    Each row is divided by s, the largest power of two not above its largest
+    |entry|, and the norm multiplied by s, so that the squares neither
+    overflow nor underflow; where they would not anyway, the result is
+    bit-identical, because scaling by a power of two is exact.
+    """
     flat = x.reshape(len(x), -1)
-    return np.sqrt(_row_dots(flat, flat))
+    s = _pow2_floor(np.max(np.abs(flat), axis=1, initial=0.0))
+    flat = flat / s[:, None]
+    return np.sqrt(_row_dots(flat, flat)) * s
 
 
 def _ladder(jets: SurfaceJet, tolerances: Tolerances) -> ConformalTensors:
@@ -316,12 +325,16 @@ class CanalReport:
 def _dupin_metrics(tensors: ConformalTensors) -> np.ndarray:
     """Dupin metric of every point of a stacked ladder; NaN where it does not apply."""
     # Both lam3 and h^2 carry the units of a3, so the denominator stays a
-    # genuine scale even where the cubic ladder degenerates to zero.
-    scale = _norms(tensors.h) ** 2 + _METRIC_FLOOR
-    lam3_norm = _norms(tensors.lam3)
+    # genuine scale even where the cubic ladder degenerates to zero.  Every
+    # term is divided by s^2, s the largest power of two not above |h| (1
+    # where |h| < 2), so that |h|^2 cannot overflow; the scaling is exact.
+    h_norm = _norms(tensors.h)
+    s = np.maximum(_pow2_floor(h_norm), 1.0)
+    scale = (h_norm / s) ** 2 + _METRIC_FLOOR / s / s
+    lam3_norm = _norms(tensors.lam3) / s / s
     # Totally umbilic pieces are Dupin exactly when h stays parallel.
     fallback = np.where(tensors.umbilic, lam3_norm, np.nan)
-    top = np.where(tensors.a_singular, fallback, _norms(tensors.a3))
+    top = np.where(tensors.a_singular, fallback, _norms(tensors.a3) / s / s)
     return top / (lam3_norm + scale)
 
 

@@ -279,6 +279,11 @@ def _minor_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     return dropped, signs
 
 
+def _pow2_floor(x: np.ndarray) -> np.ndarray:
+    """The largest power of two not above each x (0.5 for 0): an exact scale."""
+    return np.ldexp(1.0, np.frexp(x)[1] - 1)
+
+
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x[i] . y[i]`` of (P, m) rows, each the unit-stride BLAS dot of that row alone."""
     x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
@@ -429,8 +434,7 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
     """
     if jet.p.ndim == 1:
         return shape_derivative(jet.batch())[0]
-    _, s = np.frexp(np.max(np.abs(jet.d1), axis=(1, 2)))
-    s = np.ldexp(1.0, s - 1)[:, None, None]
+    s = _pow2_floor(np.max(np.abs(jet.d1), axis=(1, 2)))[:, None, None]
     jet = replace(
         jet,
         d1=jet.d1 / s,

@@ -1,7 +1,30 @@
 """Deterministic writers for meshes, singular loci, and point clouds.
 
-All numbers are printed with a fixed shortest-ish format so identical inputs
-produce byte-identical files regardless of execution order or parallelism.
+Every writer returns bytes, ready for ``Path.write_bytes``: ASCII, apart
+from mesh names and CSV error text, which are UTF-8.  Each float is printed
+as ``'%.12g' % x``, with ``-0.0`` printed as ``0`` (`format_number`), so
+identical inputs give byte-identical files.
+
+OBJ and XYZ numbers go through one NumPy kernel, `_number_words`, with no
+Python step per number.  For x != 0 it takes k = 11 - floor(log10|x|) and
+m = |x| * 10**k.  For 0 <= k <= 22 the power of ten is an exact double, so m
+is the true product rounded once; below 1e12 < 2**40 that is within 2**-14.
+When m lies in [1e11, 1e12 - 1) and its fractional part is more than 1e-3
+away from 1/2, the true product rounds to the same integer, so
+floor(m + 0.5) is the 12-digit mantissa that ``%.12g`` prints.  Every other
+number takes the exact path, `format_number` one number at a time: zero, nan,
++-inf, k outside 0..22 (|x| below about 1e-11 or from 1e12 up), a near-tie,
+a mantissa that would round up to 13 digits, or a log10 that landed one
+decade off.  The bytes therefore never depend on
+the float arithmetic of the fast path.
+
+The text is built from tables.  Each number is four NUL-padded little-endian
+uint64 words: sign and ``0.000`` prefix, two words of digits from a 4-digit
+ASCII table with the trailing fractional zeros masked to NUL and the decimal
+point inserted by a byte shift, and the ``e-05`` suffix with the separator.
+Prefix, point position and suffix are looked up by k.  OBJ face indices
+(below 10**12) use the same digit table with their leading zeros masked.  A
+chunk of rows becomes text by one ``bytes.translate`` that deletes the NULs.
 
 File conventions:
   * OBJ: ASCII, ``v`` and ``vn`` records followed by ``f i//i j//j k//k``
@@ -27,44 +50,130 @@ __all__ = ["format_number", "obj_text", "singular_csv_text", "xyz_text"]
 
 def format_number(x: float) -> str:
     """Fixed decimal rendering: 12 significant digits, no trailing zeros."""
-    if x == 0:
-        return "0"
-    s = f"{float(x):.12g}"
-    return "0" if s in ("-0", "-0.0") else s
+    return "0" if x == 0 else f"{float(x):.12g}"
 
 
 _CHUNK_ROWS = 8192
-_NUMBER = "%.12g"
+_U64 = np.dtype("<u8")
 
 
-def _rows_text(fmt: str, rows: np.ndarray) -> str:
-    """``fmt`` applied to every row of a 2-D array, one ``%`` per row chunk.
+def _words(texts: Iterable[str], width: int = 8) -> np.ndarray:
+    """Each text NUL-padded to ``width`` bytes, as a row of uint64 words."""
+    data = b"".join(t.encode().ljust(width, b"\0") for t in texts)
+    return np.frombuffer(data, _U64).reshape(-1, width // 8)
 
-    ``+ 0`` turns ``-0.0`` into ``0`` the way `format_number` does and leaves
-    integer arrays alone.  Chunking bounds the temporary Python objects.
-    """
-    parts = []
+
+_QUAD = np.arange(10000)
+# the ASCII digits of 0000..9999, the first digit in the low byte
+_DIGITS = sum((48 + _QUAD // 10 ** (3 - j) % 10) << 8 * j for j in range(4)).astype(_U64)
+# the trailing zeros of 0000..9999 (4 for 0000)
+_TRAILING = sum(_QUAD % 10**j == 0 for j in range(1, 5))
+del _QUAD
+# _LOW[j] keeps the low j bytes of a word
+_LOW = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=_U64)
+_POW10 = np.array([float(10**k) for k in range(23)])
+# By k = 11 - exponent: the digits before the decimal point (0: the point is
+# in the prefix), the prefix for x > 0 and for x < 0, and the exponent suffix.
+_POINT = np.array([12 - k if k < 12 else 0 if k < 16 else 1 for k in range(23)])
+_PREFIX = _words(
+    sign + ("0." + "0" * (k - 12) if 12 <= k < 16 else "") for sign in ("", "-") for k in range(23)
+).reshape(2, 23)
+_SUFFIX = _words(f"e-{k - 11:02d}" if k >= 16 else "" for k in range(23)).ravel()
+_SUFFIX_BITS = np.array([32 if k >= 16 else 0 for k in range(23)], dtype=_U64)
+
+
+def _line_seps(cols: int) -> np.ndarray:
+    """Separator bytes of a line of ``cols`` items: spaces, then a newline."""
+    seps = np.full(cols, ord(" "), _U64)
+    seps[-1:] = ord("\n")
+    return seps
+
+
+def _digits(n: np.ndarray):
+    """The 12 ASCII digits of integers 0 <= n < 10**12 as two words (the
+    first 8, the last 4), and the trailing zero count of n."""
+    high, low4 = np.divmod(n, 10000)
+    top4, mid4 = np.divmod(high, 10000)
+    zeros = _TRAILING[low4] + (low4 == 0) * (_TRAILING[mid4] + (mid4 == 0) * _TRAILING[top4])
+    return _DIGITS[top4] | (_DIGITS[mid4] << np.uint64(32)), _DIGITS[low4], zeros
+
+
+def _number_words(x: np.ndarray) -> np.ndarray:
+    """A (rows, cols) float array as lines of ``format_number`` values, four
+    NUL-padded words per number, shape (rows, 4 * cols)."""
+    with np.errstate(all="ignore"):
+        mag = np.abs(x)
+        k = 11 - np.floor(np.log10(mag))
+        fast = (k >= 0) & (k <= 22)
+        k = np.where(fast, k, 0).astype(np.intp)
+        m = mag * _POW10[k]
+        fast &= (m >= 1e11) & (m < 1e12 - 1) & (np.abs(m - np.floor(m) - 0.5) > 1e-3)
+        lo, hi, zeros = _digits(np.where(fast, np.floor(m + 0.5), 1e11).astype(np.int64))
+    point = _POINT[k]
+    keep = np.maximum(12 - zeros, point)
+    lo &= _LOW[np.minimum(keep, 8)]
+    hi &= _LOW[np.maximum(keep - 8, 0)]
+    # "." goes in at byte ``point`` of the digits; the bytes from there up
+    # move one byte higher, across from the first word if ``point`` < 8
+    dot = (keep > point) & (point > 0)
+    upper = point >= 8
+    word = np.where(upper, hi, lo)
+    below = _LOW[point % 8]
+    word = (
+        (word & below)
+        | (np.uint64(ord(".")) << (point % 8 * 8).astype(_U64))
+        | ((word & ~below) << np.uint64(8))
+    )
+    sep = _line_seps(x.shape[1])
+    out = np.empty(x.shape + (4,), _U64)
+    out[..., 0] = _PREFIX[(x < 0).astype(np.intp), k]
+    out[..., 1] = np.where(dot & ~upper, word, lo)
+    carried = (hi << np.uint64(8)) | (lo >> np.uint64(56))
+    out[..., 2] = np.where(dot, np.where(upper, word, carried), hi)
+    out[..., 3] = _SUFFIX[k] | (sep << _SUFFIX_BITS[k])
+    exact = ~fast
+    if exact.any():
+        out[exact, :3] = _words(map(format_number, x[exact].tolist()), 24)
+        out[exact, 3] = np.broadcast_to(sep, x.shape)[exact]
+    return out.reshape(x.shape[0], -1)
+
+
+def _face_words(refs: np.ndarray) -> np.ndarray:
+    """(faces, 3) 1-based vertex indices below 10**12 as the ``a//a b//b
+    c//c`` lines of OBJ face records, four NUL-padded words per index."""
+    lo, hi, _ = _digits(refs)
+    lead = 12 - np.searchsorted(_POW10, refs, side="right")
+    lo &= ~_LOW[np.minimum(lead, 8)]
+    hi &= ~_LOW[np.maximum(lead - 8, 0)]
+    out = np.empty(refs.shape + (4,), _U64)
+    out[..., 0] = out[..., 2] = lo
+    out[..., 1] = hi | np.uint64(0x2F2F << 32)  # "//"
+    out[..., 3] = hi | (_line_seps(3) << np.uint64(32))
+    return out.reshape(refs.shape[0], -1)
+
+
+def _write_lines(buf: io.BytesIO, tag: str, rows: np.ndarray, render) -> None:
+    """Write ``render(rows)`` chunk by chunk, each line led by ``tag``."""
+    head = _words([tag])
     for start in range(0, rows.shape[0], _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS] + 0
-        parts.append((fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
-    return "".join(parts)
+        body = render(rows[start : start + _CHUNK_ROWS])
+        lines = np.hstack([np.broadcast_to(head, (body.shape[0], 1)), body])
+        buf.write(lines.tobytes().translate(None, b"\0"))
 
 
-def obj_text(mesh: EnvelopeMesh) -> str:
+def obj_text(mesh: EnvelopeMesh) -> bytes:
     """Render a mesh as ASCII OBJ with vertex normals."""
-    coords = " ".join([_NUMBER] * min(mesh.vertices.shape[1], 3))
-    parts = [
-        f"o {mesh.name}\n" if mesh.name else "",
-        _rows_text(f"v {coords}\n", mesh.vertices[:, :3]),
-        _rows_text(f"vn {coords}\n", mesh.normals[:, :3]),
-    ]
+    buf = io.BytesIO()
+    if mesh.name:
+        buf.write(f"o {mesh.name}\n".encode())
+    _write_lines(buf, "v ", mesh.vertices[:, :3], _number_words)
+    _write_lines(buf, "vn ", mesh.normals[:, :3], _number_words)
     if mesh.faces is not None:
-        refs = np.repeat(mesh.faces + 1, 2, axis=1)
-        parts.append(_rows_text("f %d//%d %d//%d %d//%d\n", refs))
-    return "".join(parts)
+        _write_lines(buf, "f ", np.asarray(mesh.faces, dtype=np.int64) + 1, _face_words)
+    return buf.getvalue()
 
 
-def singular_csv_text(rows: Iterable[dict]) -> str:
+def singular_csv_text(rows: Iterable[dict]) -> bytes:
     """CSV for a series of singular-point samples.
 
     Each row dict carries t, discriminant, count, points (list of length-3
@@ -87,11 +196,13 @@ def singular_csv_text(rows: Iterable[dict]) -> str:
                     cells.extend(["", "", ""])
             cells.append("")
         buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
-def xyz_text(points: np.ndarray) -> str:
+def xyz_text(points: np.ndarray) -> bytes:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
-        return ""
-    return _rows_text(" ".join([_NUMBER] * pts.shape[1]) + "\n", pts)
+        return b""
+    buf = io.BytesIO()
+    _write_lines(buf, "", pts, _number_words)
+    return buf.getvalue()

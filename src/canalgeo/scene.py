@@ -279,7 +279,7 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
     analyses = entry.get("analyses") or ["causal"]
     family = make_family(entry["name"], entry.get("params") or entry.get("data"))
     out: dict = {"label": label, "kind": "family", "name": entry["name"], "analyses": {}}
-    files: list[tuple[str, str]] = []
+    files: list[tuple[str, bytes]] = []
 
     if "causal" in analyses:
         rep = causal_classify_family(
@@ -410,8 +410,8 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
     ):
         for index, entry in enumerate(getattr(spec, key)):
             result, entry_files = _entry_task(kind, index, entry, spec)
-            for fname, text in entry_files:
-                (out_path / fname).write_text(text)
+            for fname, data in entry_files:
+                (out_path / fname).write_bytes(data)
                 files.append(fname)
             results[key].append(result)
             if "error" in result:
@@ -446,6 +446,6 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
         },
     }
     report_path = out_path / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_bytes((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     written.append(str(report_path))
     return report, written, (1 if error_count else 0)

@@ -177,6 +177,15 @@ def test_huge_chart_keeps_its_dupin_verdict():
         assert detect_canal(make_surface("sphere", {"radius": 1e300}), counts=3).dupin is True
 
 
+@pytest.mark.parametrize("radius", [1e-90, 1e-120, 1e-150, 1e-161])
+def test_tiny_chart_keeps_its_dupin_verdict(radius):
+    # |lam3|^2 (about 1e-32 / radius^4) and |h|^2 (1 / radius^2) would
+    # overflow unless the norms and the Dupin metric are rescaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert detect_canal(make_surface("sphere", {"radius": radius}), counts=3).dupin is True
+
+
 def test_detect_canal_tube4_multiplicity():
     rep = detect_canal(make_surface("tube4", {"major": 2.0, "minor": 0.5}), counts=(6, 6, 6))
     assert rep.signature == (1, 2)

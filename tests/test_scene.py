@@ -4,15 +4,17 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canalgeo import DEFAULT_TOLERANCES, scene as scene_module
 from canalgeo.cli import main
-from canalgeo.envelope import EnvelopeMesh
+from canalgeo.catalog import make_family
+from canalgeo.envelope import EnvelopeMesh, envelope_mesh
 from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
 from canalgeo.scene import DEFAULT_GRIDS, load_scene, run_scene, validate_scene
 
@@ -332,8 +334,7 @@ def test_singular_csv_error_rows():
         {"t": 0.5, "discriminant": 0.75, "count": 1, "points": [[1.0, 2.0, 3.0]]},
         {"t": 1.0, "error": "bad, sample"},
     ]
-    text = singular_csv_text(rows)
-    lines = text.strip().splitlines()
+    lines = singular_csv_text(rows).decode("ascii").strip().splitlines()
     assert lines[0] == "t,discriminant,count,p1_x,p1_y,p1_z,p2_x,p2_y,p2_z,error"
     assert lines[1] == "0.5,0.75,1,1,2,3,,,,"
     assert lines[2] == "1,,,,,,,,,bad; sample"
@@ -341,14 +342,14 @@ def test_singular_csv_error_rows():
 
 def test_xyz_text_roundtrip():
     pts = np.array([[1.0, 2.0, 3.0], [-0.5, 0.25, 0.0]])
-    text = xyz_text(pts)
+    text = xyz_text(pts).decode("ascii")
     back = np.array([[float(c) for c in line.split()] for line in text.strip().splitlines()])
     assert np.allclose(back, pts)
-    assert xyz_text(np.empty((0, 3))) == ""
+    assert xyz_text(np.empty((0, 3))) == b""
 
 
-def _reference_obj(mesh) -> str:
-    """OBJ rendered one number at a time with `format_number`."""
+def _reference_obj(mesh) -> bytes:
+    """OBJ rendered one number at a time with `format_number`, as ASCII."""
     lines = [f"o {mesh.name}"] if mesh.name else []
     for tag, rows in (("v", mesh.vertices), ("vn", mesh.normals)):
         lines += [" ".join([tag] + [format_number(x) for x in row[:3]]) for row in rows]
@@ -356,14 +357,14 @@ def _reference_obj(mesh) -> str:
         for face in mesh.faces:
             a, b, c = (int(i) + 1 for i in face)
             lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in lines).encode("ascii")
 
 
-def _reference_xyz(points) -> str:
+def _reference_xyz(points) -> bytes:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
-        return ""
-    return "".join(" ".join(format_number(x) for x in row) + "\n" for row in pts)
+        return b""
+    return "".join(" ".join(format_number(x) for x in row) + "\n" for row in pts).encode("ascii")
 
 
 _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1.7976931348623157e308]
@@ -405,6 +406,78 @@ def test_obj_text_matches_per_number_reference(data, cols, with_faces):
 def test_xyz_text_matches_per_number_reference(data, cols):
     pts = data.draw(_tables(cols))
     assert xyz_text(pts) == _reference_xyz(pts)
+
+
+def _steps(x: float, count: int) -> float:
+    """``x`` moved ``count`` doubles up (count > 0) or down."""
+    for _ in range(abs(count)):
+        x = math.nextafter(x, math.inf if count > 0 else -math.inf)
+    return x
+
+
+# Numbers where the writer's 12 digits are hardest to get right: within a few
+# doubles of a tie in the 13th digit, of a power of ten, or of the ends of
+# its fast range, and those that it must render one at a time.
+_NEAR_TIES = st.builds(
+    lambda mant, exp, step: _steps(float(f"{mant}5e{exp}"), step),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-17, 13),
+    st.integers(-3, 3),
+)
+_NEAR_POWERS = st.builds(
+    lambda j, step, sign: sign * _steps(10.0**j, step),
+    st.integers(-5, 12),
+    st.integers(-3, 3),
+    st.sampled_from([1.0, -1.0]),
+)
+_ADVERSARIAL = st.one_of(
+    _NEAR_TIES,
+    _NEAR_POWERS,
+    st.floats(-1e-11, 1e-11),
+    st.floats(min_value=1e11),
+    st.floats(max_value=-1e11),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals and +-0
+    st.sampled_from(_SPECIAL),
+)
+
+
+# The pinned pools each route numbers to the exact path: zero, nan and the
+# infinities; |x| outside [1e-11, 1e12); fractional parts of m within 1e-3 of
+# a half (1234567890.125 is an exact tie, which rounds to even); and doubles
+# just below a power of ten, where log10 lands one decade off or m rounds up
+# to 1e12.
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=st.lists(_ADVERSARIAL, min_size=1, max_size=40),
+    rows=st.sampled_from(_ROW_COUNTS),
+    cols=st.sampled_from([1, 3, 4]),
+)
+@example(pool=[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5], rows=3, cols=3)
+@example(pool=[9.9e-12, -1e-300, 1e12, -3.5e15, 1.7976931348623157e308], rows=2, cols=4)
+@example(pool=[1234567890.125, -100000000000.5, 0.1234567890125, 2.5], rows=4, cols=1)
+@example(
+    pool=[_steps(1e5, -1), -_steps(1e-3, -1), _steps(1e12, -1), 999999999999.4],
+    rows=_CHUNK_ROWS + 1,
+    cols=3,
+)
+def test_writers_match_per_number_reference_on_adversarial_floats(pool, rows, cols):
+    pts = np.resize(np.array(pool, dtype=float), (rows, cols))
+    assert xyz_text(pts) == _reference_xyz(pts)
+    mesh = EnvelopeMesh(
+        vertices=pts, normals=-pts, params=np.zeros((rows, 1)), faces=None, name="adversarial"
+    )
+    assert obj_text(mesh) == _reference_obj(mesh)
+
+
+def test_scene_ref_meshes_match_per_number_reference():
+    scene_ref = Path(__file__).resolve().parents[1] / "bench" / "scene_ref.json"
+    scene = json.loads(scene_ref.read_text())
+    meshed = [f for f in scene["families"] if "envelope" in f["analyses"]]
+    assert "r4-circle" in {f["name"] for f in meshed}
+    for entry in meshed:
+        family = make_family(entry["name"], entry.get("params"))
+        mesh = envelope_mesh(family, t_count=32, angle_count=8, name=entry["name"])
+        assert obj_text(mesh) == _reference_obj(mesh), entry["name"]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import taylor
 from .envelope import FamilyJet, SphereFamily, batched_jet
-from .errors import DomainError
+from .errors import CanalGeoError, DomainError
 from .jets import ParametricSurface
 from .taylor import cos, jet_function, sin
 
@@ -307,7 +307,12 @@ def graph_surface(
         raise DomainError("height grid must have shape (len(xs), len(ys))")
     if xs.size < 6 or ys.size < 6:
         raise DomainError("quintic height-field interpolation needs >= 6 samples per axis")
-    from scipy.interpolate import RectBivariateSpline
+    try:
+        from scipy.interpolate import RectBivariateSpline
+    except ImportError as err:
+        raise CanalGeoError(
+            "graph_surface needs SciPy; install it with the extra: pip install 'canalgeo[graph]'"
+        ) from err
 
     spline = RectBivariateSpline(xs, ys, z, kx=5, ky=5)
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 analysis errors present in a run, 2 invalid
 scene, including a scene made invalid by a --tol or --grid value: overrides
-are merged into the document before it is validated.
+are merged into the document before it is validated.  An unreadable scene
+file or an output directory that cannot be created or written to is also
+exit code 2, with one line on standard error.
 The default output directory comes from --out, falling back to the
 CANALGEO_OUT environment variable, then the current directory.
 """
@@ -148,7 +150,11 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get("CANALGEO_OUT") or "."
     spec = load_scene(data)
-    report, written, code = run_scene(spec, out_dir)
+    try:
+        report, written, code = run_scene(spec, out_dir)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return 2
     n_entries = sum(len(v) for v in report["results"].values())
     print(
         f"{n_entries} entries, {report['error_count']} errors; "

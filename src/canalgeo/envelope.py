@@ -588,8 +588,8 @@ def envelope_mesh(
         np.linspace(0.35, math.pi - 0.35, max(angle_count // 2, 4)) for _ in range(n - 3)
     ]
     axes = [ts] + polar_axes + [thetas]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([g.ravel() for g in mesh], axis=-1)
+    # the meshgrid arrays are temporaries, freed once the grid is stacked
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
     # the grid is t-major: each t owns one contiguous block of rows, and
     # one batched member jet serves the circles and the normals of every block

@@ -1,8 +1,11 @@
 """Deterministic writers for meshes, singular loci, and point clouds.
 
-Every writer returns bytes, ready for ``Path.write_bytes``: ASCII, apart
-from mesh names and CSV error text, which are UTF-8.  Each float is printed
-as ``'%.12g' % x``, with ``-0.0`` printed as ``0`` (`format_number`), so
+Each writer (`write_obj`, `write_singular_csv`, `write_xyz`) streams its file
+into an open binary file, chunk by chunk, so no file is ever whole in memory;
+`obj_text`, `singular_csv_text` and `xyz_text` are the in-memory form, the
+same writer into an ``io.BytesIO``.  The bytes are ASCII, apart from mesh
+names and CSV error text, which are UTF-8.  Each float is printed as
+``'%.12g' % x``, with ``-0.0`` printed as ``0`` (`format_number`), so
 identical inputs give byte-identical files.
 
 OBJ and XYZ numbers go through one NumPy kernel, `_number_words`, with no
@@ -39,13 +42,21 @@ File conventions:
 from __future__ import annotations
 
 import io
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
 from .envelope import EnvelopeMesh
 
-__all__ = ["format_number", "obj_text", "singular_csv_text", "xyz_text"]
+__all__ = [
+    "format_number",
+    "obj_text",
+    "singular_csv_text",
+    "write_obj",
+    "write_singular_csv",
+    "write_xyz",
+    "xyz_text",
+]
 
 
 def format_number(x: float) -> str:
@@ -152,35 +163,44 @@ def _face_words(refs: np.ndarray) -> np.ndarray:
     return out.reshape(refs.shape[0], -1)
 
 
-def _write_lines(buf: io.BytesIO, tag: str, rows: np.ndarray, render) -> None:
+def _write_lines(fh: BinaryIO, tag: str, rows: np.ndarray, render) -> None:
     """Write ``render(rows)`` chunk by chunk, each line led by ``tag``."""
     head = _words([tag])
     for start in range(0, rows.shape[0], _CHUNK_ROWS):
         body = render(rows[start : start + _CHUNK_ROWS])
         lines = np.hstack([np.broadcast_to(head, (body.shape[0], 1)), body])
-        buf.write(lines.tobytes().translate(None, b"\0"))
+        fh.write(lines.tobytes().translate(None, b"\0"))
 
 
-def obj_text(mesh: EnvelopeMesh) -> bytes:
-    """Render a mesh as ASCII OBJ with vertex normals."""
+def _in_memory(write, *args) -> bytes:
+    """The bytes that ``write(fh, *args)`` streams into a file."""
     buf = io.BytesIO()
-    if mesh.name:
-        buf.write(f"o {mesh.name}\n".encode())
-    _write_lines(buf, "v ", mesh.vertices[:, :3], _number_words)
-    _write_lines(buf, "vn ", mesh.normals[:, :3], _number_words)
-    if mesh.faces is not None:
-        _write_lines(buf, "f ", np.asarray(mesh.faces, dtype=np.int64) + 1, _face_words)
+    write(buf, *args)
     return buf.getvalue()
 
 
-def singular_csv_text(rows: Iterable[dict]) -> bytes:
-    """CSV for a series of singular-point samples.
+def write_obj(fh: BinaryIO, mesh: EnvelopeMesh) -> None:
+    """Write a mesh as ASCII OBJ with vertex normals."""
+    if mesh.name:
+        fh.write(f"o {mesh.name}\n".encode())
+    _write_lines(fh, "v ", mesh.vertices[:, :3], _number_words)
+    _write_lines(fh, "vn ", mesh.normals[:, :3], _number_words)
+    if mesh.faces is not None:
+        _write_lines(fh, "f ", np.asarray(mesh.faces, dtype=np.int64) + 1, _face_words)
+
+
+def obj_text(mesh: EnvelopeMesh) -> bytes:
+    """The bytes of `write_obj`."""
+    return _in_memory(write_obj, mesh)
+
+
+def write_singular_csv(fh: BinaryIO, rows: Iterable[dict]) -> None:
+    """Write the CSV of a series of singular-point samples, a line at a time.
 
     Each row dict carries t, discriminant, count, points (list of length-3
     sequences, at most 2 used), and optional error text.
     """
-    buf = io.StringIO()
-    buf.write("t,discriminant,count,p1_x,p1_y,p1_z,p2_x,p2_y,p2_z,error\n")
+    fh.write(b"t,discriminant,count,p1_x,p1_y,p1_z,p2_x,p2_y,p2_z,error\n")
     for row in rows:
         cells = [format_number(row["t"])]
         if row.get("error"):
@@ -195,14 +215,21 @@ def singular_csv_text(rows: Iterable[dict]) -> bytes:
                 else:
                     cells.extend(["", "", ""])
             cells.append("")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue().encode()
+        fh.write((",".join(cells) + "\n").encode())
+
+
+def singular_csv_text(rows: Iterable[dict]) -> bytes:
+    """The bytes of `write_singular_csv`."""
+    return _in_memory(write_singular_csv, rows)
+
+
+def write_xyz(fh: BinaryIO, points: np.ndarray) -> None:
+    """Write a point cloud, one ``x y z`` line per point (nothing if empty)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size:
+        _write_lines(fh, "", pts, _number_words)
 
 
 def xyz_text(points: np.ndarray) -> bytes:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        return b""
-    buf = io.BytesIO()
-    _write_lines(buf, "", pts, _number_words)
-    return buf.getvalue()
+    """The bytes of `write_xyz`."""
+    return _in_memory(write_xyz, points)

@@ -7,8 +7,11 @@ writes meshes and singular-locus files, and assembles a deterministic JSON
 report: identical scenes yield byte-identical reports apart from the
 timestamp field.
 
-Entries run one after another in the calling process, in scene order, and
-each entry's files are written as soon as it finishes.
+Entries run one after another in the calling process, in scene order.  An
+entry returns each of its files as a name and a function that streams the
+file into an open binary file; once the entry has succeeded, its files are
+written to disk, so no file is ever whole in memory and an entry that ends in
+an error leaves no file behind.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .envelope import causal_classify_family, envelope_mesh
 from .errors import CanalGeoError
 from .focal import adapted_frame_coefficients, adapted_frames, classify_tube_plane, singular_set
 from .jets import cell_centers
-from .meshio import obj_text, singular_csv_text, xyz_text
+from .meshio import write_obj, write_singular_csv, write_xyz
 
 __all__ = ["SceneSpec", "validate_scene", "load_scene", "run_scene", "DEFAULT_GRIDS"]
 
@@ -279,7 +283,8 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
     analyses = entry.get("analyses") or ["causal"]
     family = make_family(entry["name"], entry.get("params") or entry.get("data"))
     out: dict = {"label": label, "kind": "family", "name": entry["name"], "analyses": {}}
-    files: list[tuple[str, bytes]] = []
+    # (file name, function that writes the file into an open binary file)
+    files: list[tuple[str, Callable[[BinaryIO], None]]] = []
 
     if "causal" in analyses:
         rep = causal_classify_family(
@@ -292,7 +297,7 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
             family, t_count=spec.grids["mesh_t"], angle_count=spec.grids["mesh_angle"], name=label
         )
         fname = f"{label}.obj"
-        files.append((fname, obj_text(mesh)))
+        files.append((fname, lambda fh: write_obj(fh, mesh)))
         out["analyses"]["envelope"] = {
             "file": fname,
             "vertices": int(mesh.vertices.shape[0]),
@@ -335,7 +340,7 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
                 }
             )
         fname = f"{label}_singular.csv"
-        files.append((fname, singular_csv_text(rows)))
+        files.append((fname, lambda fh: write_singular_csv(fh, rows)))
         result = {
             "file": fname,
             "samples": int(m),
@@ -346,7 +351,7 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
         }
         if sigma_points:
             pname = f"{label}_sigma.xyz"
-            files.append((pname, xyz_text(np.asarray(sigma_points))))
+            files.append((pname, lambda fh: write_xyz(fh, np.asarray(sigma_points))))
             result["points_file"] = pname
         out["analyses"]["singularities"] = result
 
@@ -392,8 +397,20 @@ def _entry_task(kind: str, index: int, entry: dict, spec: SceneSpec):
         )
 
 
+def _write_files(out_path: Path, files: list) -> list[str]:
+    """Open each (name, write) file of ``files`` in ``out_path``, let ``write``
+    stream it, and return the names."""
+    for fname, write in files:
+        with open(out_path / fname, "wb") as fh:
+            write(fh)
+    return [fname for fname, _ in files]
+
+
 def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
-    """Execute a scene; returns (report dict, written file paths, exit code)."""
+    """Execute a scene; returns (report dict, written file paths, exit code).
+
+    An ``OSError`` from creating ``out_dir`` or writing a file propagates.
+    """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
@@ -410,9 +427,8 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
     ):
         for index, entry in enumerate(getattr(spec, key)):
             result, entry_files = _entry_task(kind, index, entry, spec)
-            for fname, data in entry_files:
-                (out_path / fname).write_bytes(data)
-                files.append(fname)
+            files += _write_files(out_path, entry_files)
+            del entry_files  # the next entry runs without this one's meshes
             results[key].append(result)
             if "error" in result:
                 error_count += 1
@@ -445,7 +461,7 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
             "max_generator_residual": max_generator_residual,
         },
     }
-    report_path = out_path / "report.json"
-    report_path.write_bytes((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
-    written.append(str(report_path))
+    text = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    _write_files(out_path, [("report.json", lambda fh: fh.write(text))])
+    written.append(str(out_path / "report.json"))
     return report, written, (1 if error_count else 0)

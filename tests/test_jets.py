@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from canalgeo import (
+    CanalGeoError,
     DomainError,
     ImmersionError,
     ParametricSurface,
@@ -243,6 +246,16 @@ def test_graph_surface_round_trip():
     ev = np.linalg.eigvalsh(h)
     assert np.allclose(np.abs(ev), [1.0, 1.0], atol=1e-6)
     assert float(ev.sum()) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_graph_surface_without_scipy_names_the_extra(monkeypatch):
+    # SciPy is the optional ``graph`` extra; a cached submodule would bypass
+    # the blocked parent, so block both
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+    xs = np.linspace(-1.0, 1.0, 8)
+    with pytest.raises(CanalGeoError, match=re.escape("canalgeo[graph]")):
+        graph_surface(xs, xs, np.zeros((8, 8)))
 
 
 def test_transform_chart_independent_of_batch_size(torus):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,17 +243,80 @@ def test_run_scene_entry_error_sets_exit_code(tmp_path):
         "families": [
             {"name": "r4-circle", "analyses": ["singularities"]},
             {"name": "circle-tube", "analyses": ["causal"]},
+            # the mesh is built, then the singularities analysis fails
+            {"name": "r4-circle", "label": "meshed", "analyses": ["envelope", "singularities"]},
         ],
     }
     assert validate_scene(scene) == []
     spec = load_scene(scene)
-    report, _, code = run_scene(spec, tmp_path)
+    report, written, code = run_scene(spec, tmp_path)
     assert code == 1
-    assert report["error_count"] == 1
-    failed = report["results"]["families"][0]
-    assert "error" in failed and "r = 1" in failed["error"]["message"]
+    assert report["error_count"] == 2
+    for failed in (report["results"]["families"][0], report["results"]["families"][2]):
+        assert "error" in failed and "r = 1" in failed["error"]["message"]
     # the healthy entry still ran
     assert report["results"]["families"][1]["analyses"]["causal"]["verdict"] == "canal"
+    # an entry that ends in an error leaves no file behind
+    assert list(tmp_path.glob("*.obj")) == []
+    assert written == [str(tmp_path / "report.json")]
+
+
+def test_run_scene_streams_the_bytes_of_the_in_memory_writers(tmp_path, monkeypatch):
+    # every file equals the bytes form of the same writer on the same input
+    seen = {}
+    for name in ("write_singular_csv", "write_xyz"):
+        original = getattr(scene_module, name)
+
+        def recording(fh, data, original=original, name=name):
+            seen[fh.name] = (name, data)
+            original(fh, data)
+
+        monkeypatch.setattr(scene_module, name, recording)
+    scene = _rich_scene()
+    report, written, code = run_scene(load_scene(scene), tmp_path)
+    assert code == 0
+    thin = scene["families"][0]
+    mesh = envelope_mesh(
+        make_family(thin["name"], thin["params"]),
+        t_count=SMALL_GRIDS["mesh_t"],
+        angle_count=SMALL_GRIDS["mesh_angle"],
+        name="thin-0",
+    )
+    expected = {str(tmp_path / "thin-0.obj"): obj_text(mesh)}
+    bytes_form = {"write_singular_csv": singular_csv_text, "write_xyz": xyz_text}
+    for path, (name, data) in seen.items():
+        expected[path] = bytes_form[name](data)
+    assert sorted(expected) == [p for p in written if not p.endswith("report.json")]
+    assert {"thin-0_singular.csv", "fat-1_singular.csv", "fat-1_sigma.xyz"} <= {
+        Path(p).name for p in seen
+    }
+    for path, data in expected.items():
+        assert Path(path).read_bytes() == data, path
+
+
+def test_run_scene_streams_the_mesh_file(tmp_path):
+    # the n = 4 OBJ is never whole in memory: the traced peak stays within
+    # the mesh's arrays plus a small fraction of the file
+    scene = {
+        "version": 1,
+        "grids": {"mesh_t": 128, "mesh_angle": 64},
+        "families": [{"name": "r4-circle", "analyses": ["envelope"]}],
+    }
+    spec = load_scene(scene)
+    mesh = envelope_mesh(make_family("r4-circle", None), t_count=128, angle_count=64)
+    mesh_bytes = mesh.vertices.nbytes + mesh.normals.nbytes + mesh.params.nbytes
+    del mesh
+    tracemalloc.start()
+    try:
+        report, _, code = run_scene(spec, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    obj_file = report["results"]["families"][0]["analyses"]["envelope"]["file"]
+    obj_size = (tmp_path / obj_file).stat().st_size
+    assert obj_size > 20e6
+    assert peak - mesh_bytes < obj_size / 2, (peak, mesh_bytes, obj_size)
 
 
 def _fallback_scene():
@@ -607,6 +671,19 @@ def test_cli_handles_unreadable_and_malformed_files(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["validate", str(garbled)]) == 2
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "under-a-file"])
+def test_cli_reports_an_unwritable_out_directory(tmp_path, capsys, sub):
+    path = _write_scene(tmp_path, {"version": 1, "pencils": _rich_scene()["pencils"]})
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    assert main(["run", path, "--out", str(blocker / sub)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write output: ")
+    assert blocker.read_text() == "not a directory"
 
 
 def test_cli_catalog_lists_everything(capsys):

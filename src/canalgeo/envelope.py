@@ -457,6 +457,20 @@ def _characteristic(jet: FamilyJet, ts: np.ndarray, reference=None) -> _Circles:
     return _Circles(center, radius, spine, speed, delta, w)
 
 
+def _circle_points(circle: _Circles, rows, units: np.ndarray) -> np.ndarray:
+    """Points on the characteristic spheres ``rows`` of ``circle`` at unit vectors (k, m+1, 1).
+
+    This is the one point formula of the envelope chart, its meshes and the
+    rank-drop oracle of `focal`: centre + radius * (units @ w), with units @ w
+    summed term by term, left to right, so that a row rounds alike in any batch.
+    """
+    terms = units * circle.w[rows]
+    total = terms[:, 0]
+    for i in range(1, terms.shape[1]):
+        total = total + terms[:, i]
+    return circle.center[rows] + circle.radius[rows, None] * total
+
+
 def _raise_at(bad: np.ndarray, ts: np.ndarray, error: type, what: str) -> None:
     if bad.any():
         t = ts[int(np.argmax(bad))]
@@ -541,9 +555,7 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
         ts, inv = np.unique(pts[:, 0], return_inverse=True)
         ts = ts[:, None]
         circle = _characteristic(family.jets_at(ts), ts, reference)
-        units = _spherical_unit(pts[:, 1:])[:, :, None]
-        # units @ w as an elementwise sum, which rounds alike in any batch
-        out = circle.center[inv] + circle.radius[inv, None] * (units * circle.w[inv]).sum(axis=1)
+        out = _circle_points(circle, inv, _spherical_unit(pts[:, 1:])[:, :, None])
         return out[0] if u.ndim == 1 else out
 
     domain = [[lo, hi]]
@@ -598,8 +610,8 @@ def envelope_mesh(
     block = math.prod(len(a) for a in axes[1:])
     units = _spherical_unit(grid[:block, 1:])[:, :, None]
     verts = np.empty((t_count, block, n))
-    for k in range(t_count):  # the chart's sum, one block at a time
-        verts[k] = circle.center[k] + circle.radius[k] * (units * circle.w[k]).sum(axis=1)
+    for k in range(t_count):  # the chart's points, one block at a time
+        verts[k] = _circle_points(circle, k, units)
     normals = verts - jet.c[:, None]
     normals /= jet.rho[:, None, None]
 

@@ -38,7 +38,13 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Dropped, PolyVector, drop_sphere, form_matrix
-from .envelope import SphereFamily, _characteristic, _lift_jet, envelope_surface
+from .envelope import (
+    SphereFamily,
+    _characteristic,
+    _circle_points,
+    _lift_jet,
+    _spherical_unit,
+)
 from .errors import (
     CanalGeoError,
     DegenerateFrameError,
@@ -525,6 +531,22 @@ _DROP_REL = 1e-6
 _MERGE_TOL = 1e-2
 
 
+def _singular_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s2 / s1 of each 3 x 2 matrix [a | b] from rows a, b (k, 3), in closed form.
+
+    s1 s2 = |a x b| and s1^2 = (|a|^2 + |b|^2 + sqrt((|a|^2 - |b|^2)^2 + 4 (a.b)^2)) / 2,
+    so s2 / s1 = |a x b| / s1^2: every term is a sum of squares, with no cancellation.
+    """
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    aa = a0 * a0 + a1 * a1 + a2 * a2
+    bb = b0 * b0 + b1 * b1 + b2 * b2
+    ab = a0 * b0 + a1 * b1 + a2 * b2
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    s1_sq = 0.5 * (aa + bb + np.sqrt((aa - bb) ** 2 + 4.0 * ab * ab))
+    return np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / s1_sq
+
+
 @dataclass(frozen=True)
 class RankDropReport:
     t: float
@@ -548,43 +570,61 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
     point, then merged within ``_MERGE_TOL`` radians.  This is deliberately
     independent of the adapted-frame pipeline so the two can check each
     other.
+
+    The Jacobian is the central difference of the envelope chart with step
+    ``_JAC_STEP``.  Each call builds the circles at t - step, t and t + step
+    once (one batched member jet and one `_characteristic` pass, in the
+    chart's increasing-t order, so a failing row raises the chart's error)
+    and takes every scan, refinement and final point from them with the
+    chart's own point formula, `envelope._circle_points`.  All dips are
+    refined together: each round is one batched evaluation over every dip's
+    grid.  The singular-value ratio of each 3 x 2 Jacobian is closed form
+    (`_singular_ratio`), not an SVD.  A t so large that t +- step rounds to
+    t raises `DomainError`.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("the rank-drop oracle runs on r = 1 families in R^3")
     t = float(t)
-    surf = envelope_surface(family)
+    reference = family._reference_frame  # before any member jet at t, as `envelope_surface` does
+    ts = np.unique([t + _JAC_STEP, t - _JAC_STEP, t])[:, None]
+    if len(ts) != 3:
+        raise DomainError(
+            f"the oracle step {_JAC_STEP} is lost to rounding at t={t}: "
+            "t - step, t and t + step are not distinct"
+        )
+    circles = _characteristic(family.jets_at(ts), ts, reference)
     two_pi = 2.0 * math.pi
 
     def ratio_batch(thetas: np.ndarray) -> np.ndarray:
-        k = thetas.size
-        u = np.stack([np.full(k, t), thetas], axis=-1)
-        steps = np.array([[_JAC_STEP, 0.0], [-_JAC_STEP, 0.0], [0.0, _JAC_STEP], [0.0, -_JAC_STEP]])
-        # the whole +-t, +-angle stencil is one chart call: one member jet per distinct t
-        x = surf.chart((u + steps[:, None]).reshape(-1, 2)).reshape(4, k, -1)
-        jac = np.stack([x[0] - x[1], x[2] - x[3]], axis=-1) / (2 * _JAC_STEP)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        return sv[:, 1] / sv[:, 0]
+        flat = thetas.ravel()
+        k = flat.size
+        angles = np.concatenate([flat, flat + _JAC_STEP, flat - _JAC_STEP])
+        units = _spherical_unit(angles[:, None])[:, :, None]
+        # circle rows 0, 1, 2 are t - step, t, t + step: the +-t and the +-angle differences
+        a = _circle_points(circles, 2, units[:k]) - _circle_points(circles, 0, units[:k])
+        turned = _circle_points(circles, 1, units[k:])
+        b = turned[:k] - turned[k:]
+        return _singular_ratio(a / (2 * _JAC_STEP), b / (2 * _JAC_STEP)).reshape(thetas.shape)
 
     thetas = np.linspace(0.0, two_pi, _SCAN, endpoint=False)
     ratio = ratio_batch(thetas)
     coarse = 5e-2
     spacing = two_pi / _SCAN
 
-    candidates = []
-    for i in range(_SCAN):
-        if ratio[i] < coarse and ratio[i] <= ratio[i - 1] and ratio[i] <= ratio[(i + 1) % _SCAN]:
-            candidates.append(thetas[i])
-
+    # local minima of the circular scan, each refined on its own row of one nested grid
+    dip = (ratio < coarse) & (ratio <= np.roll(ratio, 1)) & (ratio <= np.roll(ratio, -1))
     accepted = []
-    for th0 in candidates:
-        lo, hi = th0 - spacing, th0 + spacing
+    if dip.any():
+        lo, hi = thetas[dip] - spacing, thetas[dip] + spacing
+        dips = np.arange(lo.size)
         for _ in range(_REFINE_ROUNDS):
-            grid = np.linspace(lo, hi, _REFINE_POINTS)
+            grid = np.linspace(lo, hi, _REFINE_POINTS, axis=-1)
             fine = ratio_batch(grid)
-            best = int(np.argmin(fine))
-            lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _REFINE_POINTS - 1)]
-        if fine[best] < _DROP_REL:
-            accepted.append(float(grid[best]) % two_pi)
+            best = np.argmin(fine, axis=1)
+            lo = grid[dips, np.maximum(best - 1, 0)]
+            hi = grid[dips, np.minimum(best + 1, _REFINE_POINTS - 1)]
+        found = fine[dips, best] < _DROP_REL
+        accepted = [float(ang) % two_pi for ang in grid[dips, best][found]]
 
     accepted.sort()
     merged: list[float] = []
@@ -597,10 +637,7 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
         if gap < _MERGE_TOL:
             merged.pop()
 
-    if merged:
-        pts = surf.chart(np.stack([np.full(len(merged), t), np.array(merged)], axis=-1))
-    else:
-        pts = np.empty((0, 3))
+    pts = _circle_points(circles, 1, _spherical_unit(np.array(merged)[:, None])[:, :, None])
     return RankDropReport(
         t=t, angles=tuple(merged), points=pts, min_ratio=float(np.min(ratio))
     )

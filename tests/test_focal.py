@@ -1,6 +1,7 @@
 """Adapted frames, focal determinants, singular points, and plane classes."""
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from canalgeo import (
 )
 from canalgeo.conformal import form_matrix
 from canalgeo.envelope import FamilyJet, SphereFamily
-from canalgeo.errors import DimensionMismatch, DomainError
+from canalgeo.errors import CanalGeoError, DimensionMismatch, DomainError
 from canalgeo.focal import FocalCoefficients
 from canalgeo.jets import cell_centers
 
@@ -242,6 +243,130 @@ def test_fast_path_matches_rank_drop_oracle():
                 assert np.linalg.norm(slow - p.point, axis=1).min() < 1e-6
                 gaps = (np.array(oracle.angles) - p.angle + math.pi) % two_pi - math.pi
                 assert np.min(np.abs(gaps)) <= 1e-6
+
+
+def _reference_rank_drop(fam, t):
+    """The oracle's algorithm written out plainly: one envelope chart call per stencil,
+    singular values from ``np.linalg.svd``, and one candidate dip refined at a time.
+
+    Returns (angles, points, min_ratio) for comparison with `rank_drop_singular_points`.
+    """
+    step, scan, points, rounds = 1e-5, 720, 33, 5
+    surf = envelope_surface(fam)
+    two_pi = 2.0 * math.pi
+
+    def ratio_batch(thetas):
+        k = thetas.size
+        u = np.stack([np.full(k, t), thetas], axis=-1)
+        steps = np.array([[step, 0.0], [-step, 0.0], [0.0, step], [0.0, -step]])
+        x = surf.chart((u + steps[:, None]).reshape(-1, 2)).reshape(4, k, -1)
+        jac = np.stack([x[0] - x[1], x[2] - x[3]], axis=-1) / (2 * step)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        return sv[:, 1] / sv[:, 0]
+
+    thetas = np.linspace(0.0, two_pi, scan, endpoint=False)
+    ratio = ratio_batch(thetas)
+    spacing = two_pi / scan
+    accepted = []
+    for i in range(scan):
+        if ratio[i] < 5e-2 and ratio[i] <= ratio[i - 1] and ratio[i] <= ratio[(i + 1) % scan]:
+            lo, hi = thetas[i] - spacing, thetas[i] + spacing
+            for _ in range(rounds):
+                grid = np.linspace(lo, hi, points)
+                fine = ratio_batch(grid)
+                best = int(np.argmin(fine))
+                lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, points - 1)]
+            if fine[best] < 1e-6:
+                accepted.append(float(grid[best]) % two_pi)
+    accepted.sort()
+    merged = []
+    for ang in accepted:
+        if merged and min(abs(ang - merged[-1]), two_pi - abs(ang - merged[-1])) < 1e-2:
+            continue
+        merged.append(ang)
+    if len(merged) > 1:
+        if min(abs(merged[0] - merged[-1]), two_pi - abs(merged[0] - merged[-1])) < 1e-2:
+            merged.pop()
+    pts = np.empty((0, 3))
+    if merged:
+        pts = surf.chart(np.stack([np.full(len(merged), t), merged], axis=-1))
+    return merged, pts, float(np.min(ratio))
+
+
+def test_rank_drop_oracle_matches_reference_algorithm(fourier_families, rng):
+    families = [
+        _tube(1.0, 2.0),
+        _tube(2.0, 0.5),
+        make_family("helix-tube", {"major": 2.0, "pitch": 0.5, "rho": 3.0}),
+        make_family("wobble-tube"),
+    ]
+    for k in range(4):  # alternating thin and fat
+        families.append(fourier_families(rng, 3, name=f"f{k}", rho0=(2.6 if k % 2 else None)))
+    found = 0
+    for fam in families:
+        lo, hi = fam.domain[0]
+        for t in (0.3, 2.1, lo + 0.37 * (hi - lo)):
+            oracle = rank_drop_singular_points(fam, t)
+            angles, points, min_ratio = _reference_rank_drop(fam, t)
+            assert oracle.count == len(angles)
+            found += oracle.count
+            np.testing.assert_allclose(oracle.angles, angles, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(oracle.points, points, rtol=0, atol=1e-12)
+            assert oracle.min_ratio == pytest.approx(min_ratio, rel=0, abs=1e-12)
+    assert found >= 10  # the comparison covers refined dips, not only circles without any
+
+
+def test_rank_drop_oracle_rejects_a_step_lost_to_rounding():
+    fam = make_family("circle-tube", {})
+    far = 1e11  # t +- step still distinct: both paths see a regular circle
+    assert rank_drop_singular_points(fam, far).count == 0
+    assert singular_set(adapted_frame_coefficients(fam, far)).count == 0
+    for t in (1e12, 1e16):
+        # the +-t column of the stencil would be zero and every angle a rank drop
+        lost = re.escape(f"step 1e-05 is lost to rounding at t={t}")
+        with pytest.raises(DomainError, match=lost):
+            rank_drop_singular_points(fam, t)
+
+
+def _wide_sampled_family():
+    """Radius 4 + 3 sin t about a circle of speed 2: imaginary circles where |3 cos t| > 2."""
+    ts = np.linspace(0.0, 2.0 * math.pi, 48)
+    data = {
+        "t": ts.tolist(),
+        "centers": np.stack([2 * np.cos(ts), 2 * np.sin(ts), 0 * ts], axis=1).tolist(),
+        "radii": (4 + 3 * np.sin(ts)).tolist(),
+    }
+    return make_family("sampled", data)
+
+
+def test_rank_drop_oracle_raises_the_chart_error_of_its_first_failing_row():
+    fam = _wide_sampled_family()
+    surf = envelope_surface(fam)
+    step = 1e-5
+
+    def chart_error(t):
+        try:
+            surf.chart([t, 0.0])
+        except CanalGeoError as err:
+            return err
+        return None
+
+    # bisect to the edge where the circles turn imaginary, so that t - step is real and t is not
+    good, bad = 1.5, 3.0
+    assert chart_error(good) is None and chart_error(bad) is not None
+    while bad - good > step / 4:
+        mid = 0.5 * (good + bad)
+        good, bad = (good, mid) if chart_error(mid) else (mid, bad)
+    edge = bad
+    assert chart_error(edge - step) is None
+    for t, row in ((edge, edge), (math.pi, math.pi - step)):
+        # the stencil rows t - step, t, t + step are built in increasing t, as the chart orders them
+        want = chart_error(row)
+        with pytest.raises(CanalGeoError) as got:
+            rank_drop_singular_points(fam, t)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        assert type(want) is type(chart_error(t))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     ImaginaryCharacteristicError,
 )
-from .jets import ParametricSurface, _row_dots, cell_centers, parameter_grid
+from .jets import ParametricSurface, _row_dots, _RowErrors, cell_centers, parameter_grid
 
 __all__ = [
     "FamilyJet",
@@ -104,10 +104,7 @@ class FamilyJet:
     @staticmethod
     def stack(jets) -> "FamilyJet":
         """Single-point jets as one batched jet."""
-        return FamilyJet(*(np.stack([getattr(j, name) for j in jets]) for name in _JET_FIELDS))
-
-
-_JET_FIELDS = ("c", "dc", "d2c", "rho", "drho", "d2rho")
+        return FamilyJet(*(np.stack([getattr(j, f.name) for j in jets]) for f in fields(FamilyJet)))
 
 
 def batched_jet(provider):
@@ -156,21 +153,39 @@ class SphereFamily:
     def jets_at(self, ts) -> FamilyJet:
         """The family jet at every row of a (P, r) parameter array, with a leading P axis.
 
-        The rows must be finite, and at least one.  A batch with a failing
-        row raises the error that the first failing row raises alone.
+        The rows must be finite, and at least one.  A failing row raises the first error of
+        the `_row_jets` record: the error that the first failing row raises alone.
         """
-        ts = parameter_grid(ts, self.r)
-        if not getattr(self.jet2, "batched", False):
-            return FamilyJet.stack([self.jet_at(t) for t in ts])
-        try:
-            jet = self.jet2(ts)
-        except CanalGeoError:
-            for t in ts:
-                self.jet_at(t)
-            raise
-        if jet.c.shape != (ts.shape[0], self.dim_n) or jet.r != self.r:
-            raise DimensionMismatch("family jet has inconsistent shapes")
+        jet, errors = self._row_jets(ts)
+        errors.raise_first()
         return jet
+
+    def _row_jets(self, ts) -> tuple[FamilyJet, _RowErrors]:
+        """`jets_at` with each failing row's error recorded and a placeholder (a unit sphere at
+        unit speed) in its row; rows run alone only if the provider is not batched or raised."""
+        ts = parameter_grid(ts, self.r)
+        errors = _RowErrors(ts)
+        try:
+            batch = self.jet2(ts) if getattr(self.jet2, "batched", False) else None
+        except CanalGeoError as err:
+            batch = err
+        if isinstance(batch, FamilyJet):
+            if batch.c.shape != (ts.shape[0], self.dim_n) or batch.r != self.r:
+                raise DimensionMismatch("family jet has inconsistent shapes")
+            return batch, errors
+        n, r = self.dim_n, self.r
+        placeholder = FamilyJet(
+            np.zeros(n), np.eye(r, n), np.zeros((r, r, n)), 1.0, np.zeros(r), np.zeros((r, r))
+        )
+        jets = [placeholder] * len(ts)
+        for i, t in enumerate(ts):
+            try:
+                jets[i] = self.jet_at(t)
+            except CanalGeoError as err:
+                errors.errors[i] = err
+        if batch is not None and not any(errors.errors):
+            raise batch
+        return FamilyJet.stack(jets), errors
 
     @functools.cached_property
     def _reference_frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -346,13 +361,13 @@ def causal_classify_family(
         pts = cell_centers(family.domain, counts)
     else:
         pts = parameter_grid(params, family.r)
-    lifted = _lift_jet(family.jets_at(pts))
+    jet, errors = family._row_jets(pts)
+    lifted = _lift_jet(jet)
     finite = np.ones(len(pts), dtype=bool)
     for x in lifted:
         finite &= np.isfinite(x).reshape(len(pts), -1).all(axis=1)
-    if not finite.all():
-        bad = pts[int(np.argmin(finite))]
-        raise DomainError(f"family jet is not finite at t={tuple(bad.tolist())}")
+    errors.check(~finite, DomainError, "family jet is not finite at t={t}")
+    errors.raise_first()
     kinds, values, scales, nondeg = _classify_velocity(*lifted, tolerances)
 
     counts_out = {"spacelike": 0, "timelike": 0, "lightlike": 0, "stationary": 0}
@@ -408,7 +423,8 @@ class CharacteristicSphere:
 _Circles = namedtuple("_Circles", "center radius spine speed delta w")
 
 
-def _characteristic(jet: FamilyJet, ts: np.ndarray, reference=None) -> _Circles:
+@np.errstate(all="ignore")
+def _characteristic(jet: FamilyJet, errors: _RowErrors, reference=None) -> _Circles:
     """The characteristic sphere of every row of a batched family jet, in closed form.
 
     The envelope conditions (x - c).dc_p = -rho drho_p put the centre at
@@ -419,7 +435,7 @@ def _characteristic(jet: FamilyJet, ts: np.ndarray, reference=None) -> _Circles:
     this is T = c'/s and delta = -rho rho'/s with s = |c'|.  Given the
     family's ``reference`` frame, W is its complement rotated onto T.  Each
     step is elementwise or a per-row BLAS product, so a row's bits do not
-    depend on its batch.
+    depend on its batch.  Its checks are recorded in ``errors``; a failed row computes on.
     """
     dc, rho, drho = jet.dc, jet.rho, jet.drho
     norms = np.sqrt(np.einsum("ipn,ipn->ip", dc, dc))
@@ -432,15 +448,16 @@ def _characteristic(jet: FamilyJet, ts: np.ndarray, reference=None) -> _Circles:
             v = v - proj[:, None] * spine[:, j]
             num = num - proj * delta[:, j]
         s = np.sqrt(_row_dots(v, v))
-        _raise_at(s <= floor, ts, DegenerateFrameError, "family spine is (numerically) rank-deficient")
+        what = "family spine is (numerically) rank-deficient at t={t}"
+        errors.check(s <= floor, DegenerateFrameError, what)
         spine[:, k] = v / s[:, None]
         speed[:, k] = s
         delta[:, k] = num / s
 
     center = jet.c + (delta[:, :, None] * spine).sum(axis=1)
     rad2 = rho * rho - (delta * delta).sum(axis=1)
-    imaginary = rad2 < -1e-12 * rho * rho
-    _raise_at(imaginary, ts, ImaginaryCharacteristicError, "characteristic sphere is imaginary")
+    what = "characteristic sphere is imaginary at t={t}"
+    errors.check(rad2 < -1e-12 * rho * rho, ImaginaryCharacteristicError, what)
     radius = np.sqrt(np.maximum(rad2, 0.0))
 
     w = None
@@ -449,8 +466,8 @@ def _characteristic(jet: FamilyJet, ts: np.ndarray, reference=None) -> _Circles:
         v_ref, u_ref = reference
         tau = spine[:, 0]
         denom = 1.0 + (tau[:, None, :] @ v_ref[:, None])[:, 0, 0]  # one dot per row
-        antipode = denom < 1e-9
-        _raise_at(antipode, ts, DegenerateFrameError, "spine tangent hit the reference antipode")
+        what = "spine tangent hit the reference antipode at t={t}"
+        errors.check(denom < 1e-9, DegenerateFrameError, what)
         vt = v_ref + tau
         coef = np.matmul(u_ref, vt[:, :, None])[..., 0] / denom[:, None]  # (P, n-1)
         w = u_ref - coef[:, :, None] * vt[:, None, :]
@@ -471,16 +488,11 @@ def _circle_points(circle: _Circles, rows, units: np.ndarray) -> np.ndarray:
     return circle.center[rows] + circle.radius[rows, None] * total
 
 
-def _raise_at(bad: np.ndarray, ts: np.ndarray, error: type, what: str) -> None:
-    if bad.any():
-        t = ts[int(np.argmax(bad))]
-        raise error(f"{what} at t={tuple(t.tolist())}")
-
-
 def characteristic_sphere(family: SphereFamily, t) -> CharacteristicSphere:
     ts = np.atleast_1d(np.asarray(t, dtype=float))[None]
-    jet = family.jets_at(ts)
-    circle = _characteristic(jet, ts)
+    jet, errors = family._row_jets(ts)
+    circle = _characteristic(jet, errors)
+    errors.raise_first()
     return CharacteristicSphere(
         t=tuple(ts[0]),
         center=circle.center[0],
@@ -553,8 +565,9 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
         if not len(pts):
             return np.empty((0, n))
         ts, inv = np.unique(pts[:, 0], return_inverse=True)
-        ts = ts[:, None]
-        circle = _characteristic(family.jets_at(ts), ts, reference)
+        jet, errors = family._row_jets(ts[:, None])
+        circle = _characteristic(jet, errors, reference)
+        errors.raise_first()
         out = _circle_points(circle, inv, _spherical_unit(pts[:, 1:])[:, :, None])
         return out[0] if u.ndim == 1 else out
 
@@ -605,8 +618,9 @@ def envelope_mesh(
 
     # the grid is t-major: each t owns one contiguous block of rows, and
     # one batched member jet serves the circles and the normals of every block
-    jet = family.jets_at(ts[:, None])
-    circle = _characteristic(jet, ts[:, None], family._reference_frame)
+    jet, errors = family._row_jets(ts[:, None])
+    circle = _characteristic(jet, errors, family._reference_frame)
+    errors.raise_first()
     block = math.prod(len(a) for a in axes[1:])
     units = _spherical_unit(grid[:block, 1:])[:, :, None]
     verts = np.empty((t_count, block, n))

@@ -14,8 +14,9 @@ their count is decided by the discriminant lam212^2 - 2*c22.  The frame and
 its t-derivatives are closed form in the order-2 member jet at t, so no
 difference step enters the coefficients.  `adapted_frames` builds them for
 a whole t grid in one batched pass (one member jet, one lift and one
-characteristic call), each row bit for bit the frame of its t alone;
-`adapted_frame_coefficients` is row 0 of a batch of one.  The circle
+characteristic call), each row bit for bit the frame of its t alone, and
+records in a `jets._RowErrors` the error that each failing row raises
+alone; `adapted_frame_coefficients` is row 0 of a batch of one.  The circle
 (centre, radius and plane basis) is the one `envelope_surface` draws, from
 the same closed-form `envelope._characteristic`, so the angle of a singular
 point on its circle is its chart coordinate:
@@ -52,7 +53,7 @@ from .errors import (
     DomainError,
     FrameConsistencyError,
 )
-from .jets import _row_dots, parameter_grid
+from .jets import _row_dots, _RowErrors, parameter_grid
 
 __all__ = [
     "GeneratorFrame",
@@ -203,12 +204,6 @@ def _lift_rows(first: float, x: np.ndarray, last: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raise_first(bad: np.ndarray, ts: np.ndarray, error: type, what: str) -> None:
-    """Raise ``error(what)`` with {t} the parameter of the first bad row, if any."""
-    if bad.any():
-        raise error(what.format(t=float(ts[int(np.argmax(bad)), 0])))
-
-
 def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficients:
     """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at t.
 
@@ -244,46 +239,46 @@ def adapted_frames(family: SphereFamily, ts) -> list[FocalCoefficients]:
     |x0'| |A_2| over the circle, the frame is degenerate.  A_1 is the unit
     circle tangent at x0 along increasing chart angle.
 
-    The grid makes one `jets_at`, one `_lift_jet` and one `_characteristic`
-    call.  Each step is elementwise or a per-row BLAS product, so a row's
-    bits do not depend on its batch.  The checks run in this order, each
-    before the square root or division it guards: spacelike, point circle,
-    the omega bound, |lam22|.  A batch with a failing row raises the error
-    that the first failing row raises alone.
+    The grid makes one `_row_jets`, one `_lift_jet` and one `_characteristic`
+    call; each step is elementwise or a per-row BLAS product, so a row's bits
+    do not depend on its batch.  A failing row raises the first error of the
+    record `_adapted_rows` keeps: the one the first failing row raises alone.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("adapted frames are computed for r = 1 families in R^3")
-    ts = parameter_grid(ts, 1)
-    try:
-        return _adapted_rows(family, ts)
-    except CanalGeoError:
-        if len(ts) > 1:
-            for row in ts:
-                _adapted_rows(family, row[None])
-        raise
+    rows, errors = _adapted_rows(family, parameter_grid(ts, 1))
+    errors.raise_first()
+    return rows
 
 
-def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> list[FocalCoefficients]:
-    """The batched pass of `adapted_frames`; a failing check raises at its first row."""
+@np.errstate(all="ignore")
+def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> tuple[list, _RowErrors]:
+    """The pass of `adapted_frames`: coefficients, None at a failed row, and the record of
+    row errors, checked in one row's order: member jet, spacelike, reference frame (at every
+    row not yet failed), the checks of `_characteristic`, point circle, omega bound, |lam22|."""
     g = form_matrix(family.dim_n)
-    jet = family.jets_at(ts)
+    jet, errors = family._row_jets(ts)
     a3, da, d2a = _lift_jet(jet)
     da3, d2a3 = da[:, 0], d2a[:, 0, 0]
     speed2 = _row_forms(da3, da3, g)
-    spacelike = np.isfinite(speed2) & (speed2 > 0)
-    what = "family is not spacelike at t={t}; no adapted frame exists"
-    _raise_first(~spacelike, ts, DomainError, what)
+    what = "family is not spacelike at t={t[0]}; no adapted frame exists"
+    errors.check(~(np.isfinite(speed2) & (speed2 > 0)), DomainError, what)
     speed = np.sqrt(speed2)
     a2 = da3 / speed[:, None]
     dspeed = _row_forms(da3, d2a3, g) / speed
     da2 = d2a3 / speed[:, None] - da3 * (dspeed / speed2)[:, None]
 
-    circle = _characteristic(jet, ts, family._reference_frame)
+    try:
+        reference = family._reference_frame
+    except CanalGeoError as err:  # the whole family fails: so does every row not yet failed
+        errors.errors = [err if e is None else e for e in errors.errors]
+        return [None] * len(ts), errors
+    circle = _characteristic(jet, errors, reference)
     center, radius, w = circle.center, circle.radius, circle.w
     tan, s, delta = circle.spine[:, 0], circle.speed[:, 0], circle.delta[:, 0]
     rho, drho, d2rho = jet.rho, jet.drho[:, 0], jet.d2rho[:, 0, 0]
-    what = "characteristic circle degenerated to a point at t={t}"
-    _raise_first(radius <= 1e-6 * rho, ts, DegenerateFrameError, what)
+    what = "characteristic circle degenerated to a point at t={t[0]}"
+    errors.check(radius <= 1e-6 * rho, DegenerateFrameError, what)
 
     dc, d2c = jet.dc[:, 0], jet.d2c[:, 0, 0]
     ds = _row_dots(d2c, tan)
@@ -310,8 +305,8 @@ def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> list[FocalCoefficient
     scale = np.sqrt(_row_dots(dcenter, dcenter)) + np.abs(dradius)
     scale = scale + radius * np.sqrt(_row_dots(dtan, dtan))
     transverse = np.abs(omega) > _OMEGA_REL * scale * np.sqrt(_row_dots(a2, a2))
-    what = "transverse rate vanished at every frame angle at t={t}"
-    _raise_first(~transverse, ts, DegenerateFrameError, what)
+    what = "transverse rate vanished at every frame angle at t={t[0]}"
+    errors.check(~transverse, DegenerateFrameError, what)
 
     x0, dx0 = x0s[rows, k], dx0s[rows, k]
     x4 = center - radius[:, None] * units[rows, k]
@@ -323,31 +318,31 @@ def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> list[FocalCoefficient
     da1 = _lift_rows(0.0, dperp, _row_dots(dx0, perp) + _row_dots(x0, dperp))
 
     lam22 = -speed / omega
-    what = "curve velocity vanished at t={t}"
-    _raise_first(np.abs(lam22) <= 1e-12, ts, DegenerateFrameError, what)
+    what = "curve velocity vanished at t={t[0]}"
+    errors.check(np.abs(lam22) <= 1e-12, DegenerateFrameError, what)
     lam212 = _row_forms(da1, a2, g) / omega
     c22 = -_row_forms(da2, a4, g) / omega
     vectors = dict(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, x0=x0, x4=x4, center=center, w=w)
-    out = []
+    out = [None] * len(ts)
     for i, t in enumerate(ts[:, 0].tolist()):
+        if errors.errors[i] is not None:
+            continue
         frame = GeneratorFrame(
             t=t,
             radius=float(radius[i]),
             angle=float(angles[k[i]]),
             **{name: v[i] for name, v in vectors.items()},
         )
-        out.append(
-            FocalCoefficients(
-                r=1,
-                lam_pq=lam22[i, None, None],
-                lam_apq=lam212[i, None, None, None],
-                c_pq=c22[i, None, None],
-                t=t,
-                omega_rate=float(omega[i]),
-                frame=frame,
-            )
+        out[i] = FocalCoefficients(
+            r=1,
+            lam_pq=lam22[i, None, None],
+            lam_apq=lam212[i, None, None, None],
+            c_pq=c22[i, None, None],
+            t=t,
+            omega_rate=float(omega[i]),
+            frame=frame,
         )
-    return out
+    return out, errors
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +587,9 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
             f"the oracle step {_JAC_STEP} is lost to rounding at t={t}: "
             "t - step, t and t + step are not distinct"
         )
-    circles = _characteristic(family.jets_at(ts), ts, reference)
+    jet, errors = family._row_jets(ts)
+    circles = _characteristic(jet, errors, reference)
+    errors.raise_first()
     two_pi = 2.0 * math.pi
 
     def ratio_batch(thetas: np.ndarray) -> np.ndarray:

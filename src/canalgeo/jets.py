@@ -151,6 +151,25 @@ def parameter_grid(params, k: int) -> np.ndarray:
     return pts
 
 
+class _RowErrors:
+    """The error that each row of a (P, r) parameter batch raises alone, or None: a batched
+    pass records its checks in the order one row meets them and runs on past a failed row."""
+
+    def __init__(self, ts: np.ndarray):
+        self.ts, self.errors = ts, [None] * len(ts)
+
+    def check(self, bad: np.ndarray, error: Callable, what: str) -> None:
+        """Record ``error(what)``, {t} the row's parameter tuple, at each bad row not yet failed."""
+        for i in np.flatnonzero(bad).tolist():
+            if self.errors[i] is None:
+                self.errors[i] = error(what.format(t=tuple(self.ts[i].tolist())))
+
+    def raise_first(self) -> None:
+        """Raise the error of the first row that has one."""
+        for err in filter(None, self.errors):
+            raise err
+
+
 @dataclass(frozen=True)
 class SurfaceJet:
     """Position, derivatives through order 3, and the adapted frame at u.

@@ -33,7 +33,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, classify_pencil, lift_sphere
 from .envelope import causal_classify_family, envelope_mesh
 from .errors import CanalGeoError
-from .focal import adapted_frame_coefficients, adapted_frames, classify_tube_plane, singular_set
+from .focal import _adapted_rows, classify_tube_plane, singular_set
 from .jets import cell_centers
 from .meshio import write_obj, write_singular_csv, write_xyz
 
@@ -264,21 +264,6 @@ def _run_surface(entry: dict, label: str, spec: SceneSpec) -> dict:
     return out
 
 
-def _frames_or_errors(family, grid: np.ndarray) -> list:
-    """The adapted frame of every t of the grid from one batched pass; if a t
-    fails, every t runs alone, so that each failing one keeps its own error."""
-    try:
-        return adapted_frames(family, grid)
-    except CanalGeoError:
-        out = []
-        for t in grid[:, 0]:
-            try:
-                out.append(adapted_frame_coefficients(family, float(t)))
-            except CanalGeoError as err:
-                out.append(err)
-        return out
-
-
 def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
     analyses = entry.get("analyses") or ["causal"]
     family = make_family(entry["name"], entry.get("params") or entry.get("data"))
@@ -314,10 +299,11 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
         counts = {"0": 0, "1": 0, "2": 0}
         max_resid = 0.0
         errors = 0
-        for t, coeffs in zip(grid[:, 0], _frames_or_errors(family, grid)):
+        frames, frame_errors = _adapted_rows(family, grid)
+        for t, coeffs, error in zip(grid[:, 0], frames, frame_errors.errors):
             try:
-                if isinstance(coeffs, CanalGeoError):
-                    raise coeffs
+                if error is not None:
+                    raise error
                 rep = singular_set(coeffs, tolerances=spec.tolerances)
             except CanalGeoError as err:
                 rows.append({"t": float(t), "error": str(err)})

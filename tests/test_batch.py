@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canalgeo import (
     CanalGeoError,
@@ -38,6 +40,8 @@ from canalgeo import (
 from canalgeo import jets as jets_module
 from canalgeo.canal import _ladder, _spectra
 from canalgeo.config import DEFAULT_TOLERANCES
+from canalgeo.envelope import batched_jet
+from canalgeo.focal import _adapted_rows
 from canalgeo.taylor import jet_function, sqrt
 
 REL = 1e-13
@@ -297,6 +301,36 @@ def test_family_batch_raises_the_first_failing_rows_error():
     assert str(causal.value) == str(alone.value)
 
 
+def test_family_row_record_matches_single_rows():
+    t = sp.Symbol("t", real=True)
+    fam = family_from_expressions(t, sp.cos(t), sp.sin(t), t * sp.sqrt(t + 0.8), 3, (-1.0, 1.0))
+    grid = np.array([[0.5], [-0.5], [0.2], [-0.9]])
+    jet, errors = fam._row_jets(grid)
+    for i, row in enumerate(grid):
+        error = errors.errors[i]
+        if error is None:
+            alone = fam.jet_at(row)
+            for field in ("c", "dc", "d2c", "rho", "drho", "d2rho"):
+                assert np.array_equal(getattr(jet, field)[i], getattr(alone, field)), field
+        else:
+            assert _error_of(lambda: fam.jet_at(row)) == (type(error), str(error))
+    assert [e is None for e in errors.errors] == [True, False, True, False]
+
+    # a batch error that no row raises alone is still raised
+    source = make_family("circle-tube")
+
+    @batched_jet
+    def refuses_batches(ts):
+        if np.ndim(ts) == 2 and len(ts) > 1:
+            raise DomainError("this provider takes one row at a time")
+        return source.jet2(ts)
+
+    fam = dataclasses.replace(source, jet2=refuses_batches)
+    with pytest.raises(DomainError, match="one row at a time"):
+        fam.jets_at([[0.1], [0.2]])
+    assert fam.jets_at([[0.1]]).c.shape == (1, 3)
+
+
 # ---------------------------------------------------------------------------
 # adapted frames: one pass over a t grid
 
@@ -362,6 +396,42 @@ def test_adapted_frames_raise_the_first_failing_rows_error():
         adapted_frames(cone, [[0.8], [1.0], [2.0]])
     assert type(batch.value) is type(alone.value)
     assert str(batch.value) == str(alone.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(4.5, 6.0),
+    b=st.floats(0.5, 4.0),
+    ts=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=12),
+)
+def test_frame_record_rows_match_single_t(a, b, ts):
+    # radius a + b sin t about a speed-2 circle: not spacelike where |b cos t| > 2
+    knots = np.linspace(0.0, 2 * np.pi, 48)
+    centers = np.stack([2 * np.cos(knots), 2 * np.sin(knots), 0 * knots], axis=1)
+    fam = sampled_family(knots, centers, a + b * np.sin(knots))
+    rows, errors = _adapted_rows(fam, np.array(ts)[:, None])
+    for t, row, error in zip(ts, rows, errors.errors):
+        if error is not None:
+            assert row is None
+            assert _error_of(lambda: adapted_frame_coefficients(fam, t)) == (
+                type(error),
+                str(error),
+            )
+            continue
+        one = adapted_frame_coefficients(fam, t)
+        for field in ("lam22", "lam212", "c22", "omega_rate"):
+            assert getattr(row, field) == getattr(one, field), field
+        for field in ("a0", "a1", "a2", "a3", "a4", "x0", "x4", "center", "w"):
+            assert np.array_equal(getattr(row.frame, field), getattr(one.frame, field)), field
+        assert (row.frame.angle, row.frame.radius) == (one.frame.angle, one.frame.radius)
+    failed = [e for e in errors.errors if e is not None]
+    if failed:
+        assert _error_of(lambda: adapted_frames(fam, np.array(ts)[:, None])) == (
+            type(failed[0]),
+            str(failed[0]),
+        )
+    else:
+        assert len(adapted_frames(fam, np.array(ts)[:, None])) == len(ts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from canalgeo import (
     DegenerateFrameError,
@@ -16,6 +17,7 @@ from canalgeo import (
     envelope_mesh,
     envelope_surface,
     evaluate_jet,
+    family_from_expressions,
     family_lift,
     inner,
     make_family,
@@ -173,6 +175,27 @@ def test_characteristic_sphere_rank_deficient_spine_raises():
     fam = _sheet_family([[1.0, 0, 0, 0], [1.0, 0, 0, 0]], [0.3, 0.1])
     with pytest.raises(DegenerateFrameError):
         characteristic_sphere(fam, [0.5, 0.5])
+
+
+def test_chart_and_mesh_raise_the_first_failing_rows_error():
+    # alone, t = 0.5 fails a later check (imaginary circle) than t = 2 (the spine stalls)
+    t = sp.Symbol("t", real=True)
+    fam = family_from_expressions(
+        t, (t - 2) ** 3, 0, 20 + 10 * t - sp.Rational(5, 2) * t**2, 3, (0.0, 3.0)
+    )
+    with pytest.raises(ImaginaryCharacteristicError) as alone:
+        characteristic_sphere(fam, 0.5)
+    assert str(alone.value) == "characteristic sphere is imaginary at t=(0.5,)"
+    with pytest.raises(DegenerateFrameError, match=r"rank-deficient at t=\(2\.0,\)"):
+        characteristic_sphere(fam, 2.0)
+    surf = envelope_surface(fam)
+    for rows in ([[0.5, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.5, 1.0]]):
+        with pytest.raises(ImaginaryCharacteristicError) as chart:
+            surf.chart(rows)
+        assert str(chart.value) == str(alone.value)
+    with pytest.raises(ImaginaryCharacteristicError) as mesh:
+        envelope_mesh(fam, t_count=7, angle_count=4)  # t = 0, 0.5, ..., 3
+    assert str(mesh.value) == str(alone.value)
 
 
 def test_envelope_chart_tangency(fourier_families, rng):

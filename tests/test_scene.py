@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from canalgeo import DEFAULT_TOLERANCES, scene as scene_module
 from canalgeo.cli import main
 from canalgeo.catalog import make_family
-from canalgeo.envelope import EnvelopeMesh, envelope_mesh
+from canalgeo.envelope import _DIRECTION_SCAN, EnvelopeMesh, SphereFamily, envelope_mesh
+from canalgeo.jets import cell_centers
 from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
 from canalgeo.scene import DEFAULT_GRIDS, load_scene, run_scene, validate_scene
 
@@ -346,21 +347,53 @@ def test_singularities_with_failing_samples_keep_their_error_cells(tmp_path):
         assert re.fullmatch(r"family is not spacelike at t=[^;]+; no adapted frame exists", cell)
 
 
+def _spiral_scene():
+    """A thin tube whose spine tangent (sin t cos 12t, sin t sin 12t, cos t) sweeps the sphere."""
+    ts = np.linspace(0.0, math.pi, 200)
+    tangent = np.stack([np.sin(ts) * np.cos(12 * ts), np.sin(ts) * np.sin(12 * ts), np.cos(ts)], 1)
+    steps = 0.5 * (tangent[1:] + tangent[:-1]) * np.diff(ts)[:, None]
+    centers = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+    data = {"t": ts.tolist(), "centers": centers.tolist(), "radii": [0.01] * len(ts)}
+    family = {"name": "sampled", "label": "spiral", "data": data, "analyses": ["singularities"]}
+    return {"version": 1, "families": [family]}
+
+
+def test_a_family_level_failure_keeps_its_cells_and_scans_once(tmp_path, monkeypatch):
+    # no chart frame exists for the whole family: every t keeps that error in its own cell
+    scans = []
+    jets_at = SphereFamily.jets_at
+
+    def counted(family, ts):
+        scans.append(len(ts))
+        return jets_at(family, ts)
+
+    monkeypatch.setattr(SphereFamily, "jets_at", counted)
+    report, _, code = run_scene(load_scene(_spiral_scene()), tmp_path)
+    assert code == 0
+    sing = report["results"]["families"][0]["analyses"]["singularities"]
+    assert sing["errors"] == DEFAULT_GRIDS["singular_samples"] == 24
+    message = "spine tangent sweeps too much of the sphere; no smooth chart frame"
+    grid = cell_centers(np.array([[0.0, math.pi]]), 24)[:, 0]
+    want = singular_csv_text([{"t": float(t), "error": message} for t in grid])
+    assert (tmp_path / sing["file"]).read_bytes() == want
+    assert scans.count(_DIRECTION_SCAN) == 1  # the reference scan, which raises, runs once
+
+
 def test_singularities_take_one_batched_frame_pass(tmp_path, monkeypatch):
-    single = []
-    original = scene_module.adapted_frame_coefficients
+    passes = []
+    original = scene_module._adapted_rows
     monkeypatch.setattr(
         scene_module,
-        "adapted_frame_coefficients",
-        lambda family, t: single.append(t) or original(family, t),
+        "_adapted_rows",
+        lambda family, ts: passes.append(len(ts)) or original(family, ts),
     )
-    spec = load_scene(_rich_scene())
-    report, _, code = run_scene(spec, tmp_path)
+    _, _, code = run_scene(load_scene(_rich_scene()), tmp_path / "rich")
     assert code == 0
-    assert single == []
-    # a failing t sends its entry back to one t at a time
+    assert passes == [SMALL_GRIDS["singular_samples"]] * 2
+    # failing t stay in their entry's one pass
+    del passes[:]
     run_scene(load_scene(_fallback_scene()), tmp_path / "fallback")
-    assert len(single) == DEFAULT_GRIDS["singular_samples"]
+    assert passes == [DEFAULT_GRIDS["singular_samples"]]
 
 
 def _strip_timestamp(text: str) -> str:

@@ -601,11 +601,13 @@ def envelope_mesh(
 
     For n = 3 the mesh carries triangle faces (closed in the angular
     direction, open along the spine); higher dimensions get vertices,
-    normals and parameters only.
+    normals and parameters only.  A family in R^2 raises `DomainError`.
     """
     if family.r != 1:
         raise DomainError("meshes are generated for one-parameter families")
     n = family.dim_n
+    if n < 3:  # in R^2 the characteristic set is a point pair; the chart refuses n < 3 too
+        raise DomainError("hypersurface analysis needs ambient dimension n >= 3")
     lo, hi = family.domain[0]
     ts = np.linspace(lo, hi, t_count)
     thetas = np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False)

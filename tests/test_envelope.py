@@ -351,6 +351,16 @@ def test_envelope_mesh_r4_has_no_faces():
     assert mesh.vertices.shape[1] == 4
 
 
+def test_envelope_mesh_refuses_a_family_in_the_plane():
+    # r = 1 in R^2 leaves a point pair, not a circle, as the characteristic set
+    ts = np.linspace(0.0, 1.0, 9)
+    fam = sampled_family(ts, np.stack([ts, 0 * ts], axis=1), np.full(9, 0.5))
+    with pytest.raises(DomainError, match="n >= 3"):
+        envelope_mesh(fam, t_count=3, angle_count=8)
+    with pytest.raises(DomainError, match="n >= 3"):
+        envelope_surface(fam)
+
+
 def test_sampled_family_matches_source():
     src = make_family("circle-tube", {"major": 2.0, "rho": 0.5})
     ts = np.linspace(0.0, 2 * np.pi, 80)

@@ -262,6 +262,19 @@ def test_run_scene_entry_error_sets_exit_code(tmp_path):
     assert written == [str(tmp_path / "report.json")]
 
 
+def test_an_envelope_in_the_plane_is_an_error_entry(tmp_path, capsys):
+    ts = np.linspace(0.0, 1.0, 9)
+    data = {"t": ts.tolist(), "centers": [[t, 0.0] for t in ts], "radii": [0.5] * 9}
+    family = {"name": "sampled", "label": "plane", "data": data, "analyses": ["causal", "envelope"]}
+    path = _write_scene(tmp_path, {"version": 1, "families": [family]})
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--grid", "mesh_t=4", "--grid", "mesh_angle=8"]) == 1
+    assert "1 entries, 1 errors" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert "n >= 3" in report["results"]["families"][0]["error"]["message"]
+    assert list(out.glob("*.obj")) == []
+
+
 def test_run_scene_streams_the_bytes_of_the_in_memory_writers(tmp_path, monkeypatch):
     # every file equals the bytes form of the same writer on the same input
     seen = {}
@@ -503,6 +516,17 @@ def test_obj_text_matches_per_number_reference(data, cols, with_faces):
 def test_xyz_text_matches_per_number_reference(data, cols):
     pts = data.draw(_tables(cols))
     assert xyz_text(pts) == _reference_xyz(pts)
+
+
+def test_obj_face_indices_up_to_the_documented_bound():
+    # 1-based indices on both sides of every digit count change below 10**12
+    refs = sorted({i for j in range(12) for i in (10**j - 1, 10**j, 10**j + 1) if i >= 1})
+    refs = np.array(refs + [10**12 - 1], dtype=np.int64)
+    faces = np.stack([refs, np.roll(refs, 1), np.roll(refs, 2)], axis=1) - 1
+    mesh = EnvelopeMesh(
+        vertices=np.zeros((1, 3)), normals=np.zeros((1, 3)), params=np.zeros((1, 1)), faces=faces, name=""
+    )
+    assert obj_text(mesh) == _reference_obj(mesh)
 
 
 def _steps(x: float, count: int) -> float:

@@ -25,7 +25,7 @@ from . import taylor
 from .envelope import FamilyJet, SphereFamily, batched_jet
 from .errors import CanalGeoError, DomainError
 from .jets import ParametricSurface
-from .taylor import cos, jet_function, sin
+from .taylor import cos, jet_function, sin, sqrt
 
 if TYPE_CHECKING:
     import sympy as sp
@@ -579,10 +579,14 @@ def family_from_expressions(
     t_sym: sp.Symbol, x_expr, y_expr, rho_expr, dim_n: int, domain, name: str = ""
 ) -> SphereFamily:
     """One-parameter family with planar spine (x(t), y(t), 0, ...) and radius rho(t)."""
-    fn = _lambdify([t_sym], [x_expr, y_expr, rho_expr])
+    return _planar_family(_lambdify([t_sym], [x_expr, y_expr, rho_expr]), dim_n, domain, name)
+
+
+def _planar_family(fn, dim_n: int, domain, name: str) -> SphereFamily:
+    """The `_family` of a lambdified ``fn(t)`` whose first three values are x, y and rho."""
 
     def spine(t):
-        x, y, rho = fn(t)
+        x, y, rho = fn(t)[:3]
         return [x, y] + [0.0] * (dim_n - 2), rho
 
     return _family(spine, dim_n, domain, name)
@@ -598,54 +602,41 @@ def planar_canal_surface(
     perturbation=None,
     name: str = "",
 ) -> tuple[ParametricSurface, SphereFamily]:
-    """Exact envelope of a planar-spine sphere family, as a symbolic chart.
+    """Exact envelope of a planar-spine sphere family, and the family.
 
-    The spine ``c(t) = (x(t), y(t), 0, ...)`` keeps the characteristic-plane
-    basis in closed form, so the envelope chart and its jets are exact.  An
-    optional ``perturbation`` expression in (t, angle) is added along the
-    radial direction, which destroys the canal property while keeping the jet
-    analytic; useful as a negative control.
+    SymPy only checks the spine ``c(t) = (x(t), y(t), 0, ...)`` and the radius,
+    differentiates them once and lambdifies both.  The chart is the closed-form
+    characteristic circle over the `taylor` namespace, so its order-3 jet is
+    exact: centre c + delta T and radius sqrt(rho^2 - delta^2), delta =
+    -rho rho'/|c'|, spanned by the in-plane normal and e_3 (and e_4 for n = 4).
+    An optional ``perturbation`` in (t, th), or (t, al, be) for n = 4, is
+    added along the member sphere's normal, which destroys the canal property
+    while keeping the jet analytic; useful as a negative control.
     """
     if dim_n not in (3, 4):
         raise DomainError("planar canal surfaces are provided for n = 3 and n = 4")
     import sympy as sp
 
-    x_expr, y_expr, rho_expr = sp.sympify(x_expr), sp.sympify(y_expr), sp.sympify(rho_expr)
-    xp, yp = sp.diff(x_expr, t_sym), sp.diff(y_expr, t_sym)
-    rp = sp.diff(rho_expr, t_sym)
-    speed = sp.sqrt(xp**2 + yp**2)
-    delta = -rho_expr * rp / speed
-    r_m = sp.sqrt(rho_expr**2 - delta**2)
-    tangent = [xp / speed, yp / speed] + [sp.Integer(0)] * (dim_n - 2)
-    w1 = [-yp / speed, xp / speed] + [sp.Integer(0)] * (dim_n - 2)
-    c = [x_expr, y_expr] + [sp.Integer(0)] * (dim_n - 2)
-    center = [c[i] + delta * tangent[i] for i in range(dim_n)]
+    exprs = [sp.sympify(e) for e in (x_expr, y_expr, rho_expr)]
+    spine = _lambdify([t_sym], exprs + [sp.diff(e, t_sym) for e in exprs])
+    angles = sp.symbols("th," if dim_n == 3 else "al be", real=True)
+    dent = None if perturbation is None else _lambdify([t_sym, *angles], [perturbation])
 
-    if dim_n == 3:
-        th = sp.Symbol("th", real=True)
-        w2 = [sp.Integer(0), sp.Integer(0), sp.Integer(1)]
-        unit = [sp.cos(th) * w1[i] + sp.sin(th) * w2[i] for i in range(3)]
-        params = [t_sym, th]
-        domain = [list(t_domain), [0.0, TWO_PI]]
-    else:
-        al, be = sp.symbols("al be", real=True)
-        w2 = [sp.Integer(0)] * 2 + [sp.Integer(1), sp.Integer(0)]
-        w3 = [sp.Integer(0)] * 3 + [sp.Integer(1)]
-        unit = [
-            sp.cos(al) * w1[i] + sp.sin(al) * (sp.cos(be) * w2[i] + sp.sin(be) * w3[i])
-            for i in range(4)
-        ]
-        params = [t_sym, al, be]
-        domain = [list(t_domain), [0.35, math.pi - 0.35], [0.0, TWO_PI]]
+    def chart(t, a, *b):
+        x, y, rho, xp, yp, rp = spine(t)
+        s = sqrt(xp * xp + yp * yp)
+        delta = -rho * rp / s
+        r_m = sqrt(rho * rho - delta * delta)
+        # the circle's unit vector: cos(a) N + sin(a) (e_3, or cos(b) e_3 + sin(b) e_4)
+        along, across = r_m * cos(a), r_m * sin(a)
+        axes = [across * cos(b[0]), across * sin(b[0])] if b else [across]
+        offset = [(delta * xp - along * yp) / s, (delta * yp + along * xp) / s, *axes]
+        if dent is not None:
+            scale = dent(t, a, *b)[0] / rho + 1.0
+            offset = [o * scale for o in offset]
+        return [x + offset[0], y + offset[1], *offset[2:]]
 
-    exprs = [center[i] + r_m * unit[i] for i in range(dim_n)]
-    if perturbation is not None:
-        bump = sp.sympify(perturbation)
-        radial = [(exprs[i] - c[i]) / rho_expr for i in range(dim_n)]
-        exprs = [exprs[i] + bump * radial[i] for i in range(dim_n)]
-
-    surface = surface_from_expressions(params, exprs, domain=domain, name=name or "planar-canal")
-    family = family_from_expressions(
-        t_sym, x_expr, y_expr, rho_expr, dim_n, t_domain, name=(name or "planar-canal") + "-family"
-    )
-    return surface, family
+    domain = [list(t_domain)] + [[0.35, math.pi - 0.35]] * (dim_n - 3) + [[0.0, TWO_PI]]
+    name = name or "planar-canal"
+    surface = _surface(chart, dim_n - 1, dim_n, domain, name)
+    return surface, _planar_family(spine, dim_n, t_domain, name + "-family")

@@ -581,13 +581,13 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
         raise DomainError("the rank-drop oracle runs on r = 1 families in R^3")
     t = float(t)
     reference = family._reference_frame  # before any member jet at t, as `envelope_surface` does
-    ts = np.unique([t + _JAC_STEP, t - _JAC_STEP, t])[:, None]
-    if len(ts) != 3:
+    ts = sorted([t + _JAC_STEP, t - _JAC_STEP, t])
+    if not ts[0] < ts[1] < ts[2]:
         raise DomainError(
             f"the oracle step {_JAC_STEP} is lost to rounding at t={t}: "
             "t - step, t and t + step are not distinct"
         )
-    jet, errors = family._row_jets(ts)
+    jet, errors = family._row_jets(np.array(ts)[:, None])
     circles = _characteristic(jet, errors, reference)
     errors.raise_first()
     two_pi = 2.0 * math.pi

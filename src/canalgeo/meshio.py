@@ -51,6 +51,7 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 from .envelope import EnvelopeMesh
+from .errors import DomainError
 
 __all__ = [
     "format_number",
@@ -264,13 +265,23 @@ def _in_memory(write, *args) -> bytes:
 
 
 def write_obj(fh: BinaryIO, mesh: EnvelopeMesh) -> None:
-    """Write a mesh as ASCII OBJ with vertex normals."""
+    """Write a mesh as ASCII OBJ with vertex normals.
+
+    A face index outside [0, vertex count) raises `DomainError` before anything is written.
+    """
+    faces = None
+    if mesh.faces is not None:
+        faces = np.asarray(mesh.faces, dtype=np.int64)
+        count = mesh.vertices.shape[0]
+        if faces.size and (faces.min() < 0 or faces.max() >= count):
+            bad = faces[(faces < 0) | (faces >= count)][0]
+            raise DomainError(f"mesh face index {bad} is outside [0, {count})")
     if mesh.name:
         fh.write(f"o {mesh.name}\n".encode())
     _write_lines(fh, "v ", mesh.vertices[:, :3], _number_words)
     _write_lines(fh, "vn ", mesh.normals[:, :3], _number_words)
-    if mesh.faces is not None:
-        _write_lines(fh, "f ", np.asarray(mesh.faces, dtype=np.int64) + 1, _face_words)
+    if faces is not None:
+        _write_lines(fh, "f ", faces + 1, _face_words)
 
 
 def obj_text(mesh: EnvelopeMesh) -> bytes:

@@ -1,4 +1,4 @@
-"""Shared fixtures: random sphere families and catalog inventories."""
+"""Shared fixtures: random sphere families, a sweeping spine and catalog inventories."""
 
 import numpy as np
 import pytest
@@ -56,3 +56,14 @@ def fourier_families():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture
+def spiral_samples():
+    """Samples of a thin tube whose spine tangent (sin t cos 12t, sin t sin 12t, cos t)
+    sweeps the sphere, as the data of a ``sampled`` family: no chart frame exists."""
+    ts = np.linspace(0.0, np.pi, 200)
+    tangent = np.stack([np.sin(ts) * np.cos(12 * ts), np.sin(ts) * np.sin(12 * ts), np.cos(ts)], 1)
+    steps = 0.5 * (tangent[1:] + tangent[:-1]) * np.diff(ts)[:, None]
+    centers = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+    return {"t": ts.tolist(), "centers": centers.tolist(), "radii": [0.01] * len(ts)}

@@ -1,7 +1,9 @@
 """Adapted frames, focal determinants, singular points, and plane classes."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import canalgeo
 from canalgeo import (
     adapted_frame_coefficients,
     classify_tube_plane,
@@ -326,6 +329,23 @@ def test_rank_drop_oracle_rejects_a_step_lost_to_rounding():
         lost = re.escape(f"step 1e-05 is lost to rounding at t={t}")
         with pytest.raises(DomainError, match=lost):
             rank_drop_singular_points(fam, t)
+
+
+def test_oracle_call_does_not_import_numpy_ma():
+    # numpy.ma is a lazy import of about 12 ms that np.unique pulls in; a fresh process
+    # that makes an oracle call must not load it
+    code = (
+        "import sys\n"
+        "from canalgeo import make_family, rank_drop_singular_points\n"
+        "report = rank_drop_singular_points(make_family('wobble-tube'), 0.7)\n"
+        "assert report.count == 2, report\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(canalgeo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def _wide_sampled_family():

@@ -1,5 +1,7 @@
 """Scene validation, batch execution, deterministic writers, and the CLI."""
 
+import dataclasses
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canalgeo import DEFAULT_TOLERANCES, scene as scene_module
+from canalgeo import DEFAULT_TOLERANCES, DomainError, meshio, scene as scene_module
 from canalgeo.cli import main
 from canalgeo.catalog import make_family
 from canalgeo.envelope import _DIRECTION_SCAN, EnvelopeMesh, SphereFamily, envelope_mesh
@@ -360,18 +362,9 @@ def test_singularities_with_failing_samples_keep_their_error_cells(tmp_path):
         assert re.fullmatch(r"family is not spacelike at t=[^;]+; no adapted frame exists", cell)
 
 
-def _spiral_scene():
-    """A thin tube whose spine tangent (sin t cos 12t, sin t sin 12t, cos t) sweeps the sphere."""
-    ts = np.linspace(0.0, math.pi, 200)
-    tangent = np.stack([np.sin(ts) * np.cos(12 * ts), np.sin(ts) * np.sin(12 * ts), np.cos(ts)], 1)
-    steps = 0.5 * (tangent[1:] + tangent[:-1]) * np.diff(ts)[:, None]
-    centers = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
-    data = {"t": ts.tolist(), "centers": centers.tolist(), "radii": [0.01] * len(ts)}
-    family = {"name": "sampled", "label": "spiral", "data": data, "analyses": ["singularities"]}
-    return {"version": 1, "families": [family]}
-
-
-def test_a_family_level_failure_keeps_its_cells_and_scans_once(tmp_path, monkeypatch):
+def test_a_family_level_failure_keeps_its_cells_and_scans_once(
+    tmp_path, monkeypatch, spiral_samples
+):
     # no chart frame exists for the whole family: every t keeps that error in its own cell
     scans = []
     jets_at = SphereFamily.jets_at
@@ -381,7 +374,13 @@ def test_a_family_level_failure_keeps_its_cells_and_scans_once(tmp_path, monkeyp
         return jets_at(family, ts)
 
     monkeypatch.setattr(SphereFamily, "jets_at", counted)
-    report, _, code = run_scene(load_scene(_spiral_scene()), tmp_path)
+    family = {
+        "name": "sampled",
+        "label": "spiral",
+        "data": spiral_samples,
+        "analyses": ["singularities"],
+    }
+    report, _, code = run_scene(load_scene({"version": 1, "families": [family]}), tmp_path)
     assert code == 0
     sing = report["results"]["families"][0]["analyses"]["singularities"]
     assert sing["errors"] == DEFAULT_GRIDS["singular_samples"] == 24
@@ -497,10 +496,10 @@ def test_obj_text_matches_per_number_reference(data, cols, with_faces):
     verts = data.draw(_tables(cols))
     normals = np.resize(verts[::-1], verts.shape)
     faces = None
-    if with_faces:
+    if with_faces and len(verts):  # every index names a vertex
         count = data.draw(st.sampled_from(_ROW_COUNTS))
         first = data.draw(st.integers(0, 10**6))
-        faces = np.arange(first, first + 3 * count, dtype=int).reshape(count, 3) % 1000003
+        faces = np.arange(first, first + 3 * count, dtype=int).reshape(count, 3) % len(verts)
     mesh = EnvelopeMesh(
         vertices=verts,
         normals=normals,
@@ -519,14 +518,28 @@ def test_xyz_text_matches_per_number_reference(data, cols):
 
 
 def test_obj_face_indices_up_to_the_documented_bound():
-    # 1-based indices on both sides of every digit count change below 10**12
+    # the face kernel on 1-based indices on both sides of every digit count change below
+    # 10**12; no mesh that small has them, so the face lines are rendered alone
     refs = sorted({i for j in range(12) for i in (10**j - 1, 10**j, 10**j + 1) if i >= 1})
     refs = np.array(refs + [10**12 - 1], dtype=np.int64)
-    faces = np.stack([refs, np.roll(refs, 1), np.roll(refs, 2)], axis=1) - 1
-    mesh = EnvelopeMesh(
-        vertices=np.zeros((1, 3)), normals=np.zeros((1, 3)), params=np.zeros((1, 1)), faces=faces, name=""
-    )
-    assert obj_text(mesh) == _reference_obj(mesh)
+    faces = np.stack([refs, np.roll(refs, 1), np.roll(refs, 2)], axis=1)
+    buf = io.BytesIO()
+    meshio._write_lines(buf, "f ", faces, meshio._face_words)
+    want = "".join(f"f {a}//{a} {b}//{b} {c}//{c}\n" for a, b, c in faces.tolist())
+    assert buf.getvalue() == want.encode("ascii")
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 4, 10**12, 2**62])
+def test_obj_face_index_outside_the_vertices_is_refused(bad):
+    # 4 vertices: indices 0..3 name them; nothing is written for a mesh that names others
+    faces = np.array([[0, 1, 2], [2, 3, bad]], dtype=np.int64)
+    zeros = np.zeros((4, 3))
+    mesh = EnvelopeMesh(vertices=zeros, normals=zeros, params=zeros[:, :1], faces=faces, name="m")
+    buf = io.BytesIO()
+    with pytest.raises(DomainError, match=rf"mesh face index {bad} is outside \[0, 4\)"):
+        meshio.write_obj(buf, mesh)
+    assert buf.getvalue() == b""
+    assert obj_text(dataclasses.replace(mesh, faces=faces[:1])).endswith(b"\nf 1//1 2//2 3//3\n")
 
 
 def _steps(x: float, count: int) -> float:

@@ -94,19 +94,6 @@ def assert_exactly_symmetric(d2, d3):
         assert np.array_equal(d3, np.transpose(d3, perm + (3,)))
 
 
-def captured_charts(monkeypatch):
-    """Record the (params, exprs) of every surface_from_expressions call."""
-    seen = []
-    original = catalog.surface_from_expressions
-
-    def recording(params, exprs, *args, **kwargs):
-        seen.append((list(params), [sp.sympify(e) for e in exprs]))
-        return original(params, exprs, *args, **kwargs)
-
-    monkeypatch.setattr(catalog, "surface_from_expressions", recording)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # random expression trees over the supported primitives
 
@@ -295,9 +282,38 @@ def test_catalog_family_jets_match_sympy(name):
         assert_jet_matches(family_jet_rows(family, tv), reference([tv]))
 
 
+def symbolic_planar_chart(x, y, rho, t, dim_n, bump):
+    """(params, exprs) of the dented planar canal envelope, written out in SymPy.
+
+    The characteristic circle of the spine (x, y, 0, ...) with radius rho has
+    centre c + delta T and radius sqrt(rho^2 - delta^2), delta = -rho rho' / |c'|;
+    the bump moves each point along the member sphere's normal.
+    """
+    xp, yp, rp = sp.diff(x, t), sp.diff(y, t), sp.diff(rho, t)
+    speed = sp.sqrt(xp**2 + yp**2)
+    delta = -rho * rp / speed
+    r_m = sp.sqrt(rho**2 - delta**2)
+    zeros = [sp.Integer(0)] * (dim_n - 2)
+    tangent = [xp / speed, yp / speed] + zeros
+    normal = [-yp / speed, xp / speed] + zeros
+    c = [x, y] + zeros
+    if dim_n == 3:
+        th = sp.Symbol("th", real=True)
+        axes = [sp.Integer(0), sp.Integer(0), sp.sin(th)]
+        unit = [sp.cos(th) * normal[i] + axes[i] for i in range(3)]
+        params = [t, th]
+    else:
+        al, be = sp.symbols("al be", real=True)
+        axes = [sp.Integer(0)] * 2 + [sp.sin(al) * sp.cos(be), sp.sin(al) * sp.sin(be)]
+        unit = [sp.cos(al) * normal[i] + axes[i] for i in range(4)]
+        params = [t, al, be]
+    exprs = [c[i] + delta * tangent[i] + r_m * unit[i] for i in range(dim_n)]
+    exprs = [exprs[i] + bump * (exprs[i] - c[i]) / rho for i in range(dim_n)]
+    return params, exprs
+
+
 @pytest.mark.parametrize("dim_n", [3, 4])
-def test_dented_planar_canal_jets_match_sympy(dim_n, monkeypatch):
-    seen = captured_charts(monkeypatch)
+def test_dented_planar_canal_jets_match_sympy(dim_n):
     t = sp.Symbol("t", real=True)
     th = sp.Symbol("th" if dim_n == 3 else "be", real=True)
     x, y = 2 * sp.cos(t) + sp.Rational(1, 5) * sp.cos(2 * t), 2 * sp.sin(t)
@@ -306,12 +322,19 @@ def test_dented_planar_canal_jets_match_sympy(dim_n, monkeypatch):
     surf, fam = planar_canal_surface(
         x, y, rho, t_sym=t, dim_n=dim_n, t_domain=(0.0, 2 * math.pi), perturbation=bump
     )
-    (params, exprs), = seen
+    params, exprs = symbolic_planar_chart(x, y, rho, t, dim_n, bump)
     reference = sympy_jet(params, exprs)
     for u in surf.sample_grid(2):
         jet = surf.jet(u)
         assert_jet_matches(jet, reference(u))
         assert_exactly_symmetric(jet[2], jet[3])
+
+    # the closed-form chart takes the symbolic chart's values, to 1e-13 of each point's size
+    values = sympy_jet(params, exprs, order=0)
+    grid = surf.sample_grid(8 if dim_n == 3 else 4)
+    for u, got in zip(grid, surf.chart(grid)):
+        (want,) = values(u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     # the generating family's order-2 jet comes from the same arithmetic
     rows = [x, y] + [sp.Integer(0)] * (dim_n - 2) + [rho]

@@ -49,7 +49,7 @@ __all__ = [
 _STATIONARY_REL = 1e-12
 _RANK_REL = 1e-8
 _FRAME_FLOOR = 1e-8
-_DIRECTION_SCAN = 64  # spine cells scanned to place the chart reference direction
+_DIRECTION_SCAN = 128  # spine tangents sampled to place the chart reference direction
 
 
 @dataclass(frozen=True)
@@ -197,12 +197,18 @@ class SphereFamily:
         the one plane basis of the envelope chart, its meshes and the
         adapted frames of `focal`.  The rotation is smooth as long as the
         tangent never hits the antipode of v, so v is the candidate with the
-        largest clearance 1 + tau.v over the spine, as `_tangent_clearance`
-        bounds it from one batched jet at ``_DIRECTION_SCAN`` cell centres.
-        The scan runs once per family object.
+        largest clearance 1 + tau.v over the spine, as one batched jet at
+        ``_DIRECTION_SCAN`` cell centres estimates it.  The scan runs once per
+        family object.
         """
+        tangents = self.jets_at(cell_centers(self.domain, _DIRECTION_SCAN)).dc[:, 0]
+        norms = np.sqrt(_row_dots(tangents, tangents))
+        if np.any(norms <= _FRAME_FLOOR):
+            raise DegenerateFrameError("family spine is stationary along the scan")
+        tangents = tangents / norms[:, None]
         cands = _direction_candidates(self.dim_n)
-        worst = _tangent_clearance(self, cands)
+        clearance = 1.0 + tangents @ cands.T  # (scan, n_cand)
+        worst = clearance.min(axis=0)
         best = int(np.argmax(worst))
         if worst[best] < 0.05:
             raise DegenerateFrameError(
@@ -535,42 +541,6 @@ def _direction_candidates(n: int) -> np.ndarray:
     for signs in itertools.product((1.0, -1.0), repeat=n):
         dirs.append(np.array(signs) / math.sqrt(n))
     return np.array(dirs)
-
-
-def _tangent_clearance(family: SphereFamily, cands: np.ndarray) -> np.ndarray:
-    """The least clearance 1 + tau.v of each candidate v (K, n) along the spine, shape (K,).
-
-    One batched jet at ``_DIRECTION_SCAN`` cell centres gives the unit
-    tangent tau and its derivative tau' = (c'' - (tau.c'') tau) / |c'|, so
-    each clearance g = 1 + tau.v and its slope g' = tau'.v at every centre.
-    The least clearance is the least of those samples and of the interior
-    minima of the cubic Hermite interpolant of (g, g') between consecutive
-    centres, at the roots in (0, 1) of its quadratic derivative.  A tangent
-    that swings towards -v between two centres is seen where a point scan of
-    the same centres misses it.
-    """
-    jet = family.jets_at(cell_centers(family.domain, _DIRECTION_SCAN))
-    dc, d2c = jet.dc[:, 0], jet.d2c[:, 0, 0]
-    speed = np.sqrt(_row_dots(dc, dc))
-    if np.any(speed <= _FRAME_FLOOR):
-        raise DegenerateFrameError("family spine is stationary along the scan")
-    tau = dc / speed[:, None]
-    bend = (d2c - _row_dots(tau, d2c)[:, None] * tau) / speed[:, None]
-    lo, hi = family.domain[0]
-    g = 1.0 + tau @ cands.T  # (_DIRECTION_SCAN, K)
-    slope = (bend @ cands.T) * ((hi - lo) / _DIRECTION_SCAN)  # per unit of the cell coordinate s
-    # on each cell p(s) = g0 + d0 s + b2 s^2 + b3 s^3 with p(1) = g1 and p'(1) = d1
-    g0, g1, d0, d1 = g[:-1], g[1:], slope[:-1], slope[1:]
-    b2 = 3.0 * (g1 - g0) - 2.0 * d0 - d1
-    b3 = 2.0 * (g0 - g1) + d0 + d1
-    with np.errstate(all="ignore"):  # no real root, or a linear p': the root is not in (0, 1)
-        # the roots of p' = 3 b3 s^2 + 2 b2 s + d0, without cancellation
-        q = -(b2 + np.copysign(np.sqrt(b2 * b2 - 3.0 * b3 * d0), b2))
-        roots = np.stack([q / (3.0 * b3), d0 / q])
-    inside = (roots > 0.0) & (roots < 1.0)
-    s = np.where(inside, roots, 0.0)
-    interior = np.where(inside, ((b3 * s + b2) * s + d0) * s + g0, np.inf)
-    return np.minimum(g.min(axis=0), interior.min(axis=(0, 1)))
 
 
 def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:

@@ -581,7 +581,7 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
         raise DomainError("the rank-drop oracle runs on r = 1 families in R^3")
     t = float(t)
     reference = family._reference_frame  # before any member jet at t, as `envelope_surface` does
-    ts = sorted([t + _JAC_STEP, t - _JAC_STEP, t])
+    ts = [t - _JAC_STEP, t, t + _JAC_STEP]
     if not ts[0] < ts[1] < ts[2]:
         raise DomainError(
             f"the oracle step {_JAC_STEP} is lost to rounding at t={t}: "

@@ -496,10 +496,10 @@ def test_obj_text_matches_per_number_reference(data, cols, with_faces):
     verts = data.draw(_tables(cols))
     normals = np.resize(verts[::-1], verts.shape)
     faces = None
-    if with_faces and len(verts):  # every index names a vertex
-        count = data.draw(st.sampled_from(_ROW_COUNTS))
+    if with_faces:  # every index names a vertex; an empty mesh takes an empty face table
+        count = data.draw(st.sampled_from(_ROW_COUNTS)) if len(verts) else 0
         first = data.draw(st.integers(0, 10**6))
-        faces = np.arange(first, first + 3 * count, dtype=int).reshape(count, 3) % len(verts)
+        faces = np.arange(first, first + 3 * count, dtype=int).reshape(count, 3) % max(len(verts), 1)
     mesh = EnvelopeMesh(
         vertices=verts,
         normals=normals,
@@ -517,16 +517,32 @@ def test_xyz_text_matches_per_number_reference(data, cols):
     assert xyz_text(pts) == _reference_xyz(pts)
 
 
+def _face_lines(faces) -> bytes:
+    """The face lines of 1-based index rows, rendered alone by the face kernel."""
+    buf = io.BytesIO()
+    meshio._write_lines(buf, "f ", faces, meshio._face_words)
+    return buf.getvalue()
+
+
+def _reference_face_lines(faces) -> bytes:
+    return "".join(f"f {a}//{a} {b}//{b} {c}//{c}\n" for a, b, c in faces.tolist()).encode("ascii")
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.sampled_from(_ROW_COUNTS), first=st.integers(0, 10**6))
+def test_face_lines_match_per_index_reference(count, first):
+    # indices of up to 7 digits, more than any mesh of these row counts has vertices
+    faces = np.arange(first, first + 3 * count, dtype=np.int64).reshape(count, 3) % 1000003 + 1
+    assert _face_lines(faces) == _reference_face_lines(faces)
+
+
 def test_obj_face_indices_up_to_the_documented_bound():
     # the face kernel on 1-based indices on both sides of every digit count change below
     # 10**12; no mesh that small has them, so the face lines are rendered alone
     refs = sorted({i for j in range(12) for i in (10**j - 1, 10**j, 10**j + 1) if i >= 1})
     refs = np.array(refs + [10**12 - 1], dtype=np.int64)
     faces = np.stack([refs, np.roll(refs, 1), np.roll(refs, 2)], axis=1)
-    buf = io.BytesIO()
-    meshio._write_lines(buf, "f ", faces, meshio._face_words)
-    want = "".join(f"f {a}//{a} {b}//{b} {c}//{c}\n" for a, b, c in faces.tolist())
-    assert buf.getvalue() == want.encode("ascii")
+    assert _face_lines(faces) == _reference_face_lines(faces)
 
 
 @pytest.mark.parametrize("bad", [-1, -5, 4, 10**12, 2**62])

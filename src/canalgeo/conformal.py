@@ -43,8 +43,12 @@ __all__ = [
 ]
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Model scalar product on raw coordinate arrays (last index = component)."""
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
+    """Model scalar product on raw coordinate arrays (last index = component).
+
+    The one implementation of the form: every module evaluates (x, y) here.
+    Leading axes broadcast, so rows, stacks and Gram matrices take one call.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != y.shape[-1]:
@@ -56,12 +60,25 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def form_matrix(dim_n: int) -> np.ndarray:
-    """Gram matrix of the model form on the standard basis of R^(n+2)."""
+    """Gram matrix of the model form on the standard basis of R^(n+2): the
+    reference that a frame's scalar products are checked against."""
     size = dim_n + 2
     g = np.eye(size)
     g[0, 0] = g[-1, -1] = 0.0
     g[0, -1] = g[-1, 0] = -1.0
     return g
+
+
+def _lift_rows(first: float, x: np.ndarray, last) -> np.ndarray:
+    """Lift-space rows (first, x, last) along the last axis of x: point lifts
+    (1, x, |x|^2/2), unscaled sphere lifts, and hyperplane, tangent and
+    velocity rows (0, x, last)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
+    out[..., 0] = first
+    out[..., 1:-1] = x
+    out[..., -1] = last
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +139,7 @@ def scalar_product(x: PolyVector, y: PolyVector) -> float:
 def lift_point(p: Sequence[float]) -> PolyVector:
     """Lift a Euclidean point onto the isotropic cone: (1, p, |p|^2 / 2)."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    coords = np.concatenate(([1.0], p, [0.5 * float(p @ p)]))
-    return PolyVector(coords, p.size)
+    return PolyVector(_lift_rows(1.0, p, 0.5 * float(p @ p)), p.size)
 
 
 def lift_sphere(center: Sequence[float], radius: float) -> PolyVector:
@@ -136,8 +152,7 @@ def lift_sphere(center: Sequence[float], radius: float) -> PolyVector:
     r = float(radius)
     if not (r > 0.0) or not np.isfinite(r):
         raise DomainError(f"sphere radius must be positive and finite, got {radius!r}")
-    coords = np.concatenate(([1.0], c, [0.5 * (float(c @ c) - r * r)])) / r
-    return PolyVector(coords, c.size)
+    return PolyVector(_lift_rows(1.0, c, 0.5 * (float(c @ c) - r * r)) / r, c.size)
 
 
 def lift_plane(normal: Sequence[float], offset: float) -> PolyVector:
@@ -148,8 +163,7 @@ def lift_plane(normal: Sequence[float], offset: float) -> PolyVector:
         raise DomainError("plane normal must be nonzero")
     if abs(norm - 1.0) > 1e-12:
         raise DomainError("plane normal must be a unit vector")
-    coords = np.concatenate(([0.0], nu, [float(offset)]))
-    return PolyVector(coords, nu.size)
+    return PolyVector(_lift_rows(0.0, nu, float(offset)), nu.size)
 
 
 def normalize_sphere(x: PolyVector, tol: float | None = None) -> PolyVector:

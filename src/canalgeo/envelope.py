@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import Causal, PolyVector, inner
+from .conformal import Causal, PolyVector, _lift_rows, inner
 from .errors import (
     CanalGeoError,
     DegenerateFrameError,
@@ -231,25 +231,16 @@ def _lift_jet(jet: FamilyJet):
     # C order, so that each row's BLAS products are those of the row alone
     c, dc, d2c = (np.ascontiguousarray(x) for x in (jet.c, jet.dc, jet.d2c))
     rho, drho, d2rho = jet.rho, jet.drho, jet.d2rho
-    rows, n = c.shape
-    r = dc.shape[1]
-    v = np.empty((rows, n + 2))
-    v[:, 0] = 1.0
-    v[:, 1 : n + 1] = c
-    v[:, n + 1] = 0.5 * (_row_dots(c, c) - rho**2)
-
-    dv = np.zeros((rows, r, n + 2))
-    dv[:, :, 1 : n + 1] = dc
-    dv[:, :, n + 1] = (dc @ c[:, :, None])[:, :, 0] - rho[:, None] * drho
-
+    v = _lift_rows(1.0, c, 0.5 * (_row_dots(c, c) - rho**2))
+    dv = _lift_rows(0.0, dc, (dc @ c[:, :, None])[:, :, 0] - rho[:, None] * drho)
     drho2 = drho[:, :, None] * drho[:, None, :]  # outer products
-    d2v = np.zeros((rows, r, r, n + 2))
-    d2v[..., 1 : n + 1] = d2c
-    d2v[..., n + 1] = (
+    d2v = _lift_rows(
+        0.0,
+        d2c,
         dc @ dc.transpose(0, 2, 1)
         + (d2c @ c[:, None, :, None])[..., 0]
         - drho2
-        - rho[:, None, None] * d2rho
+        - rho[:, None, None] * d2rho,
     )
 
     rho = rho[:, None]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import Dropped, PolyVector, drop_sphere, form_matrix
+from .conformal import Dropped, PolyVector, _lift_rows, drop_sphere, inner
 from .envelope import (
     SphereFamily,
     _characteristic,
@@ -189,21 +189,6 @@ def focal_determinant(coeffs: FocalCoefficients, x) -> float:
 # r = 1 frame construction
 
 
-def _row_forms(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(x[i], y[i]) of (P, n+2) rows under the form g: per row one BLAS product and one dot."""
-    return _row_dots(np.matmul(x[:, None, :], g)[:, 0], y)
-
-
-def _lift_rows(first: float, x: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Lift-space rows (first, x, last) along the last axis: point lifts
-    (1, x, |x|^2/2), their velocities and circle tangents (0, x, last)."""
-    out = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
-    out[..., 0] = first
-    out[..., 1:-1] = x
-    out[..., -1] = last
-    return out
-
-
 def adapted_frame_coefficients(family: SphereFamily, t: float) -> FocalCoefficients:
     """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at t.
 
@@ -240,9 +225,10 @@ def adapted_frames(family: SphereFamily, ts) -> list[FocalCoefficients]:
     circle tangent at x0 along increasing chart angle.
 
     The grid makes one `_row_jets`, one `_lift_jet` and one `_characteristic`
-    call; each step is elementwise or a per-row BLAS product, so a row's bits
-    do not depend on its batch.  A failing row raises the first error of the
-    record `_adapted_rows` keeps: the one the first failing row raises alone.
+    call; each step is elementwise, a per-row BLAS product or the form
+    `conformal.inner`, so a row's bits do not depend on its batch.  A failing
+    row raises the first error of the record `_adapted_rows` keeps: the one
+    the first failing row raises alone.
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("adapted frames are computed for r = 1 families in R^3")
@@ -256,16 +242,15 @@ def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> tuple[list, _RowError
     """The pass of `adapted_frames`: coefficients, None at a failed row, and the record of
     row errors, checked in one row's order: member jet, spacelike, reference frame (at every
     row not yet failed), the checks of `_characteristic`, point circle, omega bound, |lam22|."""
-    g = form_matrix(family.dim_n)
     jet, errors = family._row_jets(ts)
     a3, da, d2a = _lift_jet(jet)
     da3, d2a3 = da[:, 0], d2a[:, 0, 0]
-    speed2 = _row_forms(da3, da3, g)
+    speed2 = inner(da3, da3)
     what = "family is not spacelike at t={t[0]}; no adapted frame exists"
     errors.check(~(np.isfinite(speed2) & (speed2 > 0)), DomainError, what)
     speed = np.sqrt(speed2)
     a2 = da3 / speed[:, None]
-    dspeed = _row_forms(da3, d2a3, g) / speed
+    dspeed = inner(da3, d2a3) / speed
     da2 = d2a3 / speed[:, None] - da3 * (dspeed / speed2)[:, None]
 
     try:
@@ -299,7 +284,7 @@ def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> tuple[list, _RowError
         - radius[:, None, None] * along * tan[:, None]
     )
     da0s = _lift_rows(0.0, dx0s, np.sum(x0s * dx0s, axis=2))
-    omegas = np.matmul(da0s, np.matmul(g, a2[:, :, None]))[..., 0]  # (P, 8)
+    omegas = inner(da0s, a2[:, None])  # (P, 8)
     k = np.argmax(np.abs(omegas), axis=1)
     omega = omegas[rows, k]
     scale = np.sqrt(_row_dots(dcenter, dcenter)) + np.abs(dradius)
@@ -320,8 +305,8 @@ def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> tuple[list, _RowError
     lam22 = -speed / omega
     what = "curve velocity vanished at t={t[0]}"
     errors.check(np.abs(lam22) <= 1e-12, DegenerateFrameError, what)
-    lam212 = _row_forms(da1, a2, g) / omega
-    c22 = -_row_forms(da2, a4, g) / omega
+    lam212 = inner(da1, a2) / omega
+    c22 = -inner(da2, a4) / omega
     vectors = dict(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, x0=x0, x4=x4, center=center, w=w)
     out = [None] * len(ts)
     for i, t in enumerate(ts[:, 0].tolist()):
@@ -481,8 +466,7 @@ def classify_tube_plane(
     if sv[-1] <= 1e-10 * sv[0]:
         raise DomainError("spanning vectors are linearly dependent")
 
-    g = form_matrix(3)
-    gram = b @ g @ b.T
+    gram = inner(b[:, None], b[None])
     gram = 0.5 * (gram + gram.T)
     eigvals, eigvecs = np.linalg.eigh(gram)
     scale = float(np.max(np.abs(eigvals)))

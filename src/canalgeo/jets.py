@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import PolyVector, form_matrix, lift_point
+from .conformal import PolyVector, _lift_rows, form_matrix, inner, lift_point
 from .errors import CanalGeoError, DomainError, FrameConsistencyError, ImmersionError
 
 __all__ = [
@@ -124,9 +124,13 @@ def cell_centers(domain: np.ndarray, counts) -> np.ndarray:
     integer broadcasts to every axis).  Axis i takes the values
     ``lo + (hi - lo) / m * (j + 0.5)`` for j < m, and the first axis varies
     slowest.  A count below 1 raises ``DomainError``: an empty grid would let
-    a caller return a verdict from no samples.
+    a caller return a verdict from no samples; so does a count that is not a
+    whole number, rather than being truncated.
     """
-    counts = np.broadcast_to(np.asarray(counts, dtype=int), (domain.shape[0],))
+    raw = np.asarray(counts, dtype=float)
+    if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+        raise DomainError(f"grid cell counts must be whole numbers, got {raw.tolist()}")
+    counts = np.broadcast_to(raw.astype(int), (domain.shape[0],))
     if np.any(counts < 1):
         raise DomainError(f"grid cell counts must be at least 1, got {counts.tolist()}")
     axes = [lo + (hi - lo) / m * (np.arange(m) + 0.5) for (lo, hi), m in zip(domain, counts)]
@@ -501,15 +505,13 @@ def gauge_frame(
     p = jet.p
 
     a0 = lift_point(p)
-    mids = [np.concatenate(([0.0], e_i, [float(p @ e_i)])) for e_i in jet.e]
-    an = np.concatenate(([0.0], jet.nu, [float(p @ jet.nu)]))
-    ainf = np.zeros(n + 2)
-    ainf[-1] = 1.0
+    mids = _lift_rows(0.0, jet.e, [float(p @ e_i) for e_i in jet.e])
+    an = _lift_rows(0.0, jet.nu, float(p @ jet.nu))
+    ainf = _lift_rows(0.0, np.zeros(n), 1.0)
 
-    g = form_matrix(n)
     basis = np.stack([a0.coords, *mids, an, ainf])
-    gram = basis @ g @ basis.T
-    residual = float(np.max(np.abs(gram - g)))
+    gram = inner(basis[:, None], basis[None])
+    residual = float(np.max(np.abs(gram - form_matrix(n))))
     if residual > tol.frame_residual * max(1.0, float(p @ p)):
         raise FrameConsistencyError(
             f"conformal frame violates its scalar-product relations (residual {residual:.3e})"

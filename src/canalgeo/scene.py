@@ -32,7 +32,7 @@ from .catalog import family_catalog, make_family, make_surface, surface_catalog
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, classify_pencil, lift_sphere
 from .envelope import causal_classify_family, envelope_mesh
-from .errors import CanalGeoError
+from .errors import CanalGeoError, DomainError
 from .focal import _adapted_rows, classify_tube_plane, singular_set
 from .jets import cell_centers
 from .meshio import write_obj, write_singular_csv, write_xyz
@@ -91,6 +91,20 @@ def _check_analyses(entry, path, allowed, diags):
             )
 
 
+def _entries(data: dict, key: str, diags: list):
+    """(path, entry) of each object in the list section ``key``; records the
+    diagnostics of a section that is not a list and of an entry that is not an object."""
+    section = data.get(key, [])
+    if not isinstance(section, list):
+        diags.append(_diag("scene", key, f"{key} must be a list"))
+        return
+    for i, entry in enumerate(section):
+        if isinstance(entry, dict):
+            yield f"{key}[{i}]", entry
+        else:
+            diags.append(_diag(f"{key}[{i}]", "", "entry must be an object"))
+
+
 def validate_scene(data) -> list:
     """Schema and invariant checks; returns a list of diagnostics (empty = valid)."""
     diags: list[dict] = []
@@ -128,67 +142,31 @@ def validate_scene(data) -> list:
         if key not in ("version", "tolerances", "grids", "surfaces", "families", "pencils", "planes"):
             diags.append(_diag("scene", key, "unknown top-level field"))
 
-    surfaces = data.get("surfaces", [])
-    if not isinstance(surfaces, list):
-        diags.append(_diag("scene", "surfaces", "surfaces must be a list"))
-        surfaces = []
-    for i, entry in enumerate(surfaces):
-        path = f"surfaces[{i}]"
-        if not isinstance(entry, dict):
-            diags.append(_diag(path, "", "entry must be an object"))
-            continue
-        name = entry.get("name")
-        if not isinstance(name, str):
-            diags.append(_diag(path, "name", "surface entry needs a catalog name"))
-            continue
-        if name not in surface_catalog():
-            diags.append(_diag(path, "name", f"unknown catalog surface {name!r}"))
-            continue
-        _check_analyses(entry, path, _SURFACE_ANALYSES, diags)
-        try:
-            make_surface(name, entry.get("params") or entry.get("data"))
-        except (CanalGeoError, TypeError, ValueError) as err:
-            diags.append(_diag(path, "params", str(err)))
-
-    families = data.get("families", [])
-    if not isinstance(families, list):
-        diags.append(_diag("scene", "families", "families must be a list"))
-        families = []
-    for i, entry in enumerate(families):
-        path = f"families[{i}]"
-        if not isinstance(entry, dict):
-            diags.append(_diag(path, "", "entry must be an object"))
-            continue
-        name = entry.get("name")
-        if not isinstance(name, str):
-            diags.append(_diag(path, "name", "family entry needs a catalog name"))
-            continue
-        if name not in family_catalog():
-            diags.append(_diag(path, "name", f"unknown catalog family {name!r}"))
-            continue
-        _check_analyses(entry, path, _FAMILY_ANALYSES, diags)
-        params = entry.get("params") or entry.get("data")
-        if name == "sampled" and isinstance(params, dict):
-            radii = params.get("radii", [])
-            if isinstance(radii, list) and any(
-                _is_number(r) and r <= 0 for r in radii
-            ):
-                diags.append(_diag(path, "data.radii", "radii must be positive"))
+    for kind, key, catalog, make, allowed in (
+        ("surface", "surfaces", surface_catalog, make_surface, _SURFACE_ANALYSES),
+        ("family", "families", family_catalog, make_family, _FAMILY_ANALYSES),
+    ):
+        for path, entry in _entries(data, key, diags):
+            name = entry.get("name")
+            if not isinstance(name, str):
+                diags.append(_diag(path, "name", f"{kind} entry needs a catalog name"))
                 continue
-        try:
-            make_family(name, params)
-        except (CanalGeoError, TypeError, ValueError) as err:
-            diags.append(_diag(path, "params", str(err)))
+            if name not in catalog():
+                diags.append(_diag(path, "name", f"unknown catalog {kind} {name!r}"))
+                continue
+            _check_analyses(entry, path, allowed, diags)
+            params = entry.get("params") or entry.get("data")
+            if name == "sampled" and isinstance(params, dict):
+                radii = params.get("radii", [])
+                if isinstance(radii, list) and any(_is_number(r) and r <= 0 for r in radii):
+                    diags.append(_diag(path, "data.radii", "radii must be positive"))
+                    continue
+            try:
+                make(name, params)
+            except (CanalGeoError, TypeError, ValueError) as err:
+                diags.append(_diag(path, "params", str(err)))
 
-    pencils = data.get("pencils", [])
-    if not isinstance(pencils, list):
-        diags.append(_diag("scene", "pencils", "pencils must be a list"))
-        pencils = []
-    for i, entry in enumerate(pencils):
-        path = f"pencils[{i}]"
-        if not isinstance(entry, dict):
-            diags.append(_diag(path, "", "entry must be an object"))
-            continue
+    for path, entry in _entries(data, "pencils", diags):
         spheres = entry.get("spheres")
         if not isinstance(spheres, list) or len(spheres) != 2:
             diags.append(_diag(path, "spheres", "a pencil entry needs exactly 2 spheres"))
@@ -206,15 +184,7 @@ def validate_scene(data) -> list:
             if not _is_number(radius) or radius <= 0:
                 diags.append(_diag(path, f"spheres[{j}].radius", "radius must be positive"))
 
-    planes = data.get("planes", [])
-    if not isinstance(planes, list):
-        diags.append(_diag("scene", "planes", "planes must be a list"))
-        planes = []
-    for i, entry in enumerate(planes):
-        path = f"planes[{i}]"
-        if not isinstance(entry, dict):
-            diags.append(_diag(path, "", "entry must be an object"))
-            continue
+    for path, entry in _entries(data, "planes", diags):
         vectors = entry.get("vectors")
         if (
             not isinstance(vectors, list)
@@ -291,7 +261,7 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
 
     if "singularities" in analyses:
         if family.r != 1 or family.dim_n != 3:
-            raise CanalGeoError("singularities analysis needs an r = 1 family in R^3")
+            raise DomainError("singularities analysis needs an r = 1 family in R^3")
         m = spec.grids["singular_samples"]
         grid = cell_centers(family.domain, m)
         rows = []

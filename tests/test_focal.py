@@ -25,7 +25,7 @@ from canalgeo import (
 from canalgeo.conformal import form_matrix
 from canalgeo.envelope import FamilyJet, SphereFamily
 from canalgeo.errors import CanalGeoError, DimensionMismatch, DomainError
-from canalgeo.focal import FocalCoefficients
+from canalgeo.focal import FocalCoefficients, adapted_frames
 from canalgeo.jets import cell_centers
 
 
@@ -204,6 +204,24 @@ def test_singular_points_satisfy_isotropy_and_focal_plane():
         # the point really sits on the characteristic circle
         fr = co.frame
         assert np.linalg.norm(p.point - fr.center) == pytest.approx(fr.radius, abs=1e-9)
+
+
+def test_adapted_frame_scalar_products(fourier_families, rng):
+    # (A_0, ..., A_4) of every frame has the Gram matrix of the model form
+    fams = [
+        make_family("circle-tube"),
+        _tube(1.0, 2.0),
+        make_family("helix-tube"),
+        make_family("wobble-tube"),
+        make_family("line-cone"),
+    ] + [fourier_families(rng, 3, name=f"f{k}", rho0=(2.6 if k % 2 else None)) for k in range(5)]
+    g = form_matrix(3)
+    for fam in fams:
+        for co in adapted_frames(fam, cell_centers(fam.domain, 24)):
+            fr = co.frame
+            basis = np.stack([fr.a0, fr.a1, fr.a2, fr.a3, fr.a4])
+            gram = basis @ g @ basis.T
+            assert np.max(np.abs(gram - g)) <= 1e-13 * np.max(np.abs(basis)) ** 2, fam.name
 
 
 def test_cone_family_circles_are_regular():

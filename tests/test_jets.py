@@ -234,6 +234,24 @@ def test_zero_sample_counts_raise(counts):
         detect_canal(torus, counts=counts)
 
 
+@pytest.mark.parametrize("counts", [2.9, 3.5, math.nan, math.inf, [3, 2.5]])
+def test_fractional_or_infinite_sample_counts_raise(counts):
+    # a count is not truncated to an integer: 2.9 would quietly sample 2 cells per axis
+    fam = make_family("circle-tube", {"major": 2.0, "rho": 0.5})
+    with pytest.raises(DomainError, match="whole numbers"):
+        causal_classify_family(fam, counts=counts)
+    torus = make_surface("torus", {"major": 2.0, "minor": 1.0})
+    with pytest.raises(DomainError, match="whole numbers"):
+        detect_canal(torus, counts=counts)
+
+
+def test_integral_sample_counts_of_any_type_are_accepted():
+    torus = make_surface("torus", {"major": 2.0, "minor": 1.0})
+    reports = [detect_canal(torus, counts=c) for c in (2, np.int64(2), 2.0, [2, np.int32(2)])]
+    assert all(r.to_json() == reports[0].to_json() for r in reports)
+    assert len(cell_centers(torus.domain, [np.int64(3), 2])) == 6
+
+
 def test_graph_surface_round_trip():
     xs = np.linspace(-1.0, 1.0, 41)
     ys = np.linspace(-1.0, 1.0, 41)

@@ -257,6 +257,7 @@ def test_run_scene_entry_error_sets_exit_code(tmp_path):
     assert report["error_count"] == 2
     for failed in (report["results"]["families"][0], report["results"]["families"][2]):
         assert "error" in failed and "r = 1" in failed["error"]["message"]
+        assert failed["error"]["type"] == "DomainError"
     # the healthy entry still ran
     assert report["results"]["families"][1]["analyses"]["causal"]["verdict"] == "canal"
     # an entry that ends in an error leaves no file behind

@@ -15,6 +15,7 @@ in R^3 the surface is a Dupin cyclide.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,16 +367,9 @@ def detect_canal(
     kept = np.flatnonzero(~tensors.umbilic)  # umbilic samples are skipped
     umbilic_count = total - kept.size
     eigs, vecs, breaks = _spectra(tensors.h[kept], tolerances)
-    # one signature per distinct cluster pattern, counted in order of first appearance
-    patterns, first, which, sizes = np.unique(
-        breaks, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    signatures: dict[tuple, int] = {}
-    pattern_of: dict[tuple, int] = {}
-    for p in np.argsort(first):
-        sig = tuple(len(c) for c in _clusters(patterns[p]))
-        signatures[sig] = int(sizes[p])
-        pattern_of[sig] = p
+    # count signatures in order of first appearance (a break pattern determines its own)
+    row_signatures = [tuple(len(c) for c in _clusters(b)) for b in breaks]
+    signatures = Counter(row_signatures)
 
     warnings = []
     umbilic_fraction = umbilic_count / total
@@ -397,8 +391,7 @@ def detect_canal(
                 f"({dict((str(k), v) for k, v in signatures.items())}); "
                 "verdicts use the majority stratum"
             )
-        best = pattern_of[signature]
-        matching = which.reshape(-1) == best  # the inverse's shape differs across NumPy versions
+        matching = np.array([sig == signature for sig in row_signatures])
         rows = kept[matching]
         eig_m = eigs[matching]
         a3p = None
@@ -406,12 +399,10 @@ def detect_canal(
             a3p = _rotate3(tensors.a3[rows], vecs[matching])
             a3p_scale = 1.0 + _norms(a3p)
         verdicts = []
-        for mult, cluster in zip(signature, _clusters(patterns[best])):
+        for mult, cluster in zip(signature, _clusters(breaks[matching][0])):
             curvature = float(np.mean(eig_m[:, list(cluster)].mean(axis=1)))
             if mult > 1:
-                verdicts.append(
-                    ClusterVerdict(mult, curvature, True, "multiplicity", None)
-                )
+                verdicts.append(ClusterVerdict(mult, curvature, True, "multiplicity", None))
                 continue
             if a3p is None:
                 verdicts.append(ClusterVerdict(mult, curvature, None, "unavailable", None))

@@ -365,10 +365,14 @@ _SURFACES: dict[str, tuple[Callable, str]] = {
 
 
 def _params_object(params) -> dict:
-    """Keyword parameters of a catalog entry: an object, or None for none."""
+    """Keyword parameters of a catalog entry (an object, or None for none), each number finite."""
     if params is not None and not isinstance(params, dict):
         raise DomainError("params must be an object")
-    return dict(params or {})
+    params = dict(params or {})
+    for key, value in params.items():
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise DomainError(f"parameter {key!r} must be finite, got {value}")
+    return params
 
 
 def surface_catalog() -> dict[str, str]:

@@ -1,9 +1,12 @@
 """Numerical tolerances used across the analysis pipeline.
 
-All thresholds are relative to the scale of the quantity they guard, so the
-pipeline is insensitive to global rescaling of the scene.  A single frozen
-`Tolerances` value is threaded through the public entry points; tests and the
-command line may override individual fields.
+Each threshold is set against the scale of the quantity it guards, but some
+have floors: clustering is relative to max(1, max|eig h|), the umbilic test to
+max(1, ||h||), the Dupin metric adds the absolute `canal._METRIC_FLOOR` to
+|h|^2 and the canal metric divides by 1 + ||a3p||, so those verdicts change
+when the scene is rescaled (ROADMAP item 1: an ellipsoid scaled by 100 comes
+out canal).  A single frozen `Tolerances` value is threaded through the public
+entry points; tests and the command line may override individual fields.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ class Tolerances:
     lightcone: float = 1.0e-9
     # band around |inversive product| = 1 separating pencil types
     pencil: float = 1.0e-9
-    # eigenvalue clustering width, relative to ||a||
+    # eigenvalue clustering width, relative to max(1, max|eig h|)
     clustering: float = 1.0e-6
     # normalized |a_iii| threshold for the one-parameter canal criterion
     canal: float = 1.0e-3
     # normalized ||a_ijk|| threshold for the cyclide criterion (n = 3)
     dupin: float = 1.0e-6
-    # relative ||a|| / ||h|| threshold below which a sample counts as umbilic
+    # ||a|| / max(1, ||h||) threshold below which a sample counts as umbilic
     umbilic: float = 1.0e-8
     # maximum scalar-product residual accepted for a constructed frame
     frame_residual: float = 1.0e-8

@@ -29,7 +29,14 @@ from .errors import (
     DomainError,
     ImaginaryCharacteristicError,
 )
-from .jets import ParametricSurface, _row_dots, _RowErrors, cell_centers, parameter_grid
+from .jets import (
+    ParametricSurface,
+    _grid_counts,
+    _row_dots,
+    _RowErrors,
+    cell_centers,
+    parameter_grid,
+)
 
 __all__ = [
     "FamilyJet",
@@ -272,7 +279,6 @@ class FamilySample:
     t: tuple
     kind: str
     value: float
-    scale: float
 
     def to_json(self) -> dict:
         return {"t": list(self.t), "kind": self.kind, "value": self.value}
@@ -302,7 +308,7 @@ def _classify_velocity(a, da, d2a, tolerances: Tolerances):
     """Causal kind of the lifted velocity at every row of a lifted batch, plus envelope regularity.
 
     Returns per-row arrays: kind, value (the least gram eigenvalue, 0 where
-    stationary), scale and nondeg.  Stacked `eigvalsh`, QR and singular
+    stationary) and nondeg.  Stacked `eigvalsh`, QR and singular
     values serve the whole batch.
     """
     rows, r, size = da.shape
@@ -330,7 +336,7 @@ def _classify_velocity(a, da, d2a, tolerances: Tolerances):
     stack_norm = np.sqrt(_row_dots(flat, flat))
     rank_scale = np.maximum(np.maximum(sv[:, 0], _RANK_REL * stack_norm), 1e-300)
     nondeg = sv[:, r - 1] > _RANK_REL * rank_scale  # min(r * r, n + 2) >= r values
-    return kind, value, scale, nondeg
+    return kind, value, nondeg
 
 
 def causal_classify_family(
@@ -361,17 +367,15 @@ def causal_classify_family(
         finite &= np.isfinite(x).reshape(len(pts), -1).all(axis=1)
     errors.check(~finite, DomainError, "family jet is not finite at t={t}")
     errors.raise_first()
-    kinds, values, scales, nondeg = _classify_velocity(*lifted, tolerances)
+    kinds, values, nondeg = _classify_velocity(*lifted, tolerances)
 
     counts_out = {"spacelike": 0, "timelike": 0, "lightlike": 0, "stationary": 0}
     for kind in kinds.tolist():
         counts_out[kind] += 1
     degenerate_regularity = np.any((kinds == "spacelike") & ~nondeg)
     samples = tuple(
-        FamilySample(t=tuple(t), kind=kind, value=value, scale=scale)
-        for t, kind, value, scale in zip(
-            pts.tolist(), kinds.tolist(), values.tolist(), scales.tolist()
-        )
+        FamilySample(t=tuple(t), kind=kind, value=value)
+        for t, kind, value in zip(pts.tolist(), kinds.tolist(), values.tolist())
     )
 
     if counts_out["lightlike"] or counts_out["stationary"]:
@@ -594,13 +598,16 @@ def envelope_mesh(
 
     For n = 3 the mesh carries triangle faces (closed in the angular
     direction, open along the spine); higher dimensions get vertices,
-    normals and parameters only.  A family in R^2 raises `DomainError`.
+    normals and parameters only.  A family in R^2 raises `DomainError`, and
+    so do counts that fail `jets._grid_counts`.
     """
     if family.r != 1:
         raise DomainError("meshes are generated for one-parameter families")
     n = family.dim_n
     if n < 3:  # in R^2 the characteristic set is a point pair; the chart refuses n < 3 too
         raise DomainError("hypersurface analysis needs ambient dimension n >= 3")
+    what = "mesh counts (t_count, angle_count)"  # a cell: 2n vertex and normal floats, or 2 faces
+    t_count, angle_count = _grid_counts([t_count, angle_count], 2, what, 2 * n)
     lo, hi = family.domain[0]
     ts = np.linspace(lo, hi, t_count)
     thetas = np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False)

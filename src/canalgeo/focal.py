@@ -16,7 +16,8 @@ difference step enters the coefficients.  `adapted_frames` builds them for
 a whole t grid in one batched pass (one member jet, one lift and one
 characteristic call), each row bit for bit the frame of its t alone, and
 records in a `jets._RowErrors` the error that each failing row raises
-alone; `adapted_frame_coefficients` is row 0 of a batch of one.  The circle
+alone; `adapted_frame_coefficients` is row 0 of a batch of one, and
+`_singular_rows` is `singular_set` on every row of one pass.  The circle
 (centre, radius and plane basis) is the one `envelope_surface` draws, from
 the same closed-form `envelope._characteristic`, so the angle of a singular
 point on its circle is its chart coordinate:
@@ -230,18 +231,20 @@ def adapted_frames(family: SphereFamily, ts) -> list[FocalCoefficients]:
     row raises the first error of the record `_adapted_rows` keeps: the one
     the first failing row raises alone.
     """
-    if family.r != 1 or family.dim_n != 3:
-        raise DomainError("adapted frames are computed for r = 1 families in R^3")
-    rows, errors = _adapted_rows(family, parameter_grid(ts, 1))
+    rows, errors = _adapted_rows(family, ts)
     errors.raise_first()
     return rows
 
 
 @np.errstate(all="ignore")
-def _adapted_rows(family: SphereFamily, ts: np.ndarray) -> tuple[list, _RowErrors]:
+def _adapted_rows(family: SphereFamily, ts) -> tuple[list, _RowErrors]:
     """The pass of `adapted_frames`: coefficients, None at a failed row, and the record of
     row errors, checked in one row's order: member jet, spacelike, reference frame (at every
-    row not yet failed), the checks of `_characteristic`, point circle, omega bound, |lam22|."""
+    row not yet failed), the checks of `_characteristic`, point circle, omega bound, |lam22|;
+    a family other than r = 1 in R^3 and a grid that is not (P, 1) and finite raise at once."""
+    if family.r != 1 or family.dim_n != 3:
+        raise DomainError("adapted frames are computed for r = 1 families in R^3")
+    ts = parameter_grid(ts, 1)
     jet, errors = family._row_jets(ts)
     a3, da, d2a = _lift_jet(jet)
     da3, d2a3 = da[:, 0], d2a[:, 0, 0]
@@ -357,6 +360,7 @@ class SingularReport:
     points: tuple
     degenerate: bool
     coefficients: FocalCoefficients
+    residual: float = 0.0  # largest |x1^2 - 2 x0 x4|, |x0 + lam212 x1 + c22 x4| of the points
 
     def to_json(self) -> dict:
         return {
@@ -402,16 +406,17 @@ def singular_set(
         roots = [-lam]
         degenerate = True
 
-    points = []
+    points, residual = [], 0.0
     for x1 in roots:
-        x0 = 0.5 * x1 * x1
+        x0, x4 = 0.5 * x1 * x1, 1.0
+        residual = max(residual, abs(x1 * x1 - 2.0 * x0 * x4), abs(x0 + lam * x1 + c * x4))
         z = x0 * fr.a0 + x1 * fr.a1 + fr.a4
         if z[0] <= 0:
             raise FrameConsistencyError("generator point escaped the affine chart")
         p = z[1:-1] / z[0]
         rel = p - fr.center
         ang = math.atan2(float(rel @ fr.w[1]), float(rel @ fr.w[0])) % (2.0 * math.pi)
-        points.append(SingularPoint(generator=(x0, x1, 1.0), point=p, angle=ang))
+        points.append(SingularPoint(generator=(x0, x1, x4), point=p, angle=ang))
 
     return SingularReport(
         t=float(coeffs.t),
@@ -421,7 +426,21 @@ def singular_set(
         points=tuple(points),
         degenerate=degenerate,
         coefficients=coeffs,
+        residual=residual,
     )
+
+
+def _singular_rows(family: SphereFamily, ts, tolerances: Tolerances = DEFAULT_TOLERANCES) -> list:
+    """The `singular_set` report of each row of a (P, 1) grid, or the `CanalGeoError` the row
+    raises alone (its frame's or `singular_set`'s), from one `_adapted_rows` pass."""
+    frames, errors = _adapted_rows(family, ts)
+    out = []
+    for coeffs, error in zip(frames, errors.errors):
+        try:
+            out.append(error or singular_set(coeffs, tolerances))
+        except CanalGeoError as err:
+            out.append(err)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +582,7 @@ def rank_drop_singular_points(family: SphereFamily, t: float) -> RankDropReport:
     """
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("the rank-drop oracle runs on r = 1 families in R^3")
-    t = float(t)
+    t = float(parameter_grid(t, 1)[0, 0])
     reference = family._reference_frame  # before any member jet at t, as `envelope_surface` does
     ts = [t - _JAC_STEP, t, t + _JAC_STEP]
     if not ts[0] < ts[1] < ts[2]:

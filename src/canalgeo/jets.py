@@ -17,6 +17,7 @@ calculus.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import permutations
 from typing import Callable
@@ -123,19 +124,27 @@ def cell_centers(domain: np.ndarray, counts) -> np.ndarray:
     ``domain`` is a (k, 2) box; ``counts`` gives the cells per axis (one
     integer broadcasts to every axis).  Axis i takes the values
     ``lo + (hi - lo) / m * (j + 0.5)`` for j < m, and the first axis varies
-    slowest.  A count below 1 raises ``DomainError``: an empty grid would let
-    a caller return a verdict from no samples; so does a count that is not a
-    whole number, rather than being truncated.
+    slowest.  The counts pass `_grid_counts`.
     """
-    raw = np.asarray(counts, dtype=float)
-    if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
-        raise DomainError(f"grid cell counts must be whole numbers, got {raw.tolist()}")
-    counts = np.broadcast_to(raw.astype(int), (domain.shape[0],))
-    if np.any(counts < 1):
-        raise DomainError(f"grid cell counts must be at least 1, got {counts.tolist()}")
+    counts = _grid_counts(counts, domain.shape[0])
     axes = [lo + (hi - lo) / m * (np.arange(m) + 0.5) for (lo, hi), m in zip(domain, counts)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _grid_counts(counts, axes: int, what: str = "grid cell counts", width: int = 0) -> list:
+    """``counts`` (one, or one per axis) as ``axes`` ints; ``DomainError`` naming ``what`` if one
+    is not whole (no truncation), is below 1 (an empty grid would let a caller return a verdict
+    from no samples), or the grid, ``width or axes`` floats a cell, is too large to index."""
+    raw = np.asarray(counts, dtype=float)
+    if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+        raise DomainError(f"{what} must be whole numbers, got {raw.tolist()}")
+    ints = [int(c) for c in np.broadcast_to(raw, (axes,)).tolist()]
+    if min(ints) < 1:
+        raise DomainError(f"{what} must be at least 1, got {ints}")
+    if math.prod(ints) * (width or axes) * 8 > np.iinfo(np.intp).max:
+        raise DomainError(f"{what} {ints} make a grid too large for an array")
+    return ints
 
 
 def parameter_grid(params, k: int) -> np.ndarray:

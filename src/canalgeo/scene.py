@@ -32,8 +32,8 @@ from .catalog import family_catalog, make_family, make_surface, surface_catalog
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, classify_pencil, lift_sphere
 from .envelope import causal_classify_family, envelope_mesh
-from .errors import CanalGeoError, DomainError
-from .focal import _adapted_rows, classify_tube_plane, singular_set
+from .errors import CanalGeoError
+from .focal import _singular_rows, classify_tube_plane
 from .jets import cell_centers
 from .meshio import write_obj, write_singular_csv, write_xyz
 
@@ -223,9 +223,7 @@ def load_scene(data: dict) -> SceneSpec:
 def _run_surface(entry: dict, label: str, spec: SceneSpec) -> dict:
     analyses = entry.get("analyses") or ["canal-detect"]
     surface = make_surface(entry["name"], entry.get("params") or entry.get("data"))
-    report = detect_canal(
-        surface, counts=spec.grids["surface_samples"], tolerances=spec.tolerances
-    )
+    report = detect_canal(surface, counts=spec.grids["surface_samples"], tolerances=spec.tolerances)
     out: dict = {"label": label, "kind": "surface", "name": entry["name"], "analyses": {}}
     if "canal-detect" in analyses:
         out["analyses"]["canal-detect"] = report.to_json()
@@ -260,49 +258,25 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
         }
 
     if "singularities" in analyses:
-        if family.r != 1 or family.dim_n != 3:
-            raise DomainError("singularities analysis needs an r = 1 family in R^3")
         m = spec.grids["singular_samples"]
         grid = cell_centers(family.domain, m)
-        rows = []
-        sigma_points = []
-        counts = {"0": 0, "1": 0, "2": 0}
-        max_resid = 0.0
-        errors = 0
-        frames, frame_errors = _adapted_rows(family, grid)
-        for t, coeffs, error in zip(grid[:, 0], frames, frame_errors.errors):
-            try:
-                if error is not None:
-                    raise error
-                rep = singular_set(coeffs, tolerances=spec.tolerances)
-            except CanalGeoError as err:
-                rows.append({"t": float(t), "error": str(err)})
-                errors += 1
+        rows, found = [], []
+        for t, rep in zip(grid[:, 0].tolist(), _singular_rows(family, grid, spec.tolerances)):
+            if isinstance(rep, CanalGeoError):
+                rows.append(dict(t=t, error=str(rep)))
                 continue
+            found.append(rep)
             pts = [p.point for p in rep.points]
-            for p in rep.points:
-                x0, x1, x4 = p.generator
-                eq_iso = abs(x1 * x1 - 2.0 * x0 * x4)
-                eq_focal = abs(x0 + coeffs.lam212 * x1 + coeffs.c22 * x4)
-                max_resid = max(max_resid, eq_iso, eq_focal)
-            sigma_points.extend(pts)
-            counts[str(rep.count)] += 1
-            rows.append(
-                {
-                    "t": float(t),
-                    "discriminant": rep.discriminant,
-                    "count": rep.count,
-                    "points": pts,
-                }
-            )
+            rows.append(dict(t=t, discriminant=rep.discriminant, count=rep.count, points=pts))
+        sigma_points = [p for row in rows for p in row.get("points", ())]
         fname = f"{label}_singular.csv"
         files.append((fname, lambda fh: write_singular_csv(fh, rows)))
         result = {
             "file": fname,
             "samples": int(m),
-            "counts": counts,
-            "errors": errors,
-            "max_generator_residual": max_resid,
+            "counts": {str(k): sum(rep.count == k for rep in found) for k in range(3)},
+            "errors": len(rows) - len(found),
+            "max_generator_residual": max((rep.residual for rep in found), default=0.0),
             "points_file": None,
         }
         if sigma_points:
@@ -343,14 +317,8 @@ def _entry_task(kind: str, index: int, entry: dict, spec: SceneSpec):
             return _run_pencil(entry, label, spec), []
         return _run_plane(entry, label, spec), []
     except (CanalGeoError, ValueError, ArithmeticError) as err:
-        return (
-            {
-                "label": label,
-                "kind": kind,
-                "error": {"type": type(err).__name__, "message": str(err)},
-            },
-            [],
-        )
+        error = {"type": type(err).__name__, "message": str(err)}
+        return {"label": label, "kind": kind, "error": error}, []
 
 
 def _write_files(out_path: Path, files: list) -> list[str]:
@@ -373,8 +341,7 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
     results = {"surfaces": [], "families": [], "pencils": [], "planes": []}
     files: list[str] = []
     error_count = 0
-    max_dupin = None
-    max_generator_residual = None
+    dupin_metrics, generator_residuals = [], []
     for kind, key in (
         ("surface", "surfaces"),
         ("family", "families"),
@@ -391,14 +358,10 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
                 continue
             canal = result["analyses"].get("canal-detect")
             if canal and canal.get("dupin_metric") is not None:
-                val = canal["dupin_metric"]
-                max_dupin = val if max_dupin is None else max(max_dupin, val)
+                dupin_metrics.append(canal["dupin_metric"])
             sing = result["analyses"].get("singularities")
             if sing:
-                val = sing["max_generator_residual"]
-                max_generator_residual = (
-                    val if max_generator_residual is None else max(max_generator_residual, val)
-                )
+                generator_residuals.append(sing["max_generator_residual"])
 
     written = [str(out_path / fname) for fname in sorted(files)]
 
@@ -413,8 +376,8 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
         "results": results,
         "error_count": error_count,
         "residuals": {
-            "max_dupin_metric": max_dupin,
-            "max_generator_residual": max_generator_residual,
+            "max_dupin_metric": max(dupin_metrics, default=None),
+            "max_generator_residual": max(generator_residuals, default=None),
         },
     }
     text = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()

@@ -25,7 +25,7 @@ from canalgeo import (
 from canalgeo.conformal import form_matrix
 from canalgeo.envelope import FamilyJet, SphereFamily
 from canalgeo.errors import CanalGeoError, DimensionMismatch, DomainError
-from canalgeo.focal import FocalCoefficients, adapted_frames
+from canalgeo.focal import FocalCoefficients, _singular_rows, adapted_frames
 from canalgeo.jets import cell_centers
 
 
@@ -405,6 +405,42 @@ def test_rank_drop_oracle_raises_the_chart_error_of_its_first_failing_row():
         assert type(got.value) is type(want)
         assert str(got.value) == str(want)
         assert type(want) is type(chart_error(t))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_rank_drop_oracle_names_a_non_finite_t(t):
+    with pytest.raises(DomainError, match=re.escape(f"parameter row 0 is not finite: [{t}]")):
+        rank_drop_singular_points(_tube(2.0, 0.5), t)
+
+
+def test_singular_rows_are_each_t_alone():
+    # imaginary circles on part of the grid: those t keep the error they raise alone
+    fam = _wide_sampled_family()
+    ts = cell_centers(fam.domain, 24)
+    reports = _singular_rows(fam, ts)
+    assert len(reports) == 24
+    assert 0 < sum(isinstance(rep, CanalGeoError) for rep in reports) < 24
+    for t, rep in zip(ts[:, 0].tolist(), reports):
+        try:
+            alone = singular_set(adapted_frame_coefficients(fam, t))
+        except CanalGeoError as err:
+            assert (type(rep), str(rep)) == (type(err), str(err))
+            continue
+        assert rep.to_json() == alone.to_json()
+
+
+def test_singular_report_residual_is_the_largest_equation_miss():
+    counts = set()
+    for major, rho in ((1.0, 2.0), (2.0, 0.5)):
+        for t in (0.3, 1.7):
+            rep = singular_set(adapted_frame_coefficients(_tube(major, rho), t))
+            co = rep.coefficients
+            misses = [0.0]
+            for x0, x1, x4 in (p.generator for p in rep.points):
+                misses += [abs(x1 * x1 - 2.0 * x0 * x4), abs(x0 + co.lam212 * x1 + co.c22 * x4)]
+            assert rep.residual == max(misses)
+            counts.add(rep.count)
+    assert counts == {0, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from canalgeo import (
     build_tensors,
     causal_classify_family,
     detect_canal,
+    envelope_mesh,
     envelope_surface,
     evaluate_jet,
     fundamental_forms,
@@ -250,6 +251,39 @@ def test_integral_sample_counts_of_any_type_are_accepted():
     reports = [detect_canal(torus, counts=c) for c in (2, np.int64(2), 2.0, [2, np.int32(2)])]
     assert all(r.to_json() == reports[0].to_json() for r in reports)
     assert len(cell_centers(torus.domain, [np.int64(3), 2])) == 6
+
+
+# each count fails before anything is allocated; no count that would allocate is tried
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (
+            lambda: detect_canal(make_surface("torus", {}), counts=1e20),
+            "grid cell counts [100000000000000000000, 100000000000000000000]",
+        ),
+        (
+            lambda: causal_classify_family(make_family("circle-tube", {}), counts=2**62),
+            "grid cell counts [4611686018427387904]",
+        ),
+        (
+            lambda: envelope_mesh(make_family("circle-tube", {}), t_count=-3),
+            "(t_count, angle_count) must be at least 1, got [-3, 64]",
+        ),
+        (
+            lambda: envelope_mesh(make_family("circle-tube", {}), angle_count=2.5),
+            "(t_count, angle_count) must be whole numbers, got [256.0, 2.5]",
+        ),
+        (
+            lambda: envelope_mesh(make_family("circle-tube", {}), t_count=4, angle_count=0),
+            "(t_count, angle_count) must be at least 1, got [4, 0]",
+        ),
+    ],
+    ids=["detect-1e20", "causal-2**62", "mesh-t-3", "mesh-angle-2.5", "mesh-angle-0"],
+)
+def test_grid_counts_fail_with_a_domain_error_that_names_them(call, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()
 
 
 def test_graph_surface_round_trip():

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canalgeo import DEFAULT_TOLERANCES, DomainError, meshio, scene as scene_module
+from canalgeo import DEFAULT_TOLERANCES, DomainError, meshio
+from canalgeo import focal as focal_module, scene as scene_module
 from canalgeo.cli import main
-from canalgeo.catalog import make_family
+from canalgeo.catalog import make_family, make_surface
 from canalgeo.envelope import _DIRECTION_SCAN, EnvelopeMesh, SphereFamily, envelope_mesh
 from canalgeo.jets import cell_centers
 from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
@@ -394,9 +395,9 @@ def test_a_family_level_failure_keeps_its_cells_and_scans_once(
 
 def test_singularities_take_one_batched_frame_pass(tmp_path, monkeypatch):
     passes = []
-    original = scene_module._adapted_rows
+    original = focal_module._adapted_rows
     monkeypatch.setattr(
-        scene_module,
+        focal_module,
         "_adapted_rows",
         lambda family, ts: passes.append(len(ts)) or original(family, ts),
     )
@@ -751,6 +752,22 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert {(d["entry"], d["field"]) for d in diags} == {("families[0]", "params")}
     assert main(["run", listed_path, "--out", str(tmp_path / "never")]) == 2
     assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_catalog_parameter_is_named(value):
+    for make, name, key in ((make_surface, "sphere", "radius"), (make_family, "circle-tube", "rho")):
+        named = re.escape(f"parameter {key!r} must be finite, got {value}")
+        with pytest.raises(DomainError, match=named):
+            make(name, {key: value})
+
+
+def test_cli_validate_rejects_an_infinite_parameter(tmp_path, capsys):
+    scene = {"version": 1, "surfaces": [{"name": "sphere", "params": {"radius": math.inf}}]}
+    assert main(["validate", _write_scene(tmp_path, scene)]) == 2
+    message = "parameter 'radius' must be finite, got inf"
+    diags = json.loads(capsys.readouterr().out)
+    assert diags == [{"entry": "surfaces[0]", "field": "params", "message": message}]
 
 
 def test_cli_handles_unreadable_and_malformed_files(tmp_path, capsys):

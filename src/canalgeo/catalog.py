@@ -364,13 +364,26 @@ _SURFACES: dict[str, tuple[Callable, str]] = {
 }
 
 
-def _params_object(params) -> dict:
-    """Keyword parameters of a catalog entry (an object, or None for none), each number finite."""
+def _params_object(params, scalars: bool) -> dict:
+    """Keyword parameters of a catalog entry (an object, or None for none), each number finite.
+
+    With ``scalars`` (the named factories) every value must be an int or a
+    float, not a bool or a string; the sample-data entries take lists and a
+    ``name`` string, and only their numbers are checked here.
+    """
     if params is not None and not isinstance(params, dict):
         raise DomainError("params must be an object")
     params = dict(params or {})
     for key, value in params.items():
-        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            if scalars:
+                raise DomainError(f"parameter {key!r} must be a number, got {value!r}")
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise DomainError(f"parameter {key!r} must be finite, got {value}")
     return params
 
@@ -382,16 +395,15 @@ def surface_catalog() -> dict[str, str]:
 
 
 def make_surface(name: str, params: dict | None = None) -> ParametricSurface:
-    params = _params_object(params)
     if name == "graph":
-        return graph_surface(**params)
+        return graph_surface(**_params_object(params, scalars=False))
     try:
         factory, _ = _SURFACES[name]
     except KeyError:
         raise DomainError(
             f"unknown surface {name!r}; available: {sorted(surface_catalog())}"
         ) from None
-    return factory(**params)
+    return factory(**_params_object(params, scalars=True))
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +491,15 @@ def family_catalog() -> dict[str, str]:
 
 
 def make_family(name: str, params: dict | None = None) -> SphereFamily:
-    params = _params_object(params)
     if name == "sampled":
-        return sampled_family(**params)
+        return sampled_family(**_params_object(params, scalars=False))
     try:
         factory, _ = _FAMILIES[name]
     except KeyError:
         raise DomainError(
             f"unknown family {name!r}; available: {sorted(family_catalog())}"
         ) from None
-    return factory(**params)
+    return factory(**_params_object(params, scalars=True))
 
 
 def _natural_cubic(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -35,7 +35,11 @@ becomes text by one ``bytes.translate`` that deletes the NULs.
 
 File conventions:
   * OBJ: ASCII, ``v`` and ``vn`` records followed by ``f i//i j//j k//k``
-    faces (1-based, vertex and normal indices coincide).
+    faces (1-based, vertex and normal indices coincide).  A mesh with more
+    than three coordinates writes only the projection of its vertices to
+    (x1, x2, x3) as ``v`` records, with no ``vn`` records (the first three
+    entries of a longer normal are no normal) and ``f i j k`` faces; the
+    scene writes its exact vertices beside it as a ``.npy`` array.
   * singular-locus CSV columns, in order:
     t, discriminant, count, p1_x, p1_y, p1_z, p2_x, p2_y, p2_z
     with empty cells where fewer than two points exist; an optional trailing
@@ -46,6 +50,7 @@ File conventions:
 from __future__ import annotations
 
 import io
+from functools import partial
 from typing import BinaryIO, Iterable
 
 import numpy as np
@@ -227,14 +232,17 @@ def _number_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     return out.reshape(rows, -1)
 
 
-def _face_words(refs: np.ndarray, seps: np.ndarray) -> np.ndarray:
+def _face_words(refs: np.ndarray, seps: np.ndarray, normals: bool = True) -> np.ndarray:
     """(faces, 3) 1-based vertex indices below 10**12 as the ``a//a b//b
-    c//c`` lines of OBJ face records, four NUL-padded words per index."""
+    c//c`` lines of OBJ face records, four NUL-padded words per index, or
+    without ``normals`` as ``a b c`` lines, two words per index."""
     flat = refs.reshape(-1)
     lo, hi = _digits(flat)[:2]
     count = np.searchsorted(_POW10, flat, side="right")
     lo &= _LEAD_LO.take(count)
     hi &= _LEAD_HI.take(count)
+    if not normals:
+        return np.stack([lo, hi | seps[: flat.size]], axis=1).reshape(refs.shape[0], -1)
     out = np.empty((flat.size, 4), _U64)
     out[:, 0] = out[:, 2] = lo
     np.bitwise_or(hi, _word("//", 4), out=out[:, 1])
@@ -265,9 +273,12 @@ def _in_memory(write, *args) -> bytes:
 
 
 def write_obj(fh: BinaryIO, mesh: EnvelopeMesh) -> None:
-    """Write a mesh as ASCII OBJ with vertex normals.
+    """Write a mesh as ASCII OBJ: ``v`` records, ``vn`` records and faces.
 
-    A face index outside [0, vertex count) raises `DomainError` before anything is written.
+    A mesh with more than three coordinates writes the projection of its
+    vertices to (x1, x2, x3), and no normals: its ``v`` records are followed
+    by ``f a b c`` faces without normal indices.  A face index outside
+    [0, vertex count) raises `DomainError` before anything is written.
     """
     faces = None
     if mesh.faces is not None:
@@ -278,10 +289,12 @@ def write_obj(fh: BinaryIO, mesh: EnvelopeMesh) -> None:
             raise DomainError(f"mesh face index {bad} is outside [0, {count})")
     if mesh.name:
         fh.write(f"o {mesh.name}\n".encode())
+    normals = mesh.vertices.shape[1] <= 3
     _write_lines(fh, "v ", mesh.vertices[:, :3], _number_words)
-    _write_lines(fh, "vn ", mesh.normals[:, :3], _number_words)
+    if normals:
+        _write_lines(fh, "vn ", mesh.normals[:, :3], _number_words)
     if faces is not None:
-        _write_lines(fh, "f ", faces + 1, _face_words)
+        _write_lines(fh, "f ", faces + 1, partial(_face_words, normals=normals))
 
 
 def obj_text(mesh: EnvelopeMesh) -> bytes:

@@ -3,7 +3,8 @@
 A scene is a JSON document listing surfaces, sphere families, pencils, and
 sphere planes, each with requested analyses.  ``validate_scene`` checks the
 document without running anything; ``run_scene`` executes all entries,
-writes meshes and singular-locus files, and assembles a deterministic JSON
+writes meshes (with the exact vertex array of an envelope in R^n, n >= 4)
+and singular-locus files, and assembles a deterministic JSON
 report: identical scenes yield byte-identical reports apart from the
 timestamp field.
 
@@ -255,7 +256,12 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
             "file": fname,
             "vertices": int(mesh.vertices.shape[0]),
             "faces": 0 if mesh.faces is None else int(mesh.faces.shape[0]),
+            "vertices_file": None,
         }
+        if family.dim_n > 3:  # the OBJ holds (x1, x2, x3) only; the exact vertices go beside it
+            vname = f"{label}.npy"
+            files.append((vname, lambda fh: np.save(fh, mesh.vertices, allow_pickle=False)))
+            out["analyses"]["envelope"]["vertices_file"] = vname
 
     if "singularities" in analyses:
         m = spec.grids["singular_samples"]

@@ -496,10 +496,10 @@ def test_criterion_11_determinism(tmp_path):
 
     differing = []
     for name in names1:
-        t1 = (d1 / name).read_text()
-        t2 = (d2 / name).read_text()
+        t1 = (d1 / name).read_bytes()
+        t2 = (d2 / name).read_bytes()
         if name == "report.json":
-            strip = lambda s: re.sub(r'^\s*"timestamp": .*\n', "", s, flags=re.M)
+            strip = lambda s: re.sub(rb'^\s*"timestamp": .*\n', b"", s, flags=re.M)
             t1, t2 = strip(t1), strip(t2)
         if t1 != t2:
             differing.append(name)

@@ -301,6 +301,8 @@ def test_run_scene_streams_the_bytes_of_the_in_memory_writers(tmp_path, monkeypa
         name="thin-0",
     )
     expected = {str(tmp_path / "thin-0.obj"): obj_text(mesh)}
+    # an n = 3 envelope has its normals in the OBJ and no vertex array beside it
+    assert report["results"]["families"][0]["analyses"]["envelope"]["vertices_file"] is None
     bytes_form = {"write_singular_csv": singular_csv_text, "write_xyz": xyz_text}
     for path, (name, data) in seen.items():
         expected[path] = bytes_form[name](data)
@@ -314,14 +316,15 @@ def test_run_scene_streams_the_bytes_of_the_in_memory_writers(tmp_path, monkeypa
 
 def test_run_scene_streams_the_mesh_file(tmp_path):
     # the n = 4 OBJ is never whole in memory: the traced peak stays within
-    # the mesh's arrays plus a small fraction of the file
-    scene = {
-        "version": 1,
-        "grids": {"mesh_t": 128, "mesh_angle": 64},
-        "families": [{"name": "r4-circle", "analyses": ["envelope"]}],
-    }
+    # the mesh's arrays plus a small fraction of the file (at the default
+    # grids, where the OBJ of vertices alone is above 20 MB)
+    scene = {"version": 1, "families": [{"name": "r4-circle", "analyses": ["envelope"]}]}
     spec = load_scene(scene)
-    mesh = envelope_mesh(make_family("r4-circle", None), t_count=128, angle_count=64)
+    mesh = envelope_mesh(
+        make_family("r4-circle", None),
+        t_count=DEFAULT_GRIDS["mesh_t"],
+        angle_count=DEFAULT_GRIDS["mesh_angle"],
+    )
     mesh_bytes = mesh.vertices.nbytes + mesh.normals.nbytes + mesh.params.nbytes
     del mesh
     tracemalloc.start()
@@ -335,6 +338,47 @@ def test_run_scene_streams_the_mesh_file(tmp_path):
     obj_size = (tmp_path / obj_file).stat().st_size
     assert obj_size > 20e6
     assert peak - mesh_bytes < obj_size / 2, (peak, mesh_bytes, obj_size)
+
+
+def _sampled_r4_data():
+    """A sampled family in R^4 whose radius 0.5 + 0.1 sin t varies along a tilted circle."""
+    ts = np.linspace(0.0, 2.0 * math.pi, 24)
+    centers = np.stack([2 * np.cos(ts), 2 * np.sin(ts), 0.3 * np.sin(ts), 0 * ts], axis=1)
+    return {"t": ts.tolist(), "centers": centers.tolist(), "radii": (0.5 + 0.1 * np.sin(ts)).tolist()}
+
+
+def test_n4_envelope_files_hold_the_exact_vertices_on_the_envelope(tmp_path):
+    # the .npy beside an n = 4 OBJ is the mesh's vertex array bit for bit, and
+    # every row of it solves both envelope equations: it lies on its sphere
+    # |x - c|^2 = rho^2 and on the sphere's t-derivative (x - c).c' + rho rho' = 0
+    grids = {"mesh_t": 64, "mesh_angle": 16}
+    entries = [
+        {"name": "r4-circle", "analyses": ["envelope"]},
+        {"name": "sampled", "data": _sampled_r4_data(), "analyses": ["envelope"]},
+    ]
+    report, _, code = run_scene(
+        load_scene({"version": 1, "grids": grids, "families": entries}), tmp_path
+    )
+    assert code == 0
+    for entry, result in zip(entries, report["results"]["families"]):
+        env = result["analyses"]["envelope"]
+        assert env["vertices_file"] == f"{result['label']}.npy"
+        with open(tmp_path / env["vertices_file"], "rb") as fh:
+            x = np.load(fh, allow_pickle=False)
+        family = make_family(entry["name"], entry.get("params") or entry.get("data"))
+        mesh = envelope_mesh(family, t_count=grids["mesh_t"], angle_count=grids["mesh_angle"])
+        assert x.dtype == np.float64 and x.shape == (env["vertices"], 4)
+        assert x.tobytes() == mesh.vertices.tobytes()
+        jet = family.jets_at(mesh.params[:, :1])
+        d, dc, rho, drho = x - jet.c, jet.dc[:, 0], jet.rho, jet.drho[:, 0]
+        on_sphere = np.abs(np.einsum("pi,pi->p", d, d) - rho**2) / rho**2
+        on_derivative = np.abs(np.einsum("pi,pi->p", d, dc) + rho * drho)
+        on_derivative /= rho * np.linalg.norm(dc, axis=1)
+        assert on_sphere.max() <= 1e-14 and on_derivative.max() <= 1e-14, entry["name"]
+        # the OBJ beside it: one v line per vertex, and no normals
+        text = (tmp_path / env["file"]).read_bytes()
+        assert text.count(b"\nv ") + text.startswith(b"v ") == env["vertices"]
+        assert b"vn " not in text
 
 
 def _fallback_scene():
@@ -460,14 +504,17 @@ def test_xyz_text_roundtrip():
 
 
 def _reference_obj(mesh) -> bytes:
-    """OBJ rendered one number at a time with `format_number`, as ASCII."""
+    """OBJ rendered one number at a time with `format_number`, as ASCII: a
+    mesh of more than three coordinates has (x1, x2, x3) and no normals."""
     lines = [f"o {mesh.name}"] if mesh.name else []
-    for tag, rows in (("v", mesh.vertices), ("vn", mesh.normals)):
+    normals = mesh.vertices.shape[1] <= 3
+    records = (("v", mesh.vertices), ("vn", mesh.normals)) if normals else (("v", mesh.vertices),)
+    for tag, rows in records:
         lines += [" ".join([tag] + [format_number(x) for x in row[:3]]) for row in rows]
     if mesh.faces is not None:
         for face in mesh.faces:
             a, b, c = (int(i) + 1 for i in face)
-            lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+            lines.append(f"f {a}//{a} {b}//{b} {c}//{c}" if normals else f"f {a} {b} {c}")
     return "".join(line + "\n" for line in lines).encode("ascii")
 
 
@@ -768,6 +815,30 @@ def test_cli_validate_rejects_an_infinite_parameter(tmp_path, capsys):
     message = "parameter 'radius' must be finite, got inf"
     diags = json.loads(capsys.readouterr().out)
     assert diags == [{"entry": "surfaces[0]", "field": "params", "message": message}]
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["inf", "nan", "2", True, None, [1.0], 10**400],
+    ids=["str-inf", "str-nan", "str-2", "bool", "none", "list", "int-1e400"],
+)
+def test_a_catalog_parameter_that_is_no_finite_number_is_named(value):
+    # a string, a bool or a list is refused by its type, not cast; an int beyond
+    # the float range is not finite
+    word = "finite" if isinstance(value, int) and not isinstance(value, bool) else "a number"
+    for make, name, key in ((make_surface, "sphere", "radius"), (make_family, "circle-tube", "rho")):
+        with pytest.raises(DomainError, match=rf"parameter {key!r} must be {word}, got "):
+            make(name, {key: value})
+    # the sample-data entries keep their lists and their name string
+    assert make_family("sampled", {**_sampled_r4_data(), "name": "ring"}).name == "ring"
+
+
+def test_cli_validate_rejects_a_string_parameter(tmp_path, capsys):
+    scene = {"version": 1, "families": [{"name": "circle-tube", "params": {"rho": "nan"}}]}
+    assert main(["validate", _write_scene(tmp_path, scene)]) == 2
+    message = "parameter 'rho' must be a number, got 'nan'"
+    diags = json.loads(capsys.readouterr().out)
+    assert diags == [{"entry": "families[0]", "field": "params", "message": message}]
 
 
 def test_cli_handles_unreadable_and_malformed_files(tmp_path, capsys):

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import taylor
-from .envelope import FamilyJet, SphereFamily, batched_jet
+from .envelope import _POLAR_MARGIN, FamilyJet, SphereFamily, batched_jet
 from .errors import CanalGeoError, DomainError
 from .jets import ParametricSurface
 from .taylor import cos, jet_function, sin, sqrt
@@ -287,7 +287,7 @@ def _tube4(major: float = 2.0, minor: float = 0.5) -> ParametricSurface:
         chart,
         3,
         4,
-        [[0.0, TWO_PI], [0.35, math.pi - 0.35], [0.0, TWO_PI]],
+        [[0.0, TWO_PI], [_POLAR_MARGIN, math.pi - _POLAR_MARGIN], [0.0, TWO_PI]],
         f"tube4({major:g},{minor:g})",
     )
 
@@ -651,7 +651,8 @@ def planar_canal_surface(
             offset = [o * scale for o in offset]
         return [x + offset[0], y + offset[1], *offset[2:]]
 
-    domain = [list(t_domain)] + [[0.35, math.pi - 0.35]] * (dim_n - 3) + [[0.0, TWO_PI]]
+    polar = [_POLAR_MARGIN, math.pi - _POLAR_MARGIN]
+    domain = [list(t_domain)] + [polar] * (dim_n - 3) + [[0.0, TWO_PI]]
     name = name or "planar-canal"
     surface = _surface(chart, dim_n - 1, dim_n, domain, name)
     return surface, _planar_family(spine, dim_n, t_domain, name + "-family")

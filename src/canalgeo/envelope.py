@@ -57,6 +57,7 @@ _STATIONARY_REL = 1e-12
 _RANK_REL = 1e-8
 _FRAME_FLOOR = 1e-8
 _DIRECTION_SCAN = 128  # spine tangents sampled to place the chart reference direction
+_POLAR_MARGIN = 0.35  # polar angles keep off the poles, where the spherical chart degenerates
 
 
 @dataclass(frozen=True)
@@ -569,7 +570,7 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
         return out[0] if u.ndim == 1 else out
 
     domain = [[lo, hi]]
-    domain += [[0.35, math.pi - 0.35] for _ in range(n - 3)]
+    domain += [[_POLAR_MARGIN, math.pi - _POLAR_MARGIN] for _ in range(n - 3)]
     domain += [[0.0, 2.0 * math.pi]]
     return ParametricSurface(
         dim_n=n,
@@ -581,9 +582,10 @@ def envelope_surface(family: SphereFamily, name: str = "") -> ParametricSurface:
 
 @dataclass(frozen=True)
 class EnvelopeMesh:
+    """Envelope vertices (P, n); for n = 3 also unit normals (P, 3) and faces, else None."""
+
     vertices: np.ndarray
-    normals: np.ndarray
-    params: np.ndarray
+    normals: np.ndarray | None
     faces: np.ndarray | None
     name: str
 
@@ -596,43 +598,42 @@ def envelope_mesh(
 ) -> EnvelopeMesh:
     """Sample the envelope of a one-parameter family into a mesh.
 
-    For n = 3 the mesh carries triangle faces (closed in the angular
-    direction, open along the spine); higher dimensions get vertices,
-    normals and parameters only.  A family in R^2 raises `DomainError`, and
-    so do counts that fail `jets._grid_counts`.
+    For n = 3 the mesh carries unit normals and triangle faces (closed in the
+    angular direction, open along the spine); for n >= 4 it holds vertices only.
+    A family in R^2 raises `DomainError`, and so do counts that fail
+    `jets._grid_counts`, a grid too large for its vertices among them.
     """
     if family.r != 1:
         raise DomainError("meshes are generated for one-parameter families")
     n = family.dim_n
     if n < 3:  # in R^2 the characteristic set is a point pair; the chart refuses n < 3 too
         raise DomainError("hypersurface analysis needs ambient dimension n >= 3")
-    what = "mesh counts (t_count, angle_count)"  # a cell: 2n vertex and normal floats, or 2 faces
-    t_count, angle_count = _grid_counts([t_count, angle_count], 2, what, 2 * n)
+    what = "mesh counts (t_count, angle_count)"
+    t_count, angle_count = _grid_counts([t_count, angle_count], 2, what)
+    polar_count = max(angle_count // 2, 4)
+    # a (t, azimuth) cell: polar_count**(n-3) vertices of n floats, 2n with normals
+    _grid_counts([t_count, angle_count], 2, what, (2 if n == 3 else 1) * n * polar_count ** (n - 3))
     lo, hi = family.domain[0]
     ts = np.linspace(lo, hi, t_count)
+    polar = np.linspace(_POLAR_MARGIN, math.pi - _POLAR_MARGIN, polar_count)
     thetas = np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False)
-    polar_axes = [
-        np.linspace(0.35, math.pi - 0.35, max(angle_count // 2, 4)) for _ in range(n - 3)
-    ]
-    axes = [ts] + polar_axes + [thetas]
-    # the meshgrid arrays are temporaries, freed once the grid is stacked
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    # the angle rows of one t block; every t takes the same block
+    grid = np.meshgrid(*[polar] * (n - 3), thetas, indexing="ij")
+    units = _spherical_unit(np.stack([g.ravel() for g in grid], axis=-1))[:, :, None]
 
-    # the grid is t-major: each t owns one contiguous block of rows, and
     # one batched member jet serves the circles and the normals of every block
     jet, errors = family._row_jets(ts[:, None])
     circle = _characteristic(jet, errors, family._reference_frame)
     errors.raise_first()
-    block = math.prod(len(a) for a in axes[1:])
-    units = _spherical_unit(grid[:block, 1:])[:, :, None]
-    verts = np.empty((t_count, block, n))
+    verts = np.empty((t_count, len(units), n))
     for k in range(t_count):  # the chart's points, one block at a time
         verts[k] = _circle_points(circle, k, units)
-    normals = verts - jet.c[:, None]
-    normals /= jet.rho[:, None, None]
 
-    faces = None
+    normals = faces = None
     if n == 3:
+        normals = verts - jet.c[:, None]
+        normals /= jet.rho[:, None, None]
+        normals = normals.reshape(-1, n)
         i = np.arange(t_count - 1)[:, None] * angle_count
         j = np.arange(angle_count)
         a, b = i + j, i + (j + 1) % angle_count
@@ -641,8 +642,7 @@ def envelope_mesh(
 
     return EnvelopeMesh(
         vertices=verts.reshape(-1, n),
-        normals=normals.reshape(-1, n),
-        params=grid,
+        normals=normals,
         faces=faces,
         name=name or (family.name + "-envelope" if family.name else "envelope"),
     )

@@ -34,12 +34,12 @@ table with their leading zeros masked, four words an index.  A chunk of rows
 becomes text by one ``bytes.translate`` that deletes the NULs.
 
 File conventions:
-  * OBJ: ASCII, ``v`` and ``vn`` records followed by ``f i//i j//j k//k``
-    faces (1-based, vertex and normal indices coincide).  A mesh with more
-    than three coordinates writes only the projection of its vertices to
-    (x1, x2, x3) as ``v`` records, with no ``vn`` records (the first three
-    entries of a longer normal are no normal) and ``f i j k`` faces; the
-    scene writes its exact vertices beside it as a ``.npy`` array.
+  * OBJ: ASCII, ``v`` records of (x1, x2, x3), then, for a mesh with
+    normals, ``vn`` records and ``f i//i j//j k//k`` faces (1-based, vertex
+    and normal indices coincide), and for a mesh without, ``f i j k`` faces.
+    Only n = 3 envelopes have normals; an n >= 4 envelope has neither normals
+    nor faces, and the scene writes its exact vertices beside the OBJ's
+    projection as a ``.npy`` array.
   * singular-locus CSV columns, in order:
     t, discriminant, count, p1_x, p1_y, p1_z, p2_x, p2_y, p2_z
     with empty cells where fewer than two points exist; an optional trailing
@@ -275,26 +275,28 @@ def _in_memory(write, *args) -> bytes:
 def write_obj(fh: BinaryIO, mesh: EnvelopeMesh) -> None:
     """Write a mesh as ASCII OBJ: ``v`` records, ``vn`` records and faces.
 
-    A mesh with more than three coordinates writes the projection of its
-    vertices to (x1, x2, x3), and no normals: its ``v`` records are followed
-    by ``f a b c`` faces without normal indices.  A face index outside
-    [0, vertex count) raises `DomainError` before anything is written.
+    The ``v`` records are the vertices' first three coordinates.  A mesh with
+    normals writes them as ``vn`` records and its faces as ``f a//a b//b
+    c//c``; a mesh without writes ``f a b c``.  Normals that are not (vertex
+    count, 3), or a face index outside [0, vertex count), raise `DomainError`
+    before anything is written.
     """
+    count = mesh.vertices.shape[0]
+    if mesh.normals is not None and np.shape(mesh.normals) != (count, 3):
+        raise DomainError(f"mesh normals have shape {np.shape(mesh.normals)}, not ({count}, 3)")
     faces = None
     if mesh.faces is not None:
         faces = np.asarray(mesh.faces, dtype=np.int64)
-        count = mesh.vertices.shape[0]
         if faces.size and (faces.min() < 0 or faces.max() >= count):
             bad = faces[(faces < 0) | (faces >= count)][0]
             raise DomainError(f"mesh face index {bad} is outside [0, {count})")
     if mesh.name:
         fh.write(f"o {mesh.name}\n".encode())
-    normals = mesh.vertices.shape[1] <= 3
     _write_lines(fh, "v ", mesh.vertices[:, :3], _number_words)
-    if normals:
-        _write_lines(fh, "vn ", mesh.normals[:, :3], _number_words)
+    if mesh.normals is not None:
+        _write_lines(fh, "vn ", mesh.normals, _number_words)
     if faces is not None:
-        _write_lines(fh, "f ", faces + 1, partial(_face_words, normals=normals))
+        _write_lines(fh, "f ", faces + 1, partial(_face_words, normals=mesh.normals is not None))
 
 
 def obj_text(mesh: EnvelopeMesh) -> bytes:

@@ -1,7 +1,9 @@
 """Family lifts, de Sitter classification, characteristic spheres, meshes."""
 
 import dataclasses
+import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from canalgeo import (
 )
 from canalgeo.envelope import (
     _DIRECTION_SCAN,
+    _POLAR_MARGIN,
     FamilyJet,
     SphereFamily,
     _direction_candidates,
@@ -240,7 +243,6 @@ def test_envelope_mesh_torus_implicit():
     mesh = envelope_mesh(fam, t_count=48, angle_count=24)
     assert mesh.vertices.shape == (48 * 24, 3)
     assert mesh.normals.shape == mesh.vertices.shape
-    assert mesh.params.shape == (48 * 24, 2)
     x, y, z = mesh.vertices.T
     resid = np.abs((np.hypot(x, y) - 2.0) ** 2 + z**2 - 1.0)
     assert resid.max() < 1e-8
@@ -262,6 +264,15 @@ def _loop_faces(t_count, angle_count):
     return np.asarray(faces, dtype=int)
 
 
+def _mesh_params(family, t_count, angle_count):
+    """The t-major (t, polar angles..., azimuth) rows whose chart points are the mesh vertices."""
+    lo, hi = family.domain[0]
+    polar = np.linspace(_POLAR_MARGIN, math.pi - _POLAR_MARGIN, max(angle_count // 2, 4))
+    axes = [np.linspace(lo, hi, t_count)] + [polar] * (family.dim_n - 3)
+    axes.append(np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False))
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def test_envelope_mesh_normals_radial():
     t_count, angle_count = 16, 12
     for name, params in (
@@ -271,16 +282,34 @@ def test_envelope_mesh_normals_radial():
         fam = make_family(name, params)
         mesh = envelope_mesh(fam, t_count=t_count, angle_count=angle_count)
         surf = envelope_surface(fam)
-        assert np.array_equal(mesh.vertices, surf.chart(mesh.params))
-        single = np.array([surf.chart(prm) for prm in mesh.params])
+        grid = _mesh_params(fam, t_count, angle_count)
+        assert np.array_equal(mesh.vertices, surf.chart(grid))
+        single = np.array([surf.chart(prm) for prm in grid])
         assert np.array_equal(mesh.vertices, single)
+        if fam.dim_n > 3:  # no record of any file holds an n >= 4 normal, so the mesh has none
+            assert mesh.normals is None and mesh.faces is None
+            continue
         normals = np.empty_like(mesh.vertices)
-        for i, prm in enumerate(mesh.params):
+        for i, prm in enumerate(grid):
             jf = fam.jet_at(prm[:1])
             normals[i] = (mesh.vertices[i] - jf.c) / jf.rho
         assert np.array_equal(mesh.normals, normals)
-        if fam.dim_n == 3:
-            assert np.array_equal(mesh.faces, _loop_faces(t_count, angle_count))
+        assert np.array_equal(mesh.faces, _loop_faces(t_count, angle_count))
+
+
+def test_n4_envelope_mesh_holds_its_vertices_alone():
+    # an r4-circle mesh at the default grids keeps no array beside its 16 MiB of
+    # vertices: no normals, no faces, no parameter grid, no full-grid temporaries
+    family = make_family("r4-circle", None)
+    tracemalloc.start()
+    try:
+        mesh = envelope_mesh(family, t_count=256, angle_count=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mesh.vertices.shape == (256 * 32 * 64, 4)
+    assert peak <= 1.25 * mesh.vertices.nbytes, (peak, mesh.vertices.nbytes)
+    assert mesh.normals is None and mesh.faces is None
 
 
 @pytest.mark.parametrize("name", ["circle-tube", "r4-circle"])

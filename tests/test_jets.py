@@ -278,8 +278,15 @@ def test_integral_sample_counts_of_any_type_are_accepted():
             lambda: envelope_mesh(make_family("circle-tube", {}), t_count=4, angle_count=0),
             "(t_count, angle_count) must be at least 1, got [4, 0]",
         ),
+        (
+            # 2**61 vertices: 2**20 t values, 2**20 polar angles and 2**21 azimuths
+            lambda: envelope_mesh(make_family("r4-circle", None), 2**20, 2**21),
+            "(t_count, angle_count) [1048576, 2097152] make a grid too large for an array",
+        ),
     ],
-    ids=["detect-1e20", "causal-2**62", "mesh-t-3", "mesh-angle-2.5", "mesh-angle-0"],
+    ids=[
+        "detect-1e20", "causal-2**62", "mesh-t-3", "mesh-angle-2.5", "mesh-angle-0", "mesh-r4-2**61"
+    ],
 )
 def test_grid_counts_fail_with_a_domain_error_that_names_them(call, named):
     with pytest.raises(DomainError, match=re.escape(named)):

@@ -325,7 +325,8 @@ def test_run_scene_streams_the_mesh_file(tmp_path):
         t_count=DEFAULT_GRIDS["mesh_t"],
         angle_count=DEFAULT_GRIDS["mesh_angle"],
     )
-    mesh_bytes = mesh.vertices.nbytes + mesh.normals.nbytes + mesh.params.nbytes
+    assert mesh.normals is None and mesh.faces is None
+    mesh_bytes = mesh.vertices.nbytes
     del mesh
     tracemalloc.start()
     try:
@@ -369,7 +370,10 @@ def test_n4_envelope_files_hold_the_exact_vertices_on_the_envelope(tmp_path):
         mesh = envelope_mesh(family, t_count=grids["mesh_t"], angle_count=grids["mesh_angle"])
         assert x.dtype == np.float64 and x.shape == (env["vertices"], 4)
         assert x.tobytes() == mesh.vertices.tobytes()
-        jet = family.jets_at(mesh.params[:, :1])
+        # the mesh is t-major: each of the mesh_t values of t owns one block of rows
+        lo, hi = family.domain[0]
+        ts = np.linspace(lo, hi, grids["mesh_t"])
+        jet = family.jets_at(np.repeat(ts, len(x) // len(ts))[:, None])
         d, dc, rho, drho = x - jet.c, jet.dc[:, 0], jet.rho, jet.drho[:, 0]
         on_sphere = np.abs(np.einsum("pi,pi->p", d, d) - rho**2) / rho**2
         on_derivative = np.abs(np.einsum("pi,pi->p", d, dc) + rho * drho)
@@ -504,10 +508,10 @@ def test_xyz_text_roundtrip():
 
 
 def _reference_obj(mesh) -> bytes:
-    """OBJ rendered one number at a time with `format_number`, as ASCII: a
-    mesh of more than three coordinates has (x1, x2, x3) and no normals."""
+    """OBJ rendered one number at a time with `format_number`, as ASCII: the
+    vertices' (x1, x2, x3), and ``vn`` records exactly when the mesh has normals."""
     lines = [f"o {mesh.name}"] if mesh.name else []
-    normals = mesh.vertices.shape[1] <= 3
+    normals = mesh.normals is not None
     records = (("v", mesh.vertices), ("vn", mesh.normals)) if normals else (("v", mesh.vertices),)
     for tag, rows in records:
         lines += [" ".join([tag] + [format_number(x) for x in row[:3]]) for row in rows]
@@ -540,10 +544,15 @@ def _tables(draw, cols):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), cols=st.sampled_from([2, 3, 4]), with_faces=st.booleans())
-def test_obj_text_matches_per_number_reference(data, cols, with_faces):
+@given(
+    data=st.data(),
+    cols=st.sampled_from([2, 3, 4]),
+    with_normals=st.booleans(),
+    with_faces=st.booleans(),
+)
+def test_obj_text_matches_per_number_reference(data, cols, with_normals, with_faces):
     verts = data.draw(_tables(cols))
-    normals = np.resize(verts[::-1], verts.shape)
+    normals = np.resize(verts[::-1], (len(verts), 3)) if with_normals else None
     faces = None
     if with_faces:  # every index names a vertex; an empty mesh takes an empty face table
         count = data.draw(st.sampled_from(_ROW_COUNTS)) if len(verts) else 0
@@ -552,7 +561,6 @@ def test_obj_text_matches_per_number_reference(data, cols, with_faces):
     mesh = EnvelopeMesh(
         vertices=verts,
         normals=normals,
-        params=np.zeros((len(verts), 1)),
         faces=faces,
         name=data.draw(st.sampled_from(["", "tube"])),
     )
@@ -599,12 +607,32 @@ def test_obj_face_index_outside_the_vertices_is_refused(bad):
     # 4 vertices: indices 0..3 name them; nothing is written for a mesh that names others
     faces = np.array([[0, 1, 2], [2, 3, bad]], dtype=np.int64)
     zeros = np.zeros((4, 3))
-    mesh = EnvelopeMesh(vertices=zeros, normals=zeros, params=zeros[:, :1], faces=faces, name="m")
+    mesh = EnvelopeMesh(vertices=zeros, normals=zeros, faces=faces, name="m")
     buf = io.BytesIO()
     with pytest.raises(DomainError, match=rf"mesh face index {bad} is outside \[0, 4\)"):
         meshio.write_obj(buf, mesh)
     assert buf.getvalue() == b""
     assert obj_text(dataclasses.replace(mesh, faces=faces[:1])).endswith(b"\nf 1//1 2//2 3//3\n")
+
+
+def test_obj_writes_vn_exactly_when_the_mesh_has_normals():
+    verts = np.arange(12.0).reshape(4, 3)
+    faces = np.array([[0, 1, 2], [2, 3, 0]])
+    mesh = EnvelopeMesh(vertices=verts, normals=None, faces=faces, name="")
+    assert obj_text(mesh) == b"v 0 1 2\nv 3 4 5\nv 6 7 8\nv 9 10 11\nf 1 2 3\nf 3 4 1\n"
+    with_normals = obj_text(dataclasses.replace(mesh, normals=-verts))
+    assert with_normals.count(b"vn ") == 4 and with_normals.endswith(b"\nf 3//3 4//4 1//1\n")
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 2), (3, 3), (5, 3), (12,)])
+def test_obj_normals_of_another_shape_are_refused(shape):
+    # an n = 3 mesh has one (x, y, z) normal per vertex; nothing is written for other normals
+    mesh = EnvelopeMesh(vertices=np.zeros((4, 3)), normals=np.zeros(shape), faces=None, name="m")
+    buf = io.BytesIO()
+    named = re.escape(f"mesh normals have shape {shape}, not (4, 3)")
+    with pytest.raises(DomainError, match=named):
+        meshio.write_obj(buf, mesh)
+    assert buf.getvalue() == b""
 
 
 def _steps(x: float, count: int) -> float:
@@ -662,9 +690,8 @@ _ADVERSARIAL = st.one_of(
 def test_writers_match_per_number_reference_on_adversarial_floats(pool, rows, cols):
     pts = np.resize(np.array(pool, dtype=float), (rows, cols))
     assert xyz_text(pts) == _reference_xyz(pts)
-    mesh = EnvelopeMesh(
-        vertices=pts, normals=-pts, params=np.zeros((rows, 1)), faces=None, name="adversarial"
-    )
+    normals = -pts if cols == 3 else None
+    mesh = EnvelopeMesh(vertices=pts, normals=normals, faces=None, name="adversarial")
     assert obj_text(mesh) == _reference_obj(mesh)
 
 

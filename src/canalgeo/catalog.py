@@ -40,6 +40,7 @@ __all__ = [
     "transform_surface",
     "planar_canal_surface",
     "family_from_expressions",
+    "sampled_family",
 ]
 
 TWO_PI = 2.0 * math.pi

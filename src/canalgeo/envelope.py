@@ -415,10 +415,9 @@ class CharacteristicSphere:
     member_radius: float
 
 
-# the characteristic spheres of P members: center (P, n) and radius (P,); the
-# Gram-Schmidt rows of dc (P, r, n), their pivots (P, r; |c'| for r = 1) and the
-# centre's offset along them (P, r); for r = 1 on request the plane basis w (P, n-1, n)
-_Circles = namedtuple("_Circles", "center radius spine speed delta w")
+# the characteristic spheres of P members: center (P, n) and radius (P,); for r = 1
+# on request the plane basis w (P, n-1, n)
+_Circles = namedtuple("_Circles", "center radius w")
 
 
 @np.errstate(all="ignore")
@@ -438,7 +437,7 @@ def _characteristic(jet: FamilyJet, errors: _RowErrors, reference=None) -> _Circ
     dc, rho, drho = jet.dc, jet.rho, jet.drho
     norms = np.sqrt(np.einsum("ipn,ipn->ip", dc, dc))
     floor = _FRAME_FLOOR * np.maximum(1.0, norms.max(axis=1))
-    spine, speed, delta = np.empty_like(dc), np.empty_like(drho), np.empty_like(drho)
+    spine, delta = np.empty_like(dc), np.empty_like(drho)
     for k in range(dc.shape[1]):
         v, num = dc[:, k], -rho * drho[:, k]
         for j in range(k):
@@ -449,7 +448,6 @@ def _characteristic(jet: FamilyJet, errors: _RowErrors, reference=None) -> _Circ
         what = "family spine is (numerically) rank-deficient at t={t}"
         errors.check(s <= floor, DegenerateFrameError, what)
         spine[:, k] = v / s[:, None]
-        speed[:, k] = s
         delta[:, k] = num / s
 
     center = jet.c + (delta[:, :, None] * spine).sum(axis=1)
@@ -469,7 +467,7 @@ def _characteristic(jet: FamilyJet, errors: _RowErrors, reference=None) -> _Circ
         vt = v_ref + tau
         coef = np.matmul(u_ref, vt[:, :, None])[..., 0] / denom[:, None]  # (P, n-1)
         w = u_ref - coef[:, :, None] * vt[:, None, :]
-    return _Circles(center, radius, spine, speed, delta, w)
+    return _Circles(center, radius, w)
 
 
 def _circle_points(circle: _Circles, rows, units: np.ndarray) -> np.ndarray:

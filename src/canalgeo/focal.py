@@ -3,24 +3,24 @@
 For a one-parameter family in R^3 the envelope is swept by characteristic
 circles.  Along the lifted curve A_3(t) we build the frame {A_0..A_4} with
 A_0, A_4 antipodal isotropic points of the circle, A_1 the circle tangent,
-A_2 the normalized curve velocity.  Reading the frame derivatives off
-against the quadratic form yields the three structure coefficients that
-control where the envelope fails to be immersed: the roots of
+A_2 the normalized curve velocity.  Reading the derivative of A_2 off against
+the frame yields the three structure coefficients that control where the
+envelope fails to be immersed: the roots of
 
     (x^1)^2 + 2*lam212 * x^1 x^4 + 2*c22 * (x^4)^2 = 0
 
 on the isotropy quadric of the generator plane are the singular points, so
 their count is decided by the discriminant lam212^2 - 2*c22.  The frame and
-its t-derivatives are closed form in the order-2 member jet at t, so no
-difference step enters the coefficients.  `adapted_frames` builds them for
-a whole t grid in one batched pass (one member jet, one lift and one
-characteristic call), each row bit for bit the frame of its t alone, and
-records in a `jets._RowErrors` the error that each failing row raises
-alone; `adapted_frame_coefficients` is row 0 of a batch of one, and
-`_singular_rows` is `singular_set` on every row of one pass.  The circle
-(centre, radius and plane basis) is the one `envelope_surface` draws, from
-the same closed-form `envelope._characteristic`, so the angle of a singular
-point on its circle is its chart coordinate:
+A_2' are closed form in the order-2 member jet at t, so no difference step
+enters the coefficients.  `adapted_frames` builds them for a whole t grid in
+one batched pass (one member jet, one lift and one characteristic call), each
+row bit for bit the frame of its t alone, and records in a `jets._RowErrors`
+the error that each failing row raises alone; `adapted_frame_coefficients` is
+row 0 of a batch of one, and `_singular_rows` is `singular_set` on every row
+of one pass.  The circle (centre, radius and plane basis) is the one
+`envelope_surface` draws, from the same closed-form
+`envelope._characteristic`, so the angle of a singular point on its circle is
+its chart coordinate:
 ``envelope_surface(family).chart([t, angle])`` is the point.
 
 Projectively, the polar hyperplanes of A(t) envelope a tangentially
@@ -154,15 +154,6 @@ class FocalCoefficients:
     def constraint_residual(self) -> float:
         return constraint_residual(self.lam_pq, self.c_pq)
 
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "t": self.t,
-            "lam_pq": self.lam_pq.tolist(),
-            "lam_apq": self.lam_apq.tolist(),
-            "c_pq": self.c_pq.tolist(),
-        }
-
 
 def constraint_residual(lam_pq: np.ndarray, c_pq: np.ndarray) -> float:
     """Asymmetry of lam^t_p c_tq, which must be symmetric in (p, q)."""
@@ -203,27 +194,28 @@ def adapted_frames(family: SphereFamily, ts) -> list[FocalCoefficients]:
     """Structure coefficients lam22, lam212, c22 of an r = 1 family in R^3 at
     every row of a (P, 1) parameter grid, one `FocalCoefficients` per row.
 
-    Every frame vector and its t-derivative is closed form in the order-2
-    member jet at t.  With s = |c'|, T = c'/s, the characteristic circle has
-    centre C = c + delta T and radius R, delta = -rho rho'/s and
-    R^2 = rho^2 - delta^2.  Past the spacelike check R^2 > 0 holds in
-    exact arithmetic, since R^2 = rho^2 (1 - rho'^2/s^2) and (A', A') =
-    (s^2 - rho'^2)/rho^2 share their sign.
+    The frame is closed form in the order-2 member jet at t.  With s = |c'|,
+    T = c'/s, the characteristic circle has centre C = c + delta T and radius
+    R, delta = -rho rho'/s and R^2 = rho^2 - delta^2.  Past the spacelike
+    check R^2 > 0 holds in exact arithmetic, since R^2 = rho^2 (1 -
+    rho'^2/s^2) and (A', A') = (s^2 - rho'^2)/rho^2 share their sign.  The
+    circle, with the plane basis (W_0, W_1), comes from the envelope chart's
+    `_characteristic`, so x = C + R (cos th W_0 + sin th W_1) is the chart
+    point at angle th.
 
-    The circle itself, with the plane basis (W_0, W_1), comes from the
-    envelope chart's `_characteristic`, so x = C + R (cos th W_0 + sin th W_1)
-    is the chart point at angle th; only the t-derivatives are derived here.
-    Each basis vector U moves by the minimal rotation U' = -(U.T') T; any
-    other in-plane transport adds a multiple of A_1 to A_0' and of
-    A_0 - 2R^2 A_4 to A_1', both orthogonal to A_2, so the coefficients do
-    not depend on it.
+    No t-derivative of the circle enters.  With sigma = |A_3'| and A_2 =
+    A_3'/sigma, (A_0, A_2) = (A_1, A_2) = 0 at every t, so omega = (A_0', A_2)
+    = -(A_0, A_2') and (A_1', A_2) = -(A_1, A_2').  The coefficients are the
+    components of the Darboux curvature vector K = (A_2' + sigma A_3)/sigma
+    in the generator's null frame: lam22 = 1/(A_0, K), lam212 = (A_1, K)/(A_0,
+    K) and c22 = (A_4, K)/(A_0, K), so lam212^2 - 2 c22 = lam22^2 (K, K).
 
     The base point x0 is the one of the 8 angles k pi/8 with the largest
-    |omega| = |(A_0', A_2)|; a fixed angle would sweep through singular
-    points, where omega vanishes.  If even that |omega| is within
-    ``_OMEGA_REL`` of (|C'| + |R'| + R |T'|) |A_2|, a frame-free bound on
-    |x0'| |A_2| over the circle, the frame is degenerate.  A_1 is the unit
-    circle tangent at x0 along increasing chart angle.
+    |omega|; a fixed angle would sweep through singular points, where omega
+    vanishes.  If even that |omega| is at most ``_OMEGA_REL`` R sigma, a bound
+    whose ratio to omega translation, dilation and reparametrization leave
+    alone, the frame is degenerate: so it is for spheres through one fixed
+    circle.  A_1 is the unit circle tangent at x0 along increasing chart angle.
 
     The grid makes one `_row_jets`, one `_lift_jet` and one `_characteristic`
     call; each step is elementwise, a per-row BLAS product or the form
@@ -263,52 +255,31 @@ def _adapted_rows(family: SphereFamily, ts) -> tuple[list, _RowErrors]:
         return [None] * len(ts), errors
     circle = _characteristic(jet, errors, reference)
     center, radius, w = circle.center, circle.radius, circle.w
-    tan, s, delta = circle.spine[:, 0], circle.speed[:, 0], circle.delta[:, 0]
-    rho, drho, d2rho = jet.rho, jet.drho[:, 0], jet.d2rho[:, 0, 0]
     what = "characteristic circle degenerated to a point at t={t[0]}"
-    errors.check(radius <= 1e-6 * rho, DegenerateFrameError, what)
-
-    dc, d2c = jet.dc[:, 0], jet.d2c[:, 0, 0]
-    ds = _row_dots(d2c, tan)
-    dtan = (d2c - ds[:, None] * tan) / s[:, None]
-    ddelta = -(drho * drho + rho * d2rho) / s + rho * drho * ds / (s * s)
-    dradius = (rho * drho - delta * ddelta) / radius
-    dcenter = dc + ddelta[:, None] * tan + delta[:, None] * dtan
+    errors.check(radius <= 1e-6 * jet.rho, DegenerateFrameError, what)
 
     rows = np.arange(len(ts))
     angles = np.arange(8) * (math.pi / 8.0)
     cs, sn = np.cos(angles)[:, None], np.sin(angles)[:, None]
     units = cs * w[:, None, 0] + sn * w[:, None, 1]  # (P, 8, 3)
     x0s = center[:, None] + radius[:, None, None] * units
-    along = np.matmul(units, dtan[:, :, None])  # (P, 8, 1)
-    dx0s = (
-        dcenter[:, None]
-        + dradius[:, None, None] * units
-        - radius[:, None, None] * along * tan[:, None]
-    )
-    da0s = _lift_rows(0.0, dx0s, np.sum(x0s * dx0s, axis=2))
-    omegas = inner(da0s, a2[:, None])  # (P, 8)
+    omegas = -inner(_lift_rows(1.0, x0s, 0.5 * np.sum(x0s * x0s, axis=2)), da2[:, None])
     k = np.argmax(np.abs(omegas), axis=1)
     omega = omegas[rows, k]
-    scale = np.sqrt(_row_dots(dcenter, dcenter)) + np.abs(dradius)
-    scale = scale + radius * np.sqrt(_row_dots(dtan, dtan))
-    transverse = np.abs(omega) > _OMEGA_REL * scale * np.sqrt(_row_dots(a2, a2))
     what = "transverse rate vanished at every frame angle at t={t[0]}"
-    errors.check(~transverse, DegenerateFrameError, what)
+    errors.check(~(np.abs(omega) > _OMEGA_REL * radius * speed), DegenerateFrameError, what)
 
-    x0, dx0 = x0s[rows, k], dx0s[rows, k]
+    x0 = x0s[rows, k]
     x4 = center - radius[:, None] * units[rows, k]
     perp = -sn[k] * w[:, 0] + cs[k] * w[:, 1]
-    dperp = -_row_dots(perp, dtan)[:, None] * tan
     a0 = _lift_rows(1.0, x0, 0.5 * _row_dots(x0, x0))
     a4 = _lift_rows(1.0, x4, 0.5 * _row_dots(x4, x4)) / (2.0 * radius * radius)[:, None]
     a1 = _lift_rows(0.0, perp, _row_dots(x0, perp))
-    da1 = _lift_rows(0.0, dperp, _row_dots(dx0, perp) + _row_dots(x0, dperp))
 
     lam22 = -speed / omega
     what = "curve velocity vanished at t={t[0]}"
     errors.check(np.abs(lam22) <= 1e-12, DegenerateFrameError, what)
-    lam212 = inner(da1, a2) / omega
+    lam212 = -inner(a1, da2) / omega
     c22 = -inner(da2, a4) / omega
     vectors = dict(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, x0=x0, x4=x4, center=center, w=w)
     out = [None] * len(ts)
@@ -343,13 +314,6 @@ class SingularPoint:
     point: np.ndarray  # location in R^3
     angle: float  # position on the characteristic circle
 
-    def to_json(self) -> dict:
-        return {
-            "generator": [float(v) for v in self.generator],
-            "point": [float(v) for v in self.point],
-            "angle": self.angle,
-        }
-
 
 @dataclass(frozen=True)
 class SingularReport:
@@ -362,17 +326,6 @@ class SingularReport:
     coefficients: FocalCoefficients
     residual: float = 0.0  # largest |x1^2 - 2 x0 x4|, |x0 + lam212 x1 + c22 x4| of the points
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "discriminant": self.discriminant,
-            "band": self.band,
-            "count": self.count,
-            "degenerate": self.degenerate,
-            "points": [p.to_json() for p in self.points],
-            "coefficients": self.coefficients.to_json(),
-        }
-
 
 def singular_set(
     coeffs: FocalCoefficients, tolerances: Tolerances = DEFAULT_TOLERANCES
@@ -384,7 +337,7 @@ def singular_set(
     (x^1)^2 + 2 lam212 x^1 x^4 + 2 c22 (x^4)^2 = 0, so the number of real
     points is the sign of D = lam212^2 - 2 c22: two for D > 0, none for
     D < 0, one double point inside the tolerance band.  D and lam22 both
-    depend on the frame's base point, but D / lam22^2 does not (it is
+    depend on the frame's base point, but D / lam22^2 = (K, K) does not (it is
     (rho kappa)^2 - 1 on a constant-radius tube), so the band is
     ``tolerances.discriminant * lam22^2``.
     """
@@ -473,6 +426,12 @@ def classify_tube_plane(
     (3,0) means no common points (the swept tube self-intersects), and a
     degenerate restriction means tangency: the kernel direction is isotropic
     and drops to the unique singular point.
+
+    A plane is a span, so the vectors are first divided by the power of two
+    2^e that bounds their largest entry, an exact step: the class and the
+    tangent point do not depend on their scale.  ``gram`` is the Gram matrix
+    of the given vectors, the scaled one times 4^e; a plane whose Gram
+    matrix overflows raises `DomainError`.
     """
     rows = []
     for v in vectors:
@@ -481,13 +440,19 @@ def classify_tube_plane(
     b = np.stack(rows)
     if b.shape != (3, 5):
         raise DimensionMismatch(f"expected 3 vectors of length 5, got {b.shape}")
+    e = int(np.frexp(np.max(np.abs(b)))[1])
+    b = np.ldexp(b, -e)
     sv = np.linalg.svd(b, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise DomainError("spanning vectors are linearly dependent")
 
-    gram = inner(b[:, None], b[None])
-    gram = 0.5 * (gram + gram.T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    scaled = inner(b[:, None], b[None])
+    scaled = 0.5 * (scaled + scaled.T)
+    with np.errstate(over="ignore"):
+        gram = np.ldexp(scaled, 2 * e)
+    if not np.isfinite(gram).all():
+        raise DomainError("the Gram matrix of the spanning vectors overflows")
+    eigvals, eigvecs = np.linalg.eigh(scaled)
     scale = float(np.max(np.abs(eigvals)))
     band = tolerances.lightcone * max(scale, 1e-300)
     n_neg = int(np.sum(eigvals < -band))

@@ -35,6 +35,7 @@ __all__ = [
     "evaluate_jet",
     "evaluate_jets",
     "fundamental_forms",
+    "shape_derivative",
     "gauge_frame",
     "cell_centers",
     "parameter_grid",

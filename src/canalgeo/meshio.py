@@ -277,11 +277,15 @@ def write_obj(fh: BinaryIO, mesh: EnvelopeMesh) -> None:
 
     The ``v`` records are the vertices' first three coordinates.  A mesh with
     normals writes them as ``vn`` records and its faces as ``f a//a b//b
-    c//c``; a mesh without writes ``f a b c``.  Normals that are not (vertex
-    count, 3), or a face index outside [0, vertex count), raise `DomainError`
-    before anything is written.
+    c//c``; a mesh without writes ``f a b c``.  Vertices that are not 2-D with
+    at least three columns, normals that are not (vertex count, 3), or a face
+    index outside [0, vertex count) raise `DomainError` before anything is
+    written.
     """
-    count = mesh.vertices.shape[0]
+    shape = np.shape(mesh.vertices)
+    if len(shape) != 2 or shape[1] < 3:
+        raise DomainError(f"mesh vertices have shape {shape}, not (count, 3 or more)")
+    count = shape[0]
     if mesh.normals is not None and np.shape(mesh.normals) != (count, 3):
         raise DomainError(f"mesh normals have shape {np.shape(mesh.normals)}, not ({count}, 3)")
     faces = None

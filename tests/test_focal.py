@@ -22,9 +22,9 @@ from canalgeo import (
     rank_drop_singular_points,
     singular_set,
 )
-from canalgeo.conformal import form_matrix
-from canalgeo.envelope import FamilyJet, SphereFamily
-from canalgeo.errors import CanalGeoError, DimensionMismatch, DomainError
+from canalgeo.conformal import form_matrix, inner
+from canalgeo.envelope import FamilyJet, SphereFamily, _lift_jet
+from canalgeo.errors import CanalGeoError, DegenerateFrameError, DimensionMismatch, DomainError
 from canalgeo.focal import FocalCoefficients, _singular_rows, adapted_frames
 from canalgeo.jets import cell_centers
 
@@ -191,6 +191,92 @@ def test_singular_point_angles_are_chart_coordinates():
                 assert np.max(np.abs(surf.chart([t0, p.angle]) - p.point)) <= 1e-12
                 checked += 1
     assert checked > 500
+
+
+def test_discriminant_ratio_is_the_darboux_curvature():
+    # D / lam22^2 = (K, K) for the Darboux curvature vector K = (A_2' + sigma A_3) / sigma
+    fams = [make_family(name) for name in ("circle-tube", "helix-tube", "line-cone", "wobble-tube")]
+    checked = 0
+    for fam in fams + _scene_batch_families(1):
+        ts = cell_centers(fam.domain, 24)
+        a3, da, d2a = _lift_jet(fam.jets_at(ts))
+        da3, d2a3 = da[:, 0], d2a[:, 0, 0]
+        sigma = np.sqrt(inner(da3, da3))[:, None]
+        da2 = d2a3 / sigma - da3 * inner(da3, d2a3)[:, None] / sigma**3
+        kk = inner(da2 + sigma * a3, da2 + sigma * a3) / sigma[:, 0] ** 2
+        for rep, want in zip(_singular_rows(fam, ts), kk.tolist()):
+            if isinstance(rep, CanalGeoError):
+                continue
+            assert abs(_ratio(rep) - want) <= 1e-12 * max(1.0, abs(want)), fam.name
+            checked += 1
+    assert checked > 500
+
+
+def _moved_circle_tube(major, rho, scale=1.0, shift=0.0, warp=0.0):
+    """The circle tube scaled by ``scale``, translated by ``shift`` along (1, 1, 1) and
+    reparametrized by t -> t + warp sin t, with its exact order-2 jet."""
+
+    def jet2(t):
+        tv = float(t[0])
+        u, du, d2u = tv + warp * math.sin(tv), 1.0 + warp * math.cos(tv), -warp * math.sin(tv)
+        radial = np.array([math.cos(u), math.sin(u), 0.0])
+        along = np.array([-math.sin(u), math.cos(u), 0.0])
+        m = scale * major
+        return FamilyJet(
+            c=m * radial + shift,
+            dc=(m * du * along)[None],
+            d2c=(m * (d2u * along - du * du * radial))[None, None],
+            rho=scale * rho,
+            drho=[0.0],
+            d2rho=[[0.0]],
+        )
+
+    return SphereFamily(dim_n=3, r=1, jet2=jet2, domain=[[0.0, 2.0 * math.pi]], name="moved")
+
+
+@pytest.mark.parametrize(
+    "motion",
+    [{"scale": 1e6}, {"scale": 1e-6}, {"shift": 1e3}, {"shift": 1e6}, {"warp": 0.3}],
+    ids=["scaled-up", "scaled-down", "shifted-1e3", "shifted-1e6", "warped"],
+)
+def test_circle_tube_counts_do_not_depend_on_scale_position_or_parameter(motion):
+    # the degeneracy bound |omega| <= _OMEGA_REL R sigma is a ratio that none of these change
+    for major, rho, count in ((1.0, 2.0, 2), (1.0, 1.0, 1), (2.0, 0.5, 0)):
+        fam = _moved_circle_tube(major, rho, **motion)
+        reports = _singular_rows(fam, cell_centers(fam.domain, 24))
+        assert [getattr(rep, "count", rep) for rep in reports] == [count] * 24
+
+
+def _pencil_through_a_circle(a, x):
+    """Spheres about (x, 0, t) of radius sqrt(a^2 + t^2), t in [0.1 a, 2 a]: every member
+    passes through the circle of radius a about (x, 0, 0) in z = 0, their whole envelope."""
+
+    def jet2(t):
+        tv = float(t[0])
+        rho = math.hypot(a, tv)
+        return FamilyJet(
+            c=np.array([x, 0.0, tv]),
+            dc=np.array([[0.0, 0.0, 1.0]]),
+            d2c=np.zeros((1, 1, 3)),
+            rho=rho,
+            drho=[tv / rho],
+            d2rho=[[a * a / rho**3]],
+        )
+
+    return SphereFamily(dim_n=3, r=1, jet2=jet2, domain=[[0.1 * a, 2.0 * a]], name="pencil")
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3, 1e6])
+def test_spheres_through_a_fixed_circle_have_no_adapted_frame(a, offset):
+    # the characteristic circle does not move, so omega vanishes at every angle
+    fam = _pencil_through_a_circle(a, offset * a)
+    ts = cell_centers(fam.domain, 24)
+    vanished = "transverse rate vanished at every frame angle"
+    for t, rep in zip(ts[:, 0].tolist(), _singular_rows(fam, ts)):
+        assert isinstance(rep, DegenerateFrameError) and vanished in str(rep)
+        with pytest.raises(DegenerateFrameError, match=vanished):
+            adapted_frames(fam, [[t]])
 
 
 def test_singular_points_satisfy_isotropy_and_focal_plane():
@@ -426,7 +512,11 @@ def test_singular_rows_are_each_t_alone():
         except CanalGeoError as err:
             assert (type(rep), str(rep)) == (type(err), str(err))
             continue
-        assert rep.to_json() == alone.to_json()
+        assert (rep.t, rep.count, rep.discriminant) == (alone.t, alone.count, alone.discriminant)
+        assert rep.degenerate == alone.degenerate
+        for p, q in zip(rep.points, alone.points, strict=True):
+            assert (p.generator, p.angle) == (q.generator, q.angle)
+            assert np.array_equal(p.point, q.point)
 
 
 def test_singular_report_residual_is_the_largest_equation_miss():
@@ -606,6 +696,41 @@ def test_plane_inertia_matches_ldl_oracle():
         checked += 1
 
 
+def _plane_spans():
+    """Spans of a worked tube plane of each kind, and a plane tangent to the quadric at
+    p = (1, 2, 3): the lift of p and the tangent vectors (0, e_i, p_i), mixed."""
+    e = np.eye(5)
+    p = np.array([1.0, 2.0, 3.0])
+    lift = np.r_[1.0, p, p @ p / 2]
+    tangent = np.stack([lift, np.r_[0.0, e[0, :3], p[0]], np.r_[0.0, e[1, :3], p[1]]])
+    mix = np.array([[1.0, 0.5, -0.25], [0.75, -1.0, 0.5], [0.25, 0.5, 1.0]])
+    worked = [e[[1, 2, 3]], e[[0, 4, 1]], e[[0, 1, 2]]]
+    return worked + [mix @ tangent]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_plane_class_does_not_depend_on_the_scale_of_its_vectors():
+    for b in _plane_spans():
+        want = classify_tube_plane(b)
+        for s in (2.0**-500, 1e-170, 1e-3, 1e3, 2.0**400):
+            got = classify_tube_plane(s * b)
+            assert (got.kind, got.inertia) == (want.kind, want.inertia)
+            if want.tangent_point is None:
+                assert got.tangent_point is None
+            else:
+                assert got.tangent_point.kind == want.tangent_point.kind == "point"
+                point = want.tangent_point.point
+                np.testing.assert_allclose(got.tangent_point.point, point, atol=1e-12)
+        with pytest.raises(DomainError, match="Gram matrix of the spanning vectors overflows"):
+            classify_tube_plane(1e160 * b)
+    # the Gram matrix is that of the given vectors, bit for bit at a power-of-two scale
+    b = _plane_spans()[3]
+    gram = inner(b[:, None], b[None])
+    gram = 0.5 * (gram + gram.T)
+    assert np.array_equal(classify_tube_plane(b).gram, gram)
+    assert np.array_equal(classify_tube_plane(2.0**40 * b).gram, 2.0**80 * gram)
+
+
 def test_degenerate_span_rejected():
     e = np.eye(5)
     with pytest.raises(DomainError):
@@ -632,10 +757,3 @@ def test_plane_classes_of_frame_spans():
         lift, _ = family_lift(fam, [0.9])
         assert np.allclose(np.abs(lift.coords), np.abs(fr.a3), atol=1e-10)
 
-
-def test_singular_report_serializes():
-    rep = singular_set(adapted_frame_coefficients(_tube(1.0, 2.0), 0.3))
-    blob = rep.to_json()
-    assert blob["count"] == 2
-    assert len(blob["points"]) == 2
-    assert blob["coefficients"]["r"] == 1

@@ -546,7 +546,7 @@ def _tables(draw, cols):
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
-    cols=st.sampled_from([2, 3, 4]),
+    cols=st.sampled_from([3, 4]),
     with_normals=st.booleans(),
     with_faces=st.booleans(),
 )
@@ -635,6 +635,17 @@ def test_obj_normals_of_another_shape_are_refused(shape):
     assert buf.getvalue() == b""
 
 
+@pytest.mark.parametrize("shape", [(12,), (4, 1), (4, 2)])
+def test_obj_vertices_of_fewer_than_three_columns_are_refused(shape):
+    # a v record holds x y z; nothing is written for vertices that have no third coordinate
+    mesh = EnvelopeMesh(vertices=np.zeros(shape), normals=None, faces=None, name="m")
+    buf = io.BytesIO()
+    named = re.escape(f"mesh vertices have shape {shape}, not (count, 3 or more)")
+    with pytest.raises(DomainError, match=named):
+        meshio.write_obj(buf, mesh)
+    assert buf.getvalue() == b""
+
+
 def _steps(x: float, count: int) -> float:
     """``x`` moved ``count`` doubles up (count > 0) or down."""
     for _ in range(abs(count)):
@@ -692,7 +703,11 @@ def test_writers_match_per_number_reference_on_adversarial_floats(pool, rows, co
     assert xyz_text(pts) == _reference_xyz(pts)
     normals = -pts if cols == 3 else None
     mesh = EnvelopeMesh(vertices=pts, normals=normals, faces=None, name="adversarial")
-    assert obj_text(mesh) == _reference_obj(mesh)
+    if cols < 3:  # a v record holds x y z: the OBJ writer refuses fewer columns
+        with pytest.raises(DomainError, match="mesh vertices have shape"):
+            obj_text(mesh)
+    else:
+        assert obj_text(mesh) == _reference_obj(mesh)
 
 
 def test_scene_ref_meshes_match_per_number_reference():

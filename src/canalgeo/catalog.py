@@ -85,15 +85,7 @@ def _family(spine, dim_n: int, domain, name: str) -> SphereFamily:
     @batched_jet
     def jet2(t) -> FamilyJet:
         # a (1,) point or a (P, 1) batch: one Taylor pass either way
-        p, d1, d2 = jet(np.asarray(t, dtype=float)[..., :1])
-        return FamilyJet(
-            c=p[..., :dim_n],
-            dc=d1[..., :dim_n],
-            d2c=d2[..., :dim_n],
-            rho=p[..., dim_n] if p.ndim > 1 else float(p[dim_n]),
-            drho=d1[..., dim_n],
-            d2rho=d2[..., dim_n],
-        )
+        return FamilyJet.split(*jet(np.asarray(t, dtype=float)[..., :1]))
 
     return SphereFamily(dim_n=dim_n, r=1, jet2=jet2, domain=[[domain[0], domain[1]]], name=name)
 
@@ -573,14 +565,7 @@ def sampled_family(t, centers, radii, name: str = "sampled") -> SphereFamily:
         s = x - t[k]
         p0, p1, p2, p3 = poly[..., k]
         value, d1, d2 = ((p3 * s + p2) * s + p1) * s + p0
-        return FamilyJet(
-            c=value[:n].T,
-            dc=d1[:n].T[..., None, :],
-            d2c=d2[:n].T[..., None, None, :],
-            rho=value[n] if value.ndim > 1 else float(value[n]),
-            drho=d1[n:].T,
-            d2rho=d2[n:].T[..., None],
-        )
+        return FamilyJet.split(value.T, d1.T[..., None, :], d2.T[..., None, None, :])
 
     return SphereFamily(
         dim_n=n, r=1, jet2=jet2, domain=[[float(t[0]), float(t[-1])]], name=name

@@ -1,7 +1,10 @@
 """Numerical tolerances used across the analysis pipeline.
 
-Each threshold is set against the scale of the quantity it guards, but some
-have floors: clustering is relative to max(1, max|eig h|), the umbilic test to
+Each threshold is set against the scale of the quantity it guards.  Family
+thresholds have no floor (causal bands are relative to max_p (|dc_p|^2 +
+drho_p^2) / rho^2, frame floors to the spine's speed), so translating or
+dilating a family changes no verdict or count.  Surface ones still have floors:
+clustering is relative to max(1, max|eig h|), the umbilic test to
 max(1, ||h||), the Dupin metric adds the absolute `canal._METRIC_FLOOR` to
 |h|^2 and the canal metric divides by 1 + ||a3p||, so those verdicts change
 when the scene is rescaled (ROADMAP item 1: an ellipsoid scaled by 100 comes
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 class Tolerances:
     # relative band around <X,X> = 0 used when classifying lifted vectors
     isotropy: float = 1.0e-9
-    # relative band around <v,v> = 0 for causal classification of directions
+    # relative band around <v,v> = 0 for causal classification of directions and families
     lightcone: float = 1.0e-9
     # band around |inversive product| = 1 separating pencil types
     pencil: float = 1.0e-9

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import Causal, PolyVector, _lift_rows, inner
+from .conformal import Causal, PolyVector
 from .errors import (
     CanalGeoError,
     DegenerateFrameError,
@@ -37,6 +37,7 @@ from .jets import (
     cell_centers,
     parameter_grid,
 )
+from .taylor import _coefficients, _derivatives, _from_derivatives
 
 __all__ = [
     "FamilyJet",
@@ -88,15 +89,12 @@ class FamilyJet:
         d2c = np.asarray(self.d2c, dtype=float)
         if d2c.shape != lead + (r, r, n):
             raise DimensionMismatch(f"d2c must be ({r}, {r}, {n}), got {d2c.shape}")
+        rho = np.asarray(self.rho, dtype=float).reshape(lead)
+        bad = ~(rho > 0)
+        if bad.any():
+            raise DomainError(f"family radius must be positive, got {rho[bad][0]}")
         if lead:
-            rho = np.asarray(self.rho, dtype=float).reshape(lead)
             object.__setattr__(self, "rho", rho)
-            positive = rho > 0
-            if not positive.all():
-                first = rho[int(np.argmin(positive))]
-                raise DomainError(f"family radius must be positive, got {first}")
-        elif not self.rho > 0:
-            raise DomainError(f"family radius must be positive, got {self.rho}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "dc", dc)
         object.__setattr__(self, "d2c", d2c)
@@ -108,6 +106,13 @@ class FamilyJet:
     @property
     def r(self) -> int:
         return self.dc.shape[-2]
+
+    @staticmethod
+    def split(p, d1, d2) -> "FamilyJet":
+        """The jet of stacked [c | rho] tensors p (n+1,), d1 (r, n+1) and d2 (r, r, n+1), each
+        with a leading P axis or none."""
+        rho = p[..., -1] if p.ndim > 1 else float(p[-1])
+        return FamilyJet(p[..., :-1], d1[..., :-1], d2[..., :-1], rho, d1[..., -1], d2[..., -1])
 
     @staticmethod
     def stack(jets) -> "FamilyJet":
@@ -206,12 +211,13 @@ class SphereFamily:
         adapted frames of `focal`.  The rotation is smooth as long as the
         tangent never hits the antipode of v, so v is the candidate with the
         largest clearance 1 + tau.v over the spine, as one batched jet at
-        ``_DIRECTION_SCAN`` cell centres estimates it.  The scan runs once per
-        family object.
+        ``_DIRECTION_SCAN`` cell centres estimates it.  A tangent within
+        ``_FRAME_FLOOR`` of the scan's largest is stationary.  The scan runs
+        once per family object.
         """
         tangents = self.jets_at(cell_centers(self.domain, _DIRECTION_SCAN)).dc[:, 0]
         norms = np.sqrt(_row_dots(tangents, tangents))
-        if np.any(norms <= _FRAME_FLOOR):
+        if np.any(norms <= _FRAME_FLOOR * norms.max()):
             raise DegenerateFrameError("family spine is stationary along the scan")
         tangents = tangents / norms[:, None]
         cands = _direction_candidates(self.dim_n)
@@ -235,34 +241,22 @@ class SphereFamily:
 
 def _lift_jet(jet: FamilyJet):
     """Lift a batched family jet to the quadric: A (P, n+2) with (A, A) = 1, plus
-    dA (P, r, n+2) and d2A (P, r, r, n+2)."""
-    # C order, so that each row's BLAS products are those of the row alone
-    c, dc, d2c = (np.ascontiguousarray(x) for x in (jet.c, jet.dc, jet.d2c))
-    rho, drho, d2rho = jet.rho, jet.drho, jet.d2rho
-    v = _lift_rows(1.0, c, 0.5 * (_row_dots(c, c) - rho**2))
-    dv = _lift_rows(0.0, dc, (dc @ c[:, :, None])[:, :, 0] - rho[:, None] * drho)
-    drho2 = drho[:, :, None] * drho[:, None, :]  # outer products
-    d2v = _lift_rows(
-        0.0,
-        d2c,
-        dc @ dc.transpose(0, 2, 1)
-        + (d2c @ c[:, None, :, None])[..., 0]
-        - drho2
-        - rho[:, None, None] * d2rho,
-    )
+    dA (P, r, n+2) and d2A (P, r, r, n+2).
 
-    rho = rho[:, None]
-    slope = drho / rho**2
-    a = v / rho
-    da = dv / rho[:, None] - slope[:, :, None] * v[:, None, :]
-    bend = 2 * drho2 / rho[:, None] ** 3 - d2rho / rho[:, None] ** 2
-    d2a = (
-        d2v / rho[:, None, None]
-        - slope[:, :, None, None] * dv[:, None, :, :]
-        - slope[:, None, :, None] * dv[:, :, None, :]
-        + bend[..., None] * v[:, None, None, :]
-    )
-    return a, da, d2a
+    A = (1, c, (|c|^2 - rho^2) / 2) / rho is evaluated on Taylor values seeded
+    from the jet, so its derivatives come from `taylor` alone.  d2 is
+    symmetrized first, (d2 + d2^T) / 2, which leaves a symmetric d2 as it is.
+    Every step is elementwise, so a row's bits do not depend on its batch.
+    """
+    d1 = np.concatenate([jet.dc, jet.drho[..., None]], axis=-1)
+    d2 = np.concatenate([jet.d2c, jet.d2rho[..., None]], axis=-1)
+    d2 = 0.5 * (d2 + d2.transpose(0, 2, 1, 3))
+    *c, rho = _from_derivatives([np.column_stack([jet.c, jet.rho]), d1, d2])
+    inv = 1.0 / rho
+    half_power = sum(x * x for x in c) - rho * rho
+    lifted = [inv, *(x * inv for x in c), half_power * (0.5 * inv)]
+    basis = inv.basis
+    return tuple(_derivatives(_coefficients(lifted, basis, (len(jet.rho),)), basis, jet.r))
 
 
 def family_lift(family: SphereFamily, t) -> tuple[PolyVector, np.ndarray]:
@@ -305,20 +299,29 @@ class FamilyCausalReport:
         }
 
 
-def _classify_velocity(a, da, d2a, tolerances: Tolerances):
+def _velocity_gram(jet: FamilyJet) -> tuple[np.ndarray, np.ndarray]:
+    """The gram (dA_p, dA_q) = (dc_p.dc_q - rho'_p rho'_q) / rho^2 (P, r, r) of a batched
+    family jet, read off the jet itself, and its scale max_p (|dc_p|^2 + rho'_p^2) / rho^2."""
+    # C order, so that each row's BLAS products are those of the row alone
+    dc = np.ascontiguousarray(jet.dc / jet.rho[:, None, None])
+    drho = jet.drho / jet.rho[:, None]
+    gram = dc @ dc.transpose(0, 2, 1) - drho[:, :, None] * drho[:, None, :]
+    return gram, np.max(np.einsum("ipn,ipn->ip", dc, dc) + drho * drho, axis=1)
+
+
+def _classify_velocity(jet: FamilyJet, a, da, d2a, tolerances: Tolerances):
     """Causal kind of the lifted velocity at every row of a lifted batch, plus envelope regularity.
 
     Returns per-row arrays: kind, value (the least gram eigenvalue, 0 where
-    stationary) and nondeg.  Stacked `eigvalsh`, QR and singular
-    values serve the whole batch.
+    stationary) and nondeg.  The kind reads `_velocity_gram`, in the family's own
+    scale: stationary at most ``_STATIONARY_REL``^2, lightlike within ``lightcone``
+    of it.  Regularity reads the lift.  Stacked `eigvalsh`, QR and SVD serve the batch.
     """
     rows, r, size = da.shape
-    scale = np.max(np.einsum("...pm,...pm->...p", da, da), axis=1)
-    lift_scale = np.maximum(1.0, _row_dots(a, a))
-    stationary = scale <= (_STATIONARY_REL * lift_scale) ** 2
-    gram = inner(da[:, :, None, :], da[:, None, :, :])
+    gram, scale = _velocity_gram(jet)
+    stationary = scale <= _STATIONARY_REL**2
     eigs = np.linalg.eigvalsh(gram)
-    band = tolerances.lightcone * np.maximum(scale, 1e-300)
+    band = tolerances.lightcone * scale
     value = eigs[:, 0]
     kind = np.where(
         value > band,
@@ -363,12 +366,10 @@ def causal_classify_family(
         pts = parameter_grid(params, family.r)
     jet, errors = family._row_jets(pts)
     lifted = _lift_jet(jet)
-    finite = np.ones(len(pts), dtype=bool)
-    for x in lifted:
-        finite &= np.isfinite(x).reshape(len(pts), -1).all(axis=1)
+    finite = np.all([np.isfinite(x).reshape(len(pts), -1).all(axis=1) for x in lifted], axis=0)
     errors.check(~finite, DomainError, "family jet is not finite at t={t}")
     errors.raise_first()
-    kinds, values, nondeg = _classify_velocity(*lifted, tolerances)
+    kinds, values, nondeg = _classify_velocity(jet, *lifted, tolerances)
 
     counts_out = {"spacelike": 0, "timelike": 0, "lightlike": 0, "stationary": 0}
     for kind in kinds.tolist():
@@ -428,15 +429,15 @@ def _characteristic(jet: FamilyJet, errors: _RowErrors, reference=None) -> _Circ
     c - rho dc^T G^-1 drho, G = dc dc^T, and the squared radius at
     rho^2 - |centre - c|^2.  Gram-Schmidt on the rows of dc is the Cholesky
     factor of G, so G is solved by forward substitution; a pivot within
-    ``_FRAME_FLOOR`` of max(1, max_p |dc_p|) means G is singular.  For r = 1
-    this is T = c'/s and delta = -rho rho'/s with s = |c'|.  Given the
-    family's ``reference`` frame, W is its complement rotated onto T.  Each
+    ``_FRAME_FLOOR`` times max_p |dc_p| means G is singular.  For r = 1 this is
+    T = c'/s and delta = -rho rho'/s with s = |c'|, and only c' = 0 fails.  Given
+    the family's ``reference`` frame, W is its complement rotated onto T.  Each
     step is elementwise or a per-row BLAS product, so a row's bits do not
     depend on its batch.  Its checks are recorded in ``errors``; a failed row computes on.
     """
     dc, rho, drho = jet.dc, jet.rho, jet.drho
     norms = np.sqrt(np.einsum("ipn,ipn->ip", dc, dc))
-    floor = _FRAME_FLOOR * np.maximum(1.0, norms.max(axis=1))
+    floor = _FRAME_FLOOR * norms.max(axis=1)
     spine, delta = np.empty_like(dc), np.empty_like(drho)
     for k in range(dc.shape[1]):
         v, num = dc[:, k], -rho * drho[:, k]

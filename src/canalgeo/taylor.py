@@ -307,6 +307,18 @@ def _derivatives(coeffs: np.ndarray, basis: _Basis, k: int) -> list[np.ndarray]:
     ]
 
 
+def _from_derivatives(tensors) -> list[Taylor]:
+    """The inverse of `_derivatives`: one Taylor value per component of the derivative tensors
+    (P, n), (P, k, n), (P, k, k, n), ... through the order of the last.  Each monomial takes
+    the entry at its sorted index (the first of its multi-indices), divided by alpha!."""
+    rows, k, n = tensors[0].shape[0], tensors[1].shape[1], tensors[0].shape[-1]
+    basis = _basis(k, len(tensors) - 1)
+    flat = np.concatenate([np.reshape(d, (rows, -1, n)) for d in tensors], axis=1)
+    _, first = np.unique(basis.gather, return_index=True)
+    coeffs = flat[:, first] / basis.factorials[first]  # (P, M, n)
+    return [Taylor(coeffs[:, :, i].ravel(), basis) for i in range(n)]
+
+
 def jet_function(fn, order: int):
     """``u -> derivative tensors of fn(*u)`` through ``order``.
 

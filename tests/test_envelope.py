@@ -36,8 +36,11 @@ from canalgeo.envelope import (
     FamilyJet,
     SphereFamily,
     _direction_candidates,
+    _lift_jet,
+    _velocity_gram,
     batched_jet,
 )
+from canalgeo.focal import _singular_rows
 from canalgeo.jets import cell_centers
 
 
@@ -377,14 +380,20 @@ def _fourier_tangents(spec, ts):
     return dc
 
 
-def _verify_fourier_families(seeds):
-    """(family, spec) of every Fourier family of the verify inputs of ``seeds``."""
+def _bench_modules():
+    """The benchmark's `inputs` and `verify` modules."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         import inputs
         import verify
     finally:
         sys.path.pop(0)
+    return inputs, verify
+
+
+def _verify_fourier_families(seeds):
+    """(family, spec) of every Fourier family of the verify inputs of ``seeds``."""
+    inputs, verify = _bench_modules()
     out = []
     for seed in seeds:
         data = inputs.verify_inputs(seed)
@@ -569,3 +578,155 @@ def test_envelope_requires_r1():
     )
     with pytest.raises(DomainError):
         envelope_surface(fam)
+
+
+# ---------------------------------------------------------------------------
+# the lift by Taylor arithmetic, and similarity invariance
+
+
+def _batch_samples(seed):
+    """The data of every sampled family of the seed's scene-batch scene."""
+    inputs, _ = _bench_modules()
+    return [entry["data"] for entry in inputs.batch_scene(seed)["families"]]
+
+
+def _random_jets(rng, rows, r, n):
+    """A batched jet of random data with positive radii and arbitrary (asymmetric) d2."""
+    return dict(
+        c=rng.standard_normal((rows, n)),
+        dc=rng.standard_normal((rows, r, n)),
+        d2c=rng.standard_normal((rows, r, r, n)),
+        rho=0.5 + rng.random(rows),
+        drho=0.3 * rng.standard_normal((rows, r)),
+        d2rho=rng.standard_normal((rows, r, r)),
+    )
+
+
+def _form_size(x, y):
+    """The Euclidean size of the terms of inner(x, y)."""
+    mid = np.sum(np.abs(x[..., 1:-1] * y[..., 1:-1]), axis=-1)
+    return mid + np.abs(x[..., 0] * y[..., -1]) + np.abs(x[..., -1] * y[..., 0])
+
+
+def test_lift_stays_on_the_quadric(rng):
+    # (A, A) = 1, (A, A_p) = 0 and (A_p, A_q) + (A, A_pq) = 0, each within 1e-13 of the
+    # size of its terms; the gram the causal kind reads equals (A_p, A_q) within 1e-13
+    catalog = [make_family(name) for name in sorted(family_catalog()) if name != "sampled"]
+    jets = [f.jets_at(cell_centers(f.domain, 48)) for f in catalog]
+    batch = [make_family("sampled", data) for data in _batch_samples(1)]
+    jets += [f.jets_at(cell_centers(f.domain, 48)) for f in batch]
+    jets += [FamilyJet(**_random_jets(rng, 16, 2, 4)), FamilyJet(**_random_jets(rng, 16, 3, 5))]
+    for jet in jets:
+        a, da, d2a = _lift_jet(jet)
+        assert a.shape == jet.c.shape[:1] + (jet.c.shape[1] + 2,)
+        assert da.shape == jet.dc.shape[:2] + a.shape[1:]
+        assert d2a.shape == jet.d2c.shape[:3] + a.shape[1:]
+        a1, a2 = a[:, None], a[:, None, None]
+        da_p, da_q = da[:, :, None], da[:, None, :]
+        assert np.all(np.abs(inner(a, a) - 1.0) <= 1e-13 * _form_size(a, a))
+        assert np.all(np.abs(inner(a1, da)) <= 1e-13 * _form_size(a1, da))
+        second = inner(da_p, da_q) + inner(a2, d2a)
+        assert np.all(np.abs(second) <= 1e-13 * (_form_size(da_p, da_q) + _form_size(a2, d2a)))
+        gram, scale = _velocity_gram(jet)
+        assert np.all(np.abs(gram - inner(da_p, da_q)) <= 1e-13 * scale[:, None, None])
+
+
+def test_circle_tube_lift_derivatives():
+    # c = R (cos t, sin t, 0) and a constant rho: A' = (0, c', 0) / rho, A'' = (0, -c, 0) / rho
+    rho = 0.5
+    family = make_family("circle-tube", {"major": 2.0, "rho": rho})
+    jet = family.jets_at(cell_centers(family.domain, 24))
+    _, da, d2a = _lift_jet(jet)
+    zero = np.zeros((24, 1))
+    for got, want in ((da[:, 0], jet.dc[:, 0]), (d2a[:, 0, 0], -jet.c)):
+        assert np.max(np.abs(got - np.hstack([zero, want, zero]) / rho)) <= 1e-14
+
+
+def test_lift_reads_the_symmetric_part_of_d2(rng):
+    # d2 enters as (d2 + d2^T) / 2, so transposing it, or symmetrizing it first, changes no
+    # bit; and every row comes out as it does alone
+    fields = _random_jets(rng, 9, 2, 4)
+    d2c, d2rho = fields.pop("d2c"), fields.pop("d2rho")
+    sym_c, sym_rho = 0.5 * (d2c + d2c.swapaxes(1, 2)), 0.5 * (d2rho + d2rho.swapaxes(1, 2))
+    lifts = [
+        _lift_jet(FamilyJet(d2c=x, d2rho=y, **fields))
+        for x, y in ((d2c, d2rho), (d2c.swapaxes(1, 2), d2rho.swapaxes(1, 2)), (sym_c, sym_rho))
+    ]
+    for other in lifts[1:]:
+        for x, y in zip(lifts[0], other):
+            assert np.array_equal(x, y)
+    assert np.array_equal(lifts[0][2], lifts[0][2].swapaxes(1, 2))
+    for i in range(9):
+        row = {name: value[i : i + 1] for name, value in fields.items()}
+        alone = _lift_jet(FamilyJet(d2c=d2c[i : i + 1], d2rho=d2rho[i : i + 1], **row))
+        for x, y in zip(lifts[0], alone):
+            assert np.array_equal(x[i], y[0])
+
+
+def _similar(family, scale=1.0, shift=0.0):
+    """``family`` dilated by ``scale`` about the origin, then translated by ``shift`` along
+    (1, ..., 1); its provider takes batches only."""
+
+    @batched_jet
+    def jet2(ts):
+        j = family.jets_at(ts)
+        return FamilyJet(
+            scale * j.c + shift,
+            scale * j.dc,
+            scale * j.d2c,
+            scale * j.rho,
+            scale * j.drho,
+            scale * j.d2rho,
+        )
+
+    return dataclasses.replace(family, jet2=jet2)
+
+
+def _singular_counts(family):
+    reports = _singular_rows(family, cell_centers(family.domain, 24))
+    return [getattr(rep, "count", type(rep)) for rep in reports]
+
+
+def _causal_kinds(family):
+    report = causal_classify_family(family, counts=24)
+    return report.verdict, [s.kind for s in report.samples]
+
+
+@pytest.mark.parametrize(
+    "name, scale, shift",
+    [
+        ("circle-tube", 1e12, 0.0),
+        ("circle-tube", 1e-12, 0.0),
+        ("circle-tube", 1.0, 1e5),
+        ("wobble-tube", 1.0, 1e3),
+    ],
+)
+def test_causal_kinds_survive_translation_and_dilation(name, scale, shift):
+    family = make_family(name)
+    assert _causal_kinds(_similar(family, scale, shift)) == _causal_kinds(family)
+    assert _causal_kinds(family)[0] == "canal"
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-14])
+def test_tiny_circle_tube_keeps_its_frames(scale):
+    # the frame floors are relative to the spine's own speed
+    unit = make_family("circle-tube", {"major": 2.0, "rho": 0.5})
+    tiny = make_family("circle-tube", {"major": 2.0 * scale, "rho": 0.5 * scale})
+    assert _singular_counts(tiny) == _singular_counts(unit) == [0] * 24
+    assert _causal_kinds(tiny) == _causal_kinds(unit)
+    want = envelope_mesh(unit, t_count=16, angle_count=8).vertices
+    got = envelope_mesh(tiny, t_count=16, angle_count=8).vertices
+    assert np.max(np.abs(got - scale * want)) <= 1e-15 * scale * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "scale, shift", [(1e-3, 0.0), (1e3, 0.0), (1.0, 1e4), (1.0, 1e6)], ids=str
+)
+def test_batch_families_survive_translation_and_dilation(scale, shift):
+    # the seed-1 scene-batch families, their samples moved before the spline is built
+    for data in _batch_samples(1):
+        t, centers, radii = (np.asarray(data[key]) for key in ("t", "centers", "radii"))
+        family = sampled_family(t, centers, radii)
+        moved = sampled_family(t, scale * centers + shift, scale * radii)
+        assert _causal_kinds(moved) == _causal_kinds(family), data["name"]
+        assert _singular_counts(moved) == _singular_counts(family), data["name"]

@@ -236,8 +236,26 @@ def _moved_circle_tube(major, rho, scale=1.0, shift=0.0, warp=0.0):
 
 @pytest.mark.parametrize(
     "motion",
-    [{"scale": 1e6}, {"scale": 1e-6}, {"shift": 1e3}, {"shift": 1e6}, {"warp": 0.3}],
-    ids=["scaled-up", "scaled-down", "shifted-1e3", "shifted-1e6", "warped"],
+    [
+        {"scale": 1e6},
+        {"scale": 1e-6},
+        {"scale": 1e13},
+        {"scale": 1e14},
+        {"scale": 1e-14},
+        {"shift": 1e3},
+        {"shift": 1e6},
+        {"warp": 0.3},
+    ],
+    ids=[
+        "scaled-up",
+        "scaled-down",
+        "scaled-1e13",
+        "scaled-1e14",
+        "scaled-1e-14",
+        "shifted-1e3",
+        "shifted-1e6",
+        "warped",
+    ],
 )
 def test_circle_tube_counts_do_not_depend_on_scale_position_or_parameter(motion):
     # the degeneracy bound |omega| <= _OMEGA_REL R sigma is a ratio that none of these change
@@ -245,6 +263,15 @@ def test_circle_tube_counts_do_not_depend_on_scale_position_or_parameter(motion)
         fam = _moved_circle_tube(major, rho, **motion)
         reports = _singular_rows(fam, cell_centers(fam.domain, 24))
         assert [getattr(rep, "count", rep) for rep in reports] == [count] * 24
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e14])
+def test_large_catalog_tube_keeps_its_frames(scale):
+    # lam22 = -sigma/omega scales as 1/length; the omega bound alone decides degeneracy
+    fam = _tube(2.0 * scale, 0.5 * scale)
+    reports = _singular_rows(fam, cell_centers(fam.domain, 24))
+    assert [getattr(rep, "count", rep) for rep in reports] == [0] * 24
+    assert all(not rep.degenerate for rep in reports)
 
 
 def _pencil_through_a_circle(a, x):

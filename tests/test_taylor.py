@@ -16,7 +16,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canalgeo import DomainError, catalog
+from canalgeo import DomainError, catalog, taylor
 from canalgeo.catalog import (
     family_from_expressions,
     planar_canal_surface,
@@ -385,3 +385,29 @@ def test_chart_outside_its_real_domain_raises_typed_error():
     surf = surface_from_expressions([u, v], [u, v, sp.sqrt(u)], domain=[[-1.0, 1.0]] * 2)
     with pytest.raises(DomainError, match="not differentiable"):
         surf.jet(np.array([-0.5, 0.2]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_from_derivatives_inverts_derivatives(k, order):
+    # coefficients -> derivative tensors -> Taylor values -> coefficients: exact where
+    # alpha! is 1 or 2 (every monomial of order <= 2); at h_a^3 alpha! = 6, and x * 6 / 6
+    # and x / 6 * 6 round once
+    basis = taylor._basis(k, order)
+    coeffs = np.random.default_rng(order * 10 + k).standard_normal((5, basis.size, 3))
+    tensors = taylor._derivatives(coeffs, basis, k)
+    values = taylor._from_derivatives(tensors)
+    assert len(values) == 3 and all(v.basis is basis for v in values)
+    back = taylor._coefficients(values, basis, (5,))
+    again = taylor._derivatives(back, basis, k)
+    factorial = np.empty(basis.size)
+    factorial[basis.gather] = basis.factorials[:, 0]
+    six = (factorial == 6)[:, None]
+    assert np.array_equal(np.where(six, 0.0, back), np.where(six, 0.0, coeffs))
+    assert np.all(np.abs(back - coeffs) <= 2.0**-52 * np.abs(coeffs))
+    for deg, (d, e) in enumerate(zip(tensors, again)):
+        assert d.shape == e.shape == (5,) + (k,) * deg + (3,)
+        if deg < 3:
+            assert np.array_equal(d, e)
+        else:
+            assert np.all(np.abs(d - e) <= 2.0**-52 * np.abs(d))

@@ -302,8 +302,7 @@ class FamilyCausalReport:
 def _velocity_gram(jet: FamilyJet) -> tuple[np.ndarray, np.ndarray]:
     """The gram (dA_p, dA_q) = (dc_p.dc_q - rho'_p rho'_q) / rho^2 (P, r, r) of a batched
     family jet, read off the jet itself, and its scale max_p (|dc_p|^2 + rho'_p^2) / rho^2."""
-    # C order, so that each row's BLAS products are those of the row alone
-    dc = np.ascontiguousarray(jet.dc / jet.rho[:, None, None])
+    dc = jet.dc / jet.rho[:, None, None]
     drho = jet.drho / jet.rho[:, None]
     gram = dc @ dc.transpose(0, 2, 1) - drho[:, :, None] * drho[:, None, :]
     return gram, np.max(np.einsum("ipn,ipn->ip", dc, dc) + drho * drho, axis=1)

@@ -232,8 +232,8 @@ def adapted_frames(family: SphereFamily, ts) -> list[FocalCoefficients]:
 def _adapted_rows(family: SphereFamily, ts) -> tuple[list, _RowErrors]:
     """The pass of `adapted_frames`: coefficients, None at a failed row, and the record of
     row errors, checked in one row's order: member jet, spacelike, reference frame (at every
-    row not yet failed), the checks of `_characteristic`, point circle, omega bound (sigma > 0
-    and |omega| > 0, so lam22 = -sigma/omega is finite and non-zero); a family other than r = 1 in R^3 and a grid that is not (P, 1) and finite raise at once."""
+    row not yet failed), the checks of `_characteristic`, point circle, omega bound; a family
+    other than r = 1 in R^3 and a grid that is not (P, 1) and finite raise at once."""
     if family.r != 1 or family.dim_n != 3:
         raise DomainError("adapted frames are computed for r = 1 families in R^3")
     ts = parameter_grid(ts, 1)

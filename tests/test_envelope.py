@@ -590,7 +590,7 @@ def _batch_samples(seed):
     return [entry["data"] for entry in inputs.batch_scene(seed)["families"]]
 
 
-def _random_jets(rng, rows, r, n):
+def _random_jet_fields(rng, rows, r, n):
     """A batched jet of random data with positive radii and arbitrary (asymmetric) d2."""
     return dict(
         c=rng.standard_normal((rows, n)),
@@ -615,7 +615,7 @@ def test_lift_stays_on_the_quadric(rng):
     jets = [f.jets_at(cell_centers(f.domain, 48)) for f in catalog]
     batch = [make_family("sampled", data) for data in _batch_samples(1)]
     jets += [f.jets_at(cell_centers(f.domain, 48)) for f in batch]
-    jets += [FamilyJet(**_random_jets(rng, 16, 2, 4)), FamilyJet(**_random_jets(rng, 16, 3, 5))]
+    jets += [FamilyJet(**_random_jet_fields(rng, 16, r, r + 2)) for r in (2, 3)]
     for jet in jets:
         a, da, d2a = _lift_jet(jet)
         assert a.shape == jet.c.shape[:1] + (jet.c.shape[1] + 2,)
@@ -645,7 +645,7 @@ def test_circle_tube_lift_derivatives():
 def test_lift_reads_the_symmetric_part_of_d2(rng):
     # d2 enters as (d2 + d2^T) / 2, so transposing it, or symmetrizing it first, changes no
     # bit; and every row comes out as it does alone
-    fields = _random_jets(rng, 9, 2, 4)
+    fields = _random_jet_fields(rng, 9, 2, 4)
     d2c, d2rho = fields.pop("d2c"), fields.pop("d2rho")
     sym_c, sym_rho = 0.5 * (d2c + d2c.swapaxes(1, 2)), 0.5 * (d2rho + d2rho.swapaxes(1, 2))
     lifts = [
@@ -696,6 +696,7 @@ def _causal_kinds(family):
     "name, scale, shift",
     [
         ("circle-tube", 1e12, 0.0),
+        ("circle-tube", 1e14, 0.0),
         ("circle-tube", 1e-12, 0.0),
         ("circle-tube", 1.0, 1e5),
         ("wobble-tube", 1.0, 1e3),

@@ -398,6 +398,8 @@ def detect_canal(
         if not tensors.a_singular[rows].any():
             a3p = _rotate3(tensors.a3[rows], vecs[matching])
             a3p_scale = 1.0 + _norms(a3p)
+        elif 1 in signature:
+            warnings.append("cubic tensor unavailable at some samples (singular trace-free part)")
         verdicts = []
         for mult, cluster in zip(signature, _clusters(breaks[matching][0])):
             curvature = float(np.mean(eig_m[:, list(cluster)].mean(axis=1)))
@@ -406,9 +408,6 @@ def detect_canal(
                 continue
             if a3p is None:
                 verdicts.append(ClusterVerdict(mult, curvature, None, "unavailable", None))
-                warnings.append(
-                    "cubic tensor unavailable at some samples (singular trace-free part)"
-                )
                 continue
             idx = cluster[0]
             metric = float(np.max(np.abs(a3p[:, idx, idx, idx]) / a3p_scale))

@@ -357,6 +357,14 @@ _SURFACES: dict[str, tuple[Callable, str]] = {
 }
 
 
+def _is_finite(value) -> bool:
+    """``math.isfinite`` of a number, with an int beyond the float range not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _params_object(params, scalars: bool) -> dict:
     """Keyword parameters of a catalog entry (an object, or None for none), each number finite.
 
@@ -372,11 +380,7 @@ def _params_object(params, scalars: bool) -> dict:
             if scalars:
                 raise DomainError(f"parameter {key!r} must be a number, got {value!r}")
             continue
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
+        if not _is_finite(value):
             raise DomainError(f"parameter {key!r} must be finite, got {value}")
     return params
 
@@ -536,9 +540,10 @@ def sampled_family(t, centers, radii, name: str = "sampled") -> SphereFamily:
     One spline runs through the stacked columns ``[centers | radii]``.
     Outside the knots the end cubics extrapolate.
     """
-    t = np.asarray(t, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
+    try:
+        t, centers, radii = (np.asarray(x, dtype=float) for x in (t, centers, radii))
+    except OverflowError:  # an int beyond the float range
+        raise DomainError("sample values must be finite") from None
     if t.ndim != 1 or t.size < 4:
         raise DomainError("sampled family needs at least 4 increasing parameter values")
     if centers.ndim != 2 or centers.shape[0] != t.size or radii.shape != (t.size,):

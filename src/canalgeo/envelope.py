@@ -23,7 +23,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import Causal, PolyVector
 from .errors import (
-    CanalGeoError,
     DegenerateFrameError,
     DimensionMismatch,
     DomainError,
@@ -59,6 +58,7 @@ _RANK_REL = 1e-8
 _FRAME_FLOOR = 1e-8
 _DIRECTION_SCAN = 128  # spine tangents sampled to place the chart reference direction
 _POLAR_MARGIN = 0.35  # polar angles keep off the poles, where the spherical chart degenerates
+_NOT_FINITE = "family jet is not finite at t={t}"
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,6 @@ class FamilyJet:
         if d2c.shape != lead + (r, r, n):
             raise DimensionMismatch(f"d2c must be ({r}, {r}, {n}), got {d2c.shape}")
         rho = np.asarray(self.rho, dtype=float).reshape(lead)
-        bad = ~(rho > 0)
-        if bad.any():
-            raise DomainError(f"family radius must be positive, got {rho[bad][0]}")
         if lead:
             object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "c", c)
@@ -133,8 +130,9 @@ class SphereFamily:
     ``jet2`` maps a parameter array of shape (r,) to a FamilyJet.  A provider
     marked with `batched_jet` also maps a (P, r) array to one FamilyJet with
     a leading P axis, so `jets_at` takes a whole batch in one call; any other
-    provider is called once per row.  ``domain`` is an (r, 2) box of valid
-    parameters.
+    provider is called once per row.  A provider need not check its rows:
+    `jets_at` names each row whose jet is not finite or whose radius is not
+    positive.  ``domain`` is an (r, 2) box of valid parameters.
     """
 
     dim_n: int
@@ -155,13 +153,9 @@ class SphereFamily:
         object.__setattr__(self, "domain", dom)
 
     def jet_at(self, t) -> FamilyJet:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.shape != (self.r,):
-            raise DimensionMismatch(f"expected {self.r} family parameters, got shape {t.shape}")
-        jet = self.jet2(t)
-        if jet.c.shape != (self.dim_n,) or jet.r != self.r:
-            raise DimensionMismatch("family jet has inconsistent shapes")
-        return jet
+        """The family jet at one parameter point: row 0 of `jets_at`."""
+        jet = self.jets_at(np.atleast_1d(np.asarray(t, dtype=float))[None])
+        return FamilyJet(*(getattr(jet, f.name)[0] for f in fields(FamilyJet)))
 
     def jets_at(self, ts) -> FamilyJet:
         """The family jet at every row of a (P, r) parameter array, with a leading P axis.
@@ -174,31 +168,21 @@ class SphereFamily:
         return jet
 
     def _row_jets(self, ts) -> tuple[FamilyJet, _RowErrors]:
-        """`jets_at` with each failing row's error recorded and a placeholder (a unit sphere at
-        unit speed) in its row; rows run alone only if the provider is not batched or raised."""
+        """`jets_at` with each failing row's error recorded, checked in one row's order: a
+        finite jet, then radius > 0; a failed row computes on.  A batched provider takes every
+        row in one call, any other provider one row a call; a provider's own raise propagates."""
         ts = parameter_grid(ts, self.r)
         errors = _RowErrors(ts)
-        try:
-            batch = self.jet2(ts) if getattr(self.jet2, "batched", False) else None
-        except CanalGeoError as err:
-            batch = err
-        if isinstance(batch, FamilyJet):
-            if batch.c.shape != (ts.shape[0], self.dim_n) or batch.r != self.r:
-                raise DimensionMismatch("family jet has inconsistent shapes")
-            return batch, errors
-        n, r = self.dim_n, self.r
-        placeholder = FamilyJet(
-            np.zeros(n), np.eye(r, n), np.zeros((r, r, n)), 1.0, np.zeros(r), np.zeros((r, r))
-        )
-        jets = [placeholder] * len(ts)
-        for i, t in enumerate(ts):
-            try:
-                jets[i] = self.jet_at(t)
-            except CanalGeoError as err:
-                errors.errors[i] = err
-        if batch is not None and not any(errors.errors):
-            raise batch
-        return FamilyJet.stack(jets), errors
+        if getattr(self.jet2, "batched", False):
+            jet = self.jet2(ts)
+        else:
+            jet = FamilyJet.stack([self.jet2(t) for t in ts])
+        if jet.c.shape != (len(ts), self.dim_n) or jet.r != self.r:
+            raise DimensionMismatch("family jet has inconsistent shapes")
+        values = [getattr(jet, f.name).reshape(len(ts), -1) for f in fields(FamilyJet)]
+        errors.check(~np.isfinite(np.hstack(values)).all(axis=1), DomainError, _NOT_FINITE)
+        errors.check(~(jet.rho > 0), DomainError, "family radius must be positive at t={t}")
+        return jet, errors
 
     @functools.cached_property
     def _reference_frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +223,7 @@ class SphereFamily:
 # lifting
 
 
+@np.errstate(all="ignore")
 def _lift_jet(jet: FamilyJet):
     """Lift a batched family jet to the quadric: A (P, n+2) with (A, A) = 1, plus
     dA (P, r, n+2) and d2A (P, r, r, n+2).
@@ -246,7 +231,8 @@ def _lift_jet(jet: FamilyJet):
     A = (1, c, (|c|^2 - rho^2) / 2) / rho is evaluated on Taylor values seeded
     from the jet, so its derivatives come from `taylor` alone.  d2 is
     symmetrized first, (d2 + d2^T) / 2, which leaves a symmetric d2 as it is.
-    Every step is elementwise, so a row's bits do not depend on its batch.
+    Every step is elementwise, so a row's bits do not depend on its batch; a
+    row that `SphereFamily._row_jets` recorded as failed computes on.
     """
     d1 = np.concatenate([jet.dc, jet.drho[..., None]], axis=-1)
     d2 = np.concatenate([jet.d2c, jet.d2rho[..., None]], axis=-1)
@@ -366,7 +352,7 @@ def causal_classify_family(
     jet, errors = family._row_jets(pts)
     lifted = _lift_jet(jet)
     finite = np.all([np.isfinite(x).reshape(len(pts), -1).all(axis=1) for x in lifted], axis=0)
-    errors.check(~finite, DomainError, "family jet is not finite at t={t}")
+    errors.check(~finite, DomainError, _NOT_FINITE)
     errors.raise_first()
     kinds, values, nondeg = _classify_velocity(jet, *lifted, tolerances)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, _lift_rows, form_matrix, inner, lift_point
-from .errors import CanalGeoError, DomainError, FrameConsistencyError, ImmersionError
+from .errors import DomainError, FrameConsistencyError, ImmersionError
 
 __all__ = [
     "ParametricSurface",
@@ -70,7 +70,9 @@ class ParametricSurface:
         shapes (n,), (n-1, n), (n-1, n-1, n), (n-1, n-1, n-1, n) for a
         single point; like `chart`, a (m, n-1) batch gives the same tensors
         with a leading m axis, each row as a single-point call gives it.
-        When absent, derivatives come from central differences of `chart`.
+        `evaluate_jets` names the rows where it is not finite; a row outside
+        ``domain`` reaches it as the box centre.  When absent, derivatives
+        come from central differences of `chart`.
     domain:
         (n-1, 2) parameter box, used for the default step scale and by
         samplers.
@@ -323,28 +325,20 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
+@np.errstate(all="ignore")
 def _orthonormal_frame(d1: np.ndarray):
-    """Gram-Schmidt rows of each d1 (P, n-1, n) plus the normal; raises on rank deficiency.
+    """Gram-Schmidt rows of each d1 (P, n-1, n), the normal, W with e = W @ d1, and the
+    rank-deficient rows (P,).
 
-    One stacked QR and one stacked det serve the whole batch; the error
-    names the first failing row's data.  A single (n-1, n) d1 is a batch of one.
+    One stacked QR and one stacked det serve the whole batch; a deficient or
+    non-finite row computes on.
     """
-    if d1.ndim == 2:
-        return tuple(x[0] for x in _orthonormal_frame(d1[None]))
     rows, k, n = d1.shape
-    if not np.isfinite(d1).all():
-        raise ImmersionError("chart derivative is not finite")
     q, r = np.linalg.qr(d1.transpose(0, 2, 1))
     diag = np.diagonal(r, axis1=1, axis2=2)
     magnitudes = np.abs(diag)
     smallest, largest = magnitudes.min(axis=1), magnitudes.max(axis=1)
     deficient = (largest == 0.0) | (smallest < _RANK_TOL * largest)
-    if deficient.any():
-        j = int(np.argmax(deficient))
-        raise ImmersionError(
-            "chart derivative is rank-deficient "
-            f"(singular ratio {smallest[j]:.3e} / {largest[j]:.3e})"
-        )
     signs = np.where(diag >= 0.0, 1.0, -1.0)
     q = q * signs[:, None, :]
     r = r * signs[:, :, None]
@@ -358,7 +352,7 @@ def _orthonormal_frame(d1: np.ndarray):
         w[:, m + 1 :] -= lower[:, m + 1 :, m : m + 1] * w[:, m, None]
     nu = np.ascontiguousarray(_generalized_cross(e))
     nu = nu / np.sqrt(_row_dots(nu, nu))[:, None]
-    return e, nu, w
+    return e, nu, w, deficient
 
 
 def evaluate_jets(surface: ParametricSurface, params) -> SurfaceJet:
@@ -370,16 +364,11 @@ def evaluate_jets(surface: ParametricSurface, params) -> SurfaceJet:
     finite-difference second derivatives) evaluate the stencils of every
     point in one batched `chart` call.  Grids of more than ``_JET_CHUNK``
     points take one such pass per chunk.  A grid with a failing row raises
-    the typed error that the first failing row raises alone.
+    the typed error that the first failing row raises alone, from the
+    `_RowErrors` record of one pass; a callback's own raise propagates.
     """
     u = parameter_grid(params, surface.n_params)
-    try:
-        chunks = [_jets(surface, u[i : i + _JET_CHUNK]) for i in range(0, len(u), _JET_CHUNK)]
-    except CanalGeoError:
-        if u.shape[0] > 1:
-            for row in u:
-                _jets(surface, row[None])
-        raise
+    chunks = [_jets(surface, u[i : i + _JET_CHUNK]) for i in range(0, len(u), _JET_CHUNK)]
     if len(chunks) == 1:
         return chunks[0]
     names = [f.name for f in fields(SurfaceJet)]
@@ -387,22 +376,33 @@ def evaluate_jets(surface: ParametricSurface, params) -> SurfaceJet:
 
 
 def _jets(surface: ParametricSurface, u: np.ndarray) -> SurfaceJet:
+    """The jets of one chunk, checked in one row's order: the domain box (such a row is
+    evaluated at the box centre), a finite jet, a full-rank d1."""
+    errors = _RowErrors(u)
+    at = u
     if surface.domain is not None:
         low, high = surface._padded_box
-        outside = (u < low) | (u > high)
-        if outside.any():
-            row = u[int(np.argmax(outside.any(axis=1)))]
-            raise DomainError(f"parameter {row.tolist()} outside the domain box")
+        outside = ((u < low) | (u > high)).any(axis=1)
+        errors.check(outside, DomainError, "parameter {t} outside the domain box")
+        at = np.where(outside[:, None], surface.domain.mean(axis=1), u)
 
     rows, k, n = u.shape[0], surface.n_params, surface.dim_n
-    tensors = surface.jet(u) if surface.jet is not None else _fd_jet(surface, u)
+    tensors = surface.jet(at) if surface.jet is not None else _fd_jet(surface, at)
     # C order, so that every kernel below sees each point laid out alike in any batch
     p, d1, d2, d3 = (
         np.ascontiguousarray(t, dtype=float).reshape((rows,) + (k,) * j + (n,))
         for j, t in enumerate(tensors)
     )
+    finite = np.isfinite(np.hstack([t.reshape(rows, -1) for t in (p, d1, d2, d3)])).all(axis=1)
+    if surface.jet is not None:
+        what = "not differentiable at {t}: an elementary function is undefined or overflows there"
+        errors.check(~finite, DomainError, what)
+    else:
+        errors.check(~finite, ImmersionError, "chart derivative is not finite at {t}")
 
-    e, nu, w = _orthonormal_frame(d1)
+    e, nu, w, deficient = _orthonormal_frame(d1)
+    errors.check(deficient, ImmersionError, "chart derivative is rank-deficient at {t}")
+    errors.raise_first()
     return SurfaceJet(u=u, p=p, d1=d1, d2=d2, d3=d3, e=e, nu=nu, basis_change=w)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .canal import detect_canal
-from .catalog import family_catalog, make_family, make_surface, surface_catalog
+from .catalog import _is_finite, family_catalog, make_family, make_surface, surface_catalog
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, classify_pencil, lift_sphere
 from .envelope import causal_classify_family, envelope_mesh
@@ -75,7 +74,7 @@ def _label_for(kind: str, index: int, entry: dict) -> str:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and _is_finite(x)
 
 
 def _check_analyses(entry, path, allowed, diags):
@@ -159,8 +158,8 @@ def validate_scene(data) -> list:
             params = entry.get("params") or entry.get("data")
             if name == "sampled" and isinstance(params, dict):
                 radii = params.get("radii", [])
-                if isinstance(radii, list) and any(_is_number(r) and r <= 0 for r in radii):
-                    diags.append(_diag(path, "data.radii", "radii must be positive"))
+                if isinstance(radii, list) and not all(_is_number(r) and r > 0 for r in radii):
+                    diags.append(_diag(path, "data.radii", "radii must be positive finite numbers"))
                     continue
             try:
                 make(name, params)
@@ -273,7 +272,9 @@ def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
                 continue
             found.append(rep)
             pts = [p.point for p in rep.points]
-            rows.append(dict(t=t, discriminant=rep.discriminant, count=rep.count, points=pts))
+            # D / lam22^2 = (K, K): free of the frame's base point and of the family's scale
+            kk = rep.discriminant / rep.coefficients.lam22**2
+            rows.append(dict(t=t, discriminant=kk, count=rep.count, points=pts))
         sigma_points = [p for row in rows for p in row.get("points", ())]
         fname = f"{label}_singular.csv"
         files.append((fname, lambda fh: write_singular_csv(fh, rows)))

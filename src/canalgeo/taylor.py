@@ -327,8 +327,10 @@ def jet_function(fn, order: int):
     Taylor variables unchanged.  As for a chart, a (k,) point gives tensors
     of shapes (n,), (k, n), (k, k, n), ... and a (P, k) batch gives them with
     a leading P axis, each row as that point alone gives it.  Where an
-    elementary function is undefined (a finite point whose jet is not
-    finite) the jet raises `DomainError` naming the first such row.
+    elementary function is undefined or overflows, that row's jet comes out
+    not finite; the batched passes name such rows (`jets.evaluate_jets`,
+    `envelope.SphereFamily.jets_at`).  An arithmetic or value error of ``fn``
+    itself, which no row of a batch decides, raises `DomainError`.
     """
 
     def jet(u) -> tuple[np.ndarray, ...]:
@@ -337,18 +339,10 @@ def jet_function(fn, order: int):
         seeds = _variables(pts, order)
         basis = seeds[0].basis
         try:
-            coeffs = _coefficients(fn(*seeds), basis, u.shape[:-1])
+            with np.errstate(all="ignore"):  # an undefined row computes on, quietly
+                coeffs = _coefficients(fn(*seeds), basis, u.shape[:-1])
         except (ArithmeticError, ValueError) as exc:
             raise DomainError(f"not differentiable at {pts[0].tolist()}: {exc}") from None
-        if not np.isfinite(coeffs).all():
-            defined = np.isfinite(coeffs).reshape(len(pts), -1).all(axis=1)
-            undefined = ~defined & np.isfinite(pts).all(axis=1)
-            if undefined.any():
-                row = pts[int(np.argmax(undefined))]
-                raise DomainError(
-                    f"not differentiable at {row.tolist()}: "
-                    "an elementary function is undefined or overflows there"
-                )
         return tuple(_derivatives(coeffs, basis, pts.shape[1]))
 
     return jet

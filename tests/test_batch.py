@@ -8,6 +8,7 @@ stacked LAPACK call (QR, det, eigh) fed the same data.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from canalgeo import (
     CanalGeoError,
     DomainError,
     ImmersionError,
+    ParametricSurface,
     adapted_frame_coefficients,
     adapted_frames,
     build_tensors,
@@ -222,14 +224,58 @@ def test_failing_row_raises_its_own_error(fd, rows, first):
 
 
 def test_jet_function_names_the_first_undefined_row():
-    jet = jet_function(lambda u, v: [u, v, sqrt(u - v)], 2)
-    with pytest.raises(DomainError, match=r"not differentiable at \[0\.1, 0\.4\]"):
-        jet(np.array([[0.9, 0.1], [0.1, 0.4], [0.2, 0.5]]))
+    # the jet leaves an undefined row non-finite; the surface pass names the first
+    fn = lambda u, v: [u, v, sqrt(u - v)]  # noqa: E731
+    jet = jet_function(fn, 2)
+    rows = np.array([[0.9, 0.1], [0.1, 0.4], [0.2, 0.5]])
+    defined = np.isfinite(np.concatenate([t.reshape(3, -1) for t in jet(rows)], axis=1))
+    assert defined.all(axis=1).tolist() == [True, False, False]
+    surface = ParametricSurface(3, chart=None, jet=jet_function(fn, 3))  # only the jet runs
+    with pytest.raises(DomainError, match=r"not differentiable at \(0\.1, 0\.4\)"):
+        evaluate_jets(surface, rows)
     single = jet(np.array([0.9, 0.1]))
     batch = jet(np.array([[0.3, 0.1], [0.9, 0.1]]))
     for s, b in zip(single, batch):
         assert s.shape == b.shape[1:]
         assert np.array_equal(s, b[1])
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["rank-first", "undefined-first"])
+def test_the_first_of_two_failing_rows_in_one_batch_is_raised(reverse):
+    # row 0 of one order is rank-deficient, of the other not differentiable
+    rows = [[0.0, 1.0], [-1.2, 2.0]]
+    rows = rows[::-1] if reverse else rows
+    kind, text = (DomainError, "not differentiable") if reverse else (ImmersionError, "rank")
+    want = _error_of(lambda: evaluate_jet(_cone(), rows[0]))
+    assert want[0] is kind and text in want[1]
+    assert _error_of(lambda: evaluate_jets(_cone(), rows)) == want
+
+
+def test_an_infinite_jet_row_fails_without_a_warning():
+    # log(u) at u = 0: the jet's infinite terms meet zeros in the Taylor products
+    u, v = sp.symbols("u v", real=True)
+    surface = surface_from_expressions([u, v], [u, v, sp.log(u) + v], domain=[[-1, 1]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=r"not differentiable at \(0\.0, 0\.1\)"):
+            evaluate_jets(surface, [[0.1, 0.1], [0.0, 0.1]])
+
+
+def test_a_row_outside_the_box_costs_no_second_pass():
+    # the callback sees the whole grid once, with the outside row at the box centre
+    source = make_surface("tube4")
+    grid = source.sample_grid(8)
+    grid[-1] = source.domain[:, 1] + 1.0
+    calls = []
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return source.jet(u)
+
+    surface = dataclasses.replace(source, jet=counted)
+    want = _error_of(lambda: evaluate_jet(source, grid[-1]))
+    assert _error_of(lambda: evaluate_jets(surface, grid)) == want
+    assert calls == [(512, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +347,23 @@ def test_family_batch_raises_the_first_failing_rows_error():
     assert str(causal.value) == str(alone.value)
 
 
+def test_a_failing_family_row_costs_no_second_pass():
+    t = sp.Symbol("t", real=True)
+    fam = family_from_expressions(t, sp.cos(t), sp.sin(t), t * sp.sqrt(t + 0.8), 3, (-1.0, 1.0))
+    calls = []
+
+    @batched_jet
+    def counted(ts):
+        calls.append(np.shape(ts))
+        return fam.jet2(ts)
+
+    grid = np.append(np.linspace(1.0, 0.05, 47), -0.5)[:, None]  # the last radius is negative
+    want = _error_of(lambda: fam.jet_at(grid[-1]))
+    assert "radius must be positive" in want[1]
+    assert _error_of(lambda: dataclasses.replace(fam, jet2=counted).jets_at(grid)) == want
+    assert calls == [(48, 1)]
+
+
 def test_family_row_record_matches_single_rows():
     t = sp.Symbol("t", real=True)
     fam = family_from_expressions(t, sp.cos(t), sp.sin(t), t * sp.sqrt(t + 0.8), 3, (-1.0, 1.0))
@@ -316,7 +379,7 @@ def test_family_row_record_matches_single_rows():
             assert _error_of(lambda: fam.jet_at(row)) == (type(error), str(error))
     assert [e is None for e in errors.errors] == [True, False, True, False]
 
-    # a batch error that no row raises alone is still raised
+    # a batched provider's own raise propagates as it is
     source = make_family("circle-tube")
 
     @batched_jet

@@ -15,6 +15,7 @@ from canalgeo import (
     make_surface,
     planar_canal_surface,
     principal_spectrum,
+    surface_from_expressions,
     third_order_in_principal_frame,
 )
 
@@ -229,3 +230,41 @@ def test_perturbed_envelope_fails_detection():
     )
     rep = detect_canal(surf, counts=(10, 10))
     assert not rep.is_canal
+
+
+# ---------------------------------------------------------------------------
+# the warnings of detect_canal
+
+
+def _graph4(height):
+    x1, x2, x3 = sp.symbols("x1 x2 x3", real=True)
+    return surface_from_expressions(
+        [x1, x2, x3], [x1, x2, x3, height(x1, x2, x3)], domain=[[-1.0, 1.0]] * 3
+    )
+
+
+def test_an_unavailable_cubic_tensor_is_warned_once():
+    # the trace-free part of h is singular at some samples (at the origin h = diag(1, 0, -1)),
+    # so none of the three simple clusters has a cubic metric; the warning is given once
+    report = detect_canal(_graph4(lambda x1, x2, x3: (x1**2 - x3**2) / 2), counts=3)
+    assert report.signature == (1, 1, 1)
+    assert [c.mechanism for c in report.clusters] == ["unavailable"] * 3
+    assert report.warnings == (
+        "cubic tensor unavailable at some samples (singular trace-free part)",
+    )
+
+
+def test_changing_multiplicities_are_warned():
+    report = detect_canal(_graph4(lambda x1, x2, x3: (x1**2 + x2**2 + x3**2 / 4) / 2), counts=3)
+    assert report.signature == (1, 1, 1)
+    assert report.signature_fraction == 24 / 27
+    (warning,) = report.warnings
+    assert warning.startswith("principal multiplicities change across samples")
+
+
+def test_umbilic_samples_are_counted_in_a_warning():
+    u, v = sp.symbols("u v", real=True)
+    paraboloid = surface_from_expressions([u, v], [u, v, u**2 + v**2], domain=[[-1.0, 1.0]] * 2)
+    report = detect_canal(paraboloid, counts=3)
+    assert report.umbilic_fraction == 1 / 9
+    assert report.warnings == ("1/9 samples are umbilic and were skipped",)

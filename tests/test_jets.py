@@ -73,7 +73,8 @@ def test_basis_change_inverts_the_gram_schmidt_triangle(k):
     rng = np.random.default_rng(30 + k)
     for scale in (1e-3, 1.0, 1e3):
         d1 = scale * rng.standard_normal((k, k + 1))
-        e, _, w = _orthonormal_frame(d1)
+        e, _, w, deficient = (x[0] for x in _orthonormal_frame(d1[None]))
+        assert not deficient
         assert np.array_equal(np.triu(w, 1), np.zeros((k, k)))
         assert np.all(np.diag(w) > 0)
         assert np.allclose(w @ d1, e, rtol=0, atol=1e-13)

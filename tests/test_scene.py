@@ -875,6 +875,53 @@ def test_a_catalog_parameter_that_is_no_finite_number_is_named(value):
     assert make_family("sampled", {**_sampled_r4_data(), "name": "ring"}).name == "ring"
 
 
+_HUGE = 10**400  # a JSON integer beyond the float range
+
+
+def _sampled_with_radius(radius):
+    data = {"t": [0.0, 1.0, 2.0, 3.0], "centers": [[k, 0.0, 0.0] for k in range(4)]}
+    return {"families": [{"name": "sampled", "data": {**data, "radii": [0.5, radius, 0.5, 0.5]}}]}
+
+
+@pytest.mark.parametrize(
+    "section, entry, field",
+    [
+        ({"tolerances": {"canal": _HUGE}}, "scene", "tolerances.canal"),
+        (_sampled_with_radius(_HUGE), "families[0]", "data.radii"),
+        (
+            {"pencils": [{"spheres": [{"center": [0, 0, 0], "radius": _HUGE},
+                                      {"center": [1, 0, 0], "radius": 1}]}]},
+            "pencils[0]",
+            "spheres[0].radius",
+        ),
+        ({"planes": [{"vectors": [[_HUGE, 0, 0, 0, 0], [0] * 5, [0] * 5]}]}, "planes[0]", "vectors"),
+    ],
+    ids=["tolerance", "sampled-radius", "pencil-radius", "plane-entry"],
+)
+def test_an_integer_beyond_the_float_range_is_named(tmp_path, capsys, section, entry, field):
+    scene = {"version": 1, **section}
+    assert (entry, field) in {(d["entry"], d["field"]) for d in validate_scene(scene)}
+    assert main(["validate", _write_scene(tmp_path, scene)]) == 2
+    captured = capsys.readouterr()
+    assert any(d["field"] == field for d in json.loads(captured.out))
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("k", [1.0, 1e3, 1e-3])
+def test_singular_csv_column_is_the_darboux_curvature(tmp_path, k):
+    # D / lam22^2 = (K, K) = (rho kappa)^2 - 1 = 3 on the tube of major k and rho 2k, at every
+    # t and every scale; D itself moves with t and scales as 1 / k^2
+    family = {"name": "circle-tube", "params": {"major": k, "rho": 2 * k}, "analyses": ["singularities"]}
+    report, _, code = run_scene(load_scene({"version": 1, "families": [family]}), tmp_path)
+    assert code == 0
+    sing = report["results"]["families"][0]["analyses"]["singularities"]
+    lines = (tmp_path / sing["file"]).read_text().strip().splitlines()
+    assert lines[0].split(",")[1] == "discriminant"
+    column = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert len(column) == DEFAULT_GRIDS["singular_samples"]
+    assert np.all(np.abs(column - 3.0) <= 1e-12)
+
+
 def test_cli_validate_rejects_a_string_parameter(tmp_path, capsys):
     scene = {"version": 1, "families": [{"name": "circle-tube", "params": {"rho": "nan"}}]}
     assert main(["validate", _write_scene(tmp_path, scene)]) == 2

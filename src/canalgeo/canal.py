@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _A_SINGULAR_REL = 1e-8
-_METRIC_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,10 @@ def _ladder(jets: SurfaceJet, tolerances: Tolerances) -> ConformalTensors:
     lam3 = shape_derivative(jets)
     lam1 = np.einsum("...iik->...k", lam3) / k
 
-    h_scale = np.maximum(1.0, _norms(h))
-    umbilic = _norms(a) <= tolerances.umbilic * h_scale
+    h_norm = _norms(h)
+    umbilic = _norms(a) <= tolerances.umbilic * h_norm
     a_eigs = np.linalg.eigvalsh(a)
-    a_singular = np.min(np.abs(a_eigs), axis=1) <= _A_SINGULAR_REL * h_scale
+    a_singular = np.min(np.abs(a_eigs), axis=1) <= _A_SINGULAR_REL * h_norm
 
     regular = ~a_singular
     mu = np.full((rows, k), np.nan)
@@ -183,7 +182,7 @@ def _spectra(h: np.ndarray, tolerances: Tolerances):
     different clusters.
     """
     eigs, vecs = np.linalg.eigh(h)
-    scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+    scale = np.max(np.abs(eigs), axis=1)
     breaks = np.diff(eigs, axis=1) > (tolerances.clustering * scale)[:, None]
     return eigs, vecs, breaks
 
@@ -325,18 +324,19 @@ class CanalReport:
 
 def _dupin_metrics(tensors: ConformalTensors) -> np.ndarray:
     """Dupin metric of every point of a stacked ladder; NaN where it does not apply."""
-    # Both lam3 and h^2 carry the units of a3, so the denominator stays a
-    # genuine scale even where the cubic ladder degenerates to zero.  Every
-    # term is divided by s^2, s the largest power of two not above |h| (1
-    # where |h| < 2), so that |h|^2 cannot overflow; the scaling is exact.
+    # Both lam3 and h^2 carry the units of a3, so the ratio is scale-free and the
+    # denominator stays a genuine scale where the cubic ladder degenerates to zero; it is 0
+    # only where h and lam3 are, as on a plane, whose metric is 0.  Every term is divided
+    # by s^2, s the largest power of two not above |h|, so that |h|^2 neither overflows
+    # nor underflows; the scaling is exact.
     h_norm = _norms(tensors.h)
-    s = np.maximum(_pow2_floor(h_norm), 1.0)
-    scale = (h_norm / s) ** 2 + _METRIC_FLOOR / s / s
+    s = _pow2_floor(h_norm)
     lam3_norm = _norms(tensors.lam3) / s / s
     # Totally umbilic pieces are Dupin exactly when h stays parallel.
     fallback = np.where(tensors.umbilic, lam3_norm, np.nan)
     top = np.where(tensors.a_singular, fallback, _norms(tensors.a3) / s / s)
-    return top / (lam3_norm + scale)
+    scale = lam3_norm + (h_norm / s) ** 2
+    return np.divide(top, scale, out=np.zeros_like(top), where=scale > 0)
 
 
 def detect_canal(
@@ -397,7 +397,7 @@ def detect_canal(
         a3p = None
         if not tensors.a_singular[rows].any():
             a3p = _rotate3(tensors.a3[rows], vecs[matching])
-            a3p_scale = 1.0 + _norms(a3p)
+            a_norm = _norms(tensors.a[rows])  # divide by it twice: ||a||^2 may overflow
         elif 1 in signature:
             warnings.append("cubic tensor unavailable at some samples (singular trace-free part)")
         verdicts = []
@@ -410,7 +410,7 @@ def detect_canal(
                 verdicts.append(ClusterVerdict(mult, curvature, None, "unavailable", None))
                 continue
             idx = cluster[0]
-            metric = float(np.max(np.abs(a3p[:, idx, idx, idx]) / a3p_scale))
+            metric = float(np.max(np.abs(a3p[:, idx, idx, idx]) / a_norm / a_norm))
             verdicts.append(
                 ClusterVerdict(mult, curvature, metric < tolerances.canal, "third-order", metric)
             )

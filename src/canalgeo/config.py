@@ -1,15 +1,14 @@
 """Numerical tolerances used across the analysis pipeline.
 
-Each threshold is set against the scale of the quantity it guards.  Family
-thresholds have no floor (causal bands are relative to max_p (|dc_p|^2 +
-drho_p^2) / rho^2, frame floors to the spine's speed), so translating or
-dilating a family changes no verdict or count.  Surface ones still have floors:
-clustering is relative to max(1, max|eig h|), the umbilic test to
-max(1, ||h||), the Dupin metric adds the absolute `canal._METRIC_FLOOR` to
-|h|^2 and the canal metric divides by 1 + ||a3p||, so those verdicts change
-when the scene is rescaled (ROADMAP item 1: an ellipsoid scaled by 100 comes
-out canal).  A single frozen `Tolerances` value is threaded through the public
-entry points; tests and the command line may override individual fields.
+Each threshold is set against the scale of the quantity it guards.  No
+surface or family verdict has a floor in units of length, so translating,
+rotating or dilating a scene changes none.  Family thresholds read the family (causal bands are
+relative to max_p (|dc_p|^2 + drho_p^2) / rho^2, frame floors to the spine's
+speed); surface ones read the curvature at the same sample (clustering
+max|eig h|, the umbilic test ||h||, the canal metric ||a||^2, the Dupin
+metric |lam3| + ||h||^2).  A single frozen `Tolerances` value is threaded
+through the public entry points; tests and the command line may override
+individual fields.
 """
 
 from __future__ import annotations
@@ -26,13 +25,13 @@ class Tolerances:
     lightcone: float = 1.0e-9
     # band around |inversive product| = 1 separating pencil types
     pencil: float = 1.0e-9
-    # eigenvalue clustering width, relative to max(1, max|eig h|)
+    # eigenvalue clustering width, relative to max|eig h| at the sample
     clustering: float = 1.0e-6
-    # normalized |a_iii| threshold for the one-parameter canal criterion
+    # |a_iii| / ||a||^2 threshold for the one-parameter canal criterion
     canal: float = 1.0e-3
-    # normalized ||a_ijk|| threshold for the cyclide criterion (n = 3)
+    # ||a_ijk|| / (||lam3|| + ||h||^2) threshold for the cyclide criterion (n = 3)
     dupin: float = 1.0e-6
-    # ||a|| / max(1, ||h||) threshold below which a sample counts as umbilic
+    # ||a|| / ||h|| threshold below which a sample counts as umbilic
     umbilic: float = 1.0e-8
     # maximum scalar-product residual accepted for a constructed frame
     frame_residual: float = 1.0e-8

@@ -461,9 +461,9 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
     above that row's largest |d1| entry (and W times s), so that
     g = d1 d1^T neither overflows nor underflows; scaling by a power of two
     is exact.  A jet with a leading point axis gives a (P, k, k, k) stack; a
-    single point is a batch of one.  A row whose result is not finite (a
-    metric beyond floating point) raises `ImmersionError` naming the first
-    such row.
+    single point is a batch of one.  lam3 scales as 1/length^2 and leaves the
+    floating-point range before the metric does: a row whose result is not
+    finite raises `ImmersionError` naming that overflow and the first such row.
     """
     if jet.p.ndim == 1:
         return shape_derivative(jet.batch())[0]
@@ -496,7 +496,7 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
     bad = ~np.isfinite(lam3).all(axis=(1, 2, 3))
     if bad.any():
         u = jet.u[int(np.argmax(bad))]
-        raise ImmersionError(f"first fundamental form is singular at u={u.tolist()}")
+        raise ImmersionError(f"third-order data overflows floating point at u={u.tolist()}")
     return lam3
 
 

@@ -1,15 +1,19 @@
 """Curvature ladder, principal clusters, contact spheres, canal detection."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canalgeo import (
     build_tensors,
     contact_spheres,
     ImmersionError,
+    ParametricSurface,
     detect_canal,
     evaluate_jet,
     make_surface,
@@ -17,7 +21,9 @@ from canalgeo import (
     principal_spectrum,
     surface_from_expressions,
     third_order_in_principal_frame,
+    transform_surface,
 )
+from canalgeo.taylor import cos, jet_function, sin
 
 
 @pytest.fixture(scope="module")
@@ -160,13 +166,17 @@ def test_detect_canal_sphere_umbilic():
     assert rep.umbilic_fraction == pytest.approx(1.0)
 
 
-def test_underflowed_metric_raises_immersion_error():
-    # radius 1e-300: the first fundamental form, about 1e-600, underflows to zero
+def test_overflowed_third_order_raises_immersion_error():
+    # radius 1e-300: the metric inverts once each row is rescaled, but the
+    # derivative of h (about 1e-16 / radius^2 of rounding) leaves float64
     tiny = make_surface("sphere", {"radius": 1e-300})
-    with pytest.raises(ImmersionError, match=r"singular at u=\[0\.5, -0\.4\]"):
+    with pytest.raises(ImmersionError, match=r"overflows floating point at u=\[0\.5, -0\.4\]"):
         detect_canal(tiny, params=[[0.5, -0.4], [1.0, 0.3]])
-    with pytest.raises(ImmersionError, match="first fundamental form is singular"):
+    with pytest.raises(ImmersionError, match="third-order data overflows"):
         detect_canal(tiny, counts=3)
+    # lam3 scales as 1/length^2: an ellipsoid at 1e-160 passes the range before its metric does
+    with pytest.raises(ImmersionError, match=r"overflows floating point at u=\[1\.047"):
+        detect_canal(_scaled_ellipsoid(1e-160), counts=3)
     # a small metric that still inverts keeps its verdict
     assert detect_canal(make_surface("sphere", {"radius": 1e-150}), counts=3).is_canal
 
@@ -268,3 +278,122 @@ def test_umbilic_samples_are_counted_in_a_warning():
     report = detect_canal(paraboloid, counts=3)
     assert report.umbilic_fraction == 1 / 9
     assert report.warnings == ("1/9 samples are umbilic and were skipped",)
+
+
+# ---------------------------------------------------------------------------
+# verdicts in the surface's own scale: similarities and inversions
+
+
+def _scaled_ellipsoid(k):
+    return transform_surface(make_surface("ellipsoid", {}), ambient_rot=k * np.eye(3))
+
+
+@pytest.fixture(scope="module")
+def unit_ellipsoid_report():
+    return detect_canal(_scaled_ellipsoid(1.0), counts=3)
+
+
+@pytest.mark.parametrize("k", [1e-150, 1e-100, 1e-10, 0.01, 1.0, 100.0, 1e6, 1e10, 1e100, 1e150])
+def test_ellipsoid_verdicts_do_not_depend_on_scale(k, unit_ellipsoid_report):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = detect_canal(_scaled_ellipsoid(k), counts=3)
+    assert report.signature == (1, 1)
+    assert report.canal_directions == 0 and not report.is_canal
+    assert report.dupin is False
+    assert report.dupin_metric == pytest.approx(1.3216, abs=5e-5)
+    metrics = [c.metric for c in report.clusters]
+    want = [c.metric for c in unit_ellipsoid_report.clusters]
+    assert metrics == pytest.approx(want, rel=1e-9)
+
+
+def _cyclide(u, v, a=2.0, b=math.sqrt(3.0), mu=1.9):
+    """The ring Dupin cyclide (a, b, mu) with c^2 = a^2 - b^2, over the Taylor namespace."""
+    c = math.sqrt(a * a - b * b)
+    cu, cv = cos(u), cos(v)
+    d = a - c * cu * cv
+    return [
+        (mu * (c - a * cu * cv) + b * b * cu) / d,
+        b * sin(u) * (a - mu * cv) / d,
+        b * sin(v) * (c * cu - mu) / d,
+    ]
+
+
+def _taylor_surface(fn, domain):
+    return ParametricSurface(3, chart=None, jet=jet_function(fn, 3), domain=domain)
+
+
+@pytest.mark.parametrize("k", [1e-10, 1e-5, 1.0, 1e6, 1e10])
+def test_dupin_cyclide_is_dupin_at_every_scale(k):
+    cyclide = _taylor_surface(_cyclide, [[0.0, 2 * math.pi]] * 2)
+    report = detect_canal(transform_surface(cyclide, ambient_rot=k * np.eye(3)), counts=5)
+    assert report.signature == (1, 1)
+    assert report.canal_directions == 2
+    assert report.dupin is True
+
+
+def _inverted(fn, centre, r2):
+    """fn composed with the inversion x -> centre + r2 (x - centre) / |x - centre|^2."""
+
+    def chart(u, v):
+        d = [x - c for x, c in zip(fn(u, v), centre)]
+        q = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        return [c + r2 * x / q for x, c in zip(d, centre)]
+
+    return chart
+
+
+def _ellipsoid(u, v):
+    return [3.0 * cos(v) * cos(u), 2.0 * cos(v) * sin(u), sin(v)]
+
+
+def _torus(u, v):
+    ring = cos(v) + 2.0
+    return [ring * cos(u), ring * sin(u), sin(v)]
+
+
+_INVERSIONS = [((0.5, 0.3, 4.0), 1.0), ((4.0, 1.0, 0.5), 9.0), ((0.0, 0.0, 1.5), 1e4)]
+
+
+@pytest.mark.parametrize("centre, r2", _INVERSIONS)
+def test_inversions_keep_the_surface_verdicts(centre, r2):
+    ellipsoid = _taylor_surface(_inverted(_ellipsoid, centre, r2), [[0.0, 2 * math.pi], [-1.2, 1.2]])
+    report = detect_canal(ellipsoid, counts=3)
+    assert report.signature == (1, 1) and not report.is_canal
+    torus = _taylor_surface(_inverted(_torus, centre, r2), [[0.0, 2 * math.pi]] * 2)
+    report = detect_canal(torus, counts=5)
+    assert report.canal_directions == 2
+    assert max(c.metric for c in report.clusters) <= 1e-13
+
+
+def _random_rotation(seed, n):
+    """A seeded rotation of R^n.  A reflection would flip the unit normal, and with it the
+    sign of h and the ascending order of the clusters (a signature (1, 2) reads (2, 1))."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.linalg.det(q)
+    return q
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["torus", "cylinder", "ellipsoid", "tube4"]),
+    exponent=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_surface_verdicts_are_similarity_invariant(name, exponent, seed):
+    source = make_surface(name)
+    n = source.dim_n
+    k = 10.0**exponent
+    shift = k * np.random.default_rng(seed).normal(scale=10.0, size=n)
+    moved = transform_surface(
+        source, ambient_rot=k * _random_rotation(seed, n), ambient_shift=shift
+    )
+    base, report = detect_canal(source, counts=4), detect_canal(moved, counts=4)
+    for field in ("is_canal", "canal_directions", "signature", "dupin", "umbilic_fraction"):
+        assert getattr(report, field) == getattr(base, field), field
+    for got, want in zip(report.clusters, base.clusters):
+        if want.canal is False:
+            assert got.metric == pytest.approx(want.metric, rel=1e-9)
+    if base.dupin is False:
+        assert report.dupin_metric == pytest.approx(base.dupin_metric, rel=1e-9)

@@ -102,6 +102,62 @@ def test_an_unread_private_name_is_found():
     assert _unread_private_names(trees) == ["a:_dead", "a:_loop"]
 
 
+def _is_one(node: ast.AST, types=(int, float)) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in types and node.value == 1
+
+
+def _unit_floors(tree: ast.Module) -> list:
+    """Source of each ``max(1, x)``, ``np.maximum(x, 1.0)`` and ``1.0 + x`` (either order).
+
+    Each compares a quantity with the number 1, which is a floor in whatever units the
+    quantity carries.  Integer ``+ 1`` is index arithmetic and is not listed.
+    """
+    floors = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("max", "np.maximum"):
+            if any(_is_one(arg) for arg in node.args):
+                floors.append(ast.unparse(node))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            if _is_one(node.left, (float,)) or _is_one(node.right, (float,)):
+                floors.append(ast.unparse(node))
+    return floors
+
+
+# every floor at 1 in the package, with why 1 is the right unit there; a surface or family
+# verdict reads its object's own scale instead (ROADMAP aim 3)
+_UNIT_FLOORS = {
+    ("catalog", "dent(t, a, *b)[0] / rho + 1.0"):
+        "the dented tube's radius factor: the dent is divided by the radius it dents",
+    ("conformal", "max(1.0, abs(value))"):
+        "the pencil's inversive product is dimensionless",
+    ("envelope", "1.0 + tangents @ cands.T"):
+        "the clearance 1 + tau.v of two unit vectors",
+    ("envelope", "1.0 + (tau[:, None, :] @ v_ref[:, None])[:, 0, 0]"):
+        "the clearance 1 + tau.v of two unit vectors",
+    ("jets", "np.maximum(hi - lo, 1.0)"):
+        "the domain box's padding, in parameter units; it widens an inclusion test only",
+    ("jets", "max(1.0, float(p @ p))"):
+        "gauge_frame's Gram entries have terms of size O(1) and O(|p|^2)",
+}
+
+
+def test_every_unit_floor_is_allowed():
+    found = sorted(
+        (path.stem, floor)
+        for path in MODULES
+        for floor in _unit_floors(ast.parse(path.read_text(), filename=str(path)))
+    )
+    assert found == sorted(_UNIT_FLOORS)
+
+
+def test_a_unit_floor_is_found():
+    source = "h_scale = np.maximum(1.0, _norms(h))\nscale = max(x, 1)\nd = 1.0 + _norms(a3p)\n"
+    source += "i = k + 1\nm = min(1.0, x)\n"
+    assert _unit_floors(ast.parse(source)) == [
+        "np.maximum(1.0, _norms(h))", "max(x, 1)", "1.0 + _norms(a3p)"
+    ]
+
+
 def _star_exports(module) -> set:
     """The names ``from module import *`` binds: its ``__all__``, else every public name."""
     names = getattr(module, "__all__", None)

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import family_catalog, surface_catalog
 from .config import DEFAULT_TOLERANCES
+from .errors import SceneError
 from .scene import DEFAULT_GRIDS, load_scene, run_scene, validate_scene
 
 __all__ = ["main"]
@@ -138,18 +139,19 @@ def main(argv=None) -> int:
             print(str(err), file=sys.stderr)
             return 2
         data = _with_overrides(_with_overrides(data, "tolerances", tol), "grids", grid)
-    diagnostics = validate_scene(data)
 
     if args.command == "validate":
+        diagnostics = validate_scene(data)
         print(json.dumps(diagnostics, indent=2, sort_keys=True))
         return 0 if not diagnostics else 2
 
-    if diagnostics:
-        print(json.dumps(diagnostics, indent=2, sort_keys=True))
+    try:
+        spec = load_scene(data)
+    except SceneError as err:
+        print(json.dumps(err.diagnostics, indent=2, sort_keys=True))
         return 2
 
     out_dir = args.out or os.environ.get("CANALGEO_OUT") or "."
-    spec = load_scene(data)
     try:
         report, written, code = run_scene(spec, out_dir)
     except OSError as err:

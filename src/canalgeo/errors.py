@@ -31,3 +31,11 @@ class DegenerateFrameError(CanalGeoError, ArithmeticError):
 
 class ImaginaryCharacteristicError(CanalGeoError, ValueError):
     """Characteristic sphere has negative squared radius at this parameter."""
+
+
+class SceneError(CanalGeoError, ValueError):
+    """A scene document fails its checks; ``diagnostics`` lists every failure."""
+
+    def __init__(self, diagnostics: list):
+        super().__init__(f"invalid scene: {len(diagnostics)} diagnostics")
+        self.diagnostics = diagnostics

@@ -235,9 +235,6 @@ class ConformalFrame:
     a_inf: PolyVector
     residual: float
 
-    def vectors(self) -> list[PolyVector]:
-        return [self.a0, *self.tangent, self.an, self.a_inf]
-
 
 def _symmetrize3(d3: np.ndarray) -> np.ndarray:
     """Mean of d3 (..., k, k, k, n) over the permutations of its derivative indices."""
@@ -328,31 +325,32 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")
 def _orthonormal_frame(d1: np.ndarray):
     """Gram-Schmidt rows of each d1 (P, n-1, n), the normal, W with e = W @ d1, and the
-    rank-deficient rows (P,).
+    rank-deficient rows (P,): ||R||_F ||W||_F, which bounds cond(d1) within a factor n - 1,
+    is above 1 / _RANK_TOL.
 
-    One stacked QR and one stacked det serve the whole batch; a deficient or
-    non-finite row computes on.
+    One stacked QR, of each d1 divided by its power-of-two scale (exact), and one stacked
+    det serve the whole batch; a deficient or non-finite row computes on.
     """
     rows, k, n = d1.shape
-    q, r = np.linalg.qr(d1.transpose(0, 2, 1))
+    s = _pow2_floor(np.max(np.abs(d1), axis=(1, 2)))[:, None, None]
+    q, r = np.linalg.qr((d1 / s).transpose(0, 2, 1))
     diag = np.diagonal(r, axis1=1, axis2=2)
-    magnitudes = np.abs(diag)
-    smallest, largest = magnitudes.min(axis=1), magnitudes.max(axis=1)
-    deficient = (largest == 0.0) | (smallest < _RANK_TOL * largest)
     signs = np.where(diag >= 0.0, 1.0, -1.0)
     q = q * signs[:, None, :]
     r = r * signs[:, :, None]
-    e = q.transpose(0, 2, 1)  # rows orthonormal, e = W @ d1 with W = inv(R^T)
-    # forward substitution for W, one pivot column at a time for every column
+    e = q.transpose(0, 2, 1)  # rows orthonormal, e = W @ d1 with W = inv(R^T) / s
+    # forward substitution for inv(R^T), one pivot column at a time for every column
     lower = r.transpose(0, 2, 1)
-    pivots = 1.0 / magnitudes  # the diagonal of the sign-fixed r
+    pivots = 1.0 / np.abs(diag)  # the diagonal of the sign-fixed r
     w = np.eye(k)[None].repeat(rows, axis=0)
     for m in range(k):
         w[:, m] *= pivots[:, m, None]
         w[:, m + 1 :] -= lower[:, m + 1 :, m : m + 1] * w[:, m, None]
+    condition = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(w, axis=(1, 2))
+    deficient = ~(condition <= 1.0 / _RANK_TOL)  # a nan product is deficient too
     nu = np.ascontiguousarray(_generalized_cross(e))
     nu = nu / np.sqrt(_row_dots(nu, nu))[:, None]
-    return e, nu, w, deficient
+    return e, nu, w / s, deficient
 
 
 def evaluate_jets(surface: ParametricSurface, params) -> SurfaceJet:
@@ -377,7 +375,7 @@ def evaluate_jets(surface: ParametricSurface, params) -> SurfaceJet:
 
 def _jets(surface: ParametricSurface, u: np.ndarray) -> SurfaceJet:
     """The jets of one chunk, checked in one row's order: the domain box (such a row is
-    evaluated at the box centre), a finite jet, a full-rank d1."""
+    evaluated at the box centre), a finite jet, a well-conditioned d1, a finite W."""
     errors = _RowErrors(u)
     at = u
     if surface.domain is not None:
@@ -402,6 +400,8 @@ def _jets(surface: ParametricSurface, u: np.ndarray) -> SurfaceJet:
 
     e, nu, w, deficient = _orthonormal_frame(d1)
     errors.check(deficient, ImmersionError, "chart derivative is rank-deficient at {t}")
+    what = "chart derivative underflows floating point at {t}"
+    errors.check(~np.isfinite(w).all(axis=(1, 2)), ImmersionError, what)
     errors.raise_first()
     return SurfaceJet(u=u, p=p, d1=d1, d2=d2, d3=d3, e=e, nu=nu, basis_change=w)
 
@@ -457,11 +457,12 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
 
     then pushed into the frame.  Flat ambient space makes the result totally
     symmetric; the residual from exact symmetry is a numerical health check.
-    Each row runs on its jet divided by s, the largest power of two not
-    above that row's largest |d1| entry (and W times s), so that
-    g = d1 d1^T neither overflows nor underflows; scaling by a power of two
-    is exact.  A jet with a leading point axis gives a (P, k, k, k) stack; a
-    single point is a batch of one.  lam3 scales as 1/length^2 and leaves the
+    The inverse metric is W^T W, as W g W^T = I for g = d1 d1^T.  Each row runs
+    on its jet divided by s, the largest power of two not above that row's
+    largest |d1| entry (and W times s), so that neither W^T W nor a product
+    with d1 overflows or underflows; scaling by a power of two is exact.  A jet
+    with a leading point axis gives a (P, k, k, k) stack; a single point is a
+    batch of one.  lam3 scales as 1/length^2 and leaves the
     floating-point range before the metric does: a row whose result is not
     finite raises `ImmersionError` naming that overflow and the first such row.
     """
@@ -475,11 +476,10 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
         d3=jet.d3 / s[..., None, None],
         basis_change=jet.basis_change * s,
     )
-    j = jet.d1
     w = jet.basis_change
-    ginv = np.linalg.inv(j @ j.transpose(0, 2, 1))
+    ginv = w.transpose(0, 2, 1) @ w
     b = _second_form_params(jet)                       # b_ab
-    gam_low = np.einsum("...abm,...dm->...abd", jet.d2, j)   # p_{,ab} . p_{,d}
+    gam_low = np.einsum("...abm,...dm->...abd", jet.d2, jet.d1)   # p_{,ab} . p_{,d}
     gam = np.einsum("...ed,...abd->...abe", ginv, gam_low)    # Gamma^e_ab
     b_mixed = ginv @ b                                  # b^d_c indexed [d, c]
 

@@ -1,12 +1,12 @@
 """Scene ingestion, validation, and batch execution.
 
 A scene is a JSON document listing surfaces, sphere families, pencils, and
-sphere planes, each with requested analyses.  ``validate_scene`` checks the
-document without running anything; ``run_scene`` executes all entries,
-writes meshes (with the exact vertex array of an envelope in R^n, n >= 4)
-and singular-locus files, and assembles a deterministic JSON
-report: identical scenes yield byte-identical reports apart from the
-timestamp field.
+sphere planes, each with requested analyses.  ``load_scene`` checks it and
+builds each catalog object in one pass, or raises `SceneError` with the
+diagnostics that ``validate_scene`` returns; ``run_scene`` analyses what it
+built, writes meshes (with the exact vertex array of an envelope in R^n, n >= 4)
+and singular-locus files, and assembles a deterministic JSON report:
+identical scenes yield byte-identical reports apart from the timestamp field.
 
 Entries run one after another in the calling process, in scene order.  An
 entry returns each of its files as a name and a function that streams the
@@ -31,10 +31,10 @@ from .canal import detect_canal
 from .catalog import _is_finite, family_catalog, make_family, make_surface, surface_catalog
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, classify_pencil, lift_sphere
-from .envelope import causal_classify_family, envelope_mesh
-from .errors import CanalGeoError
+from .envelope import SphereFamily, causal_classify_family, envelope_mesh
+from .errors import CanalGeoError, SceneError
 from .focal import _singular_rows, classify_tube_plane
-from .jets import cell_centers
+from .jets import ParametricSurface, cell_centers
 from .meshio import write_obj, write_singular_csv, write_xyz
 
 __all__ = ["SceneSpec", "validate_scene", "load_scene", "run_scene", "DEFAULT_GRIDS"]
@@ -56,8 +56,8 @@ _LABEL_RE = re.compile(r"[^A-Za-z0-9_.-]+")
 
 @dataclass(frozen=True)
 class SceneSpec:
-    surfaces: tuple
-    families: tuple
+    surfaces: tuple  # (entry, ParametricSurface) pairs of a valid scene
+    families: tuple  # (entry, SphereFamily) pairs
     pencils: tuple
     planes: tuple
     tolerances: Tolerances
@@ -106,10 +106,20 @@ def _entries(data: dict, key: str, diags: list):
 
 
 def validate_scene(data) -> list:
-    """Schema and invariant checks; returns a list of diagnostics (empty = valid)."""
+    """The diagnostics of `load_scene` on ``data``; empty when the scene is valid."""
+    try:
+        load_scene(data)
+    except SceneError as err:
+        return err.diagnostics
+    return []
+
+
+def load_scene(data) -> SceneSpec:
+    """Check a scene document and keep each catalog object that its params check builds;
+    `SceneError` carries every diagnostic when a check fails."""
     diags: list[dict] = []
     if not isinstance(data, dict):
-        return [_diag("scene", "", "scene document must be a JSON object")]
+        raise SceneError([_diag("scene", "", "scene document must be a JSON object")])
 
     version = data.get("version")
     if version != SCENE_VERSION:
@@ -142,6 +152,7 @@ def validate_scene(data) -> list:
         if key not in ("version", "tolerances", "grids", "surfaces", "families", "pencils", "planes"):
             diags.append(_diag("scene", key, "unknown top-level field"))
 
+    built: dict[str, list] = {"surfaces": [], "families": []}
     for kind, key, catalog, make, allowed in (
         ("surface", "surfaces", surface_catalog, make_surface, _SURFACE_ANALYSES),
         ("family", "families", family_catalog, make_family, _FAMILY_ANALYSES),
@@ -162,7 +173,7 @@ def validate_scene(data) -> list:
                     diags.append(_diag(path, "data.radii", "radii must be positive finite numbers"))
                     continue
             try:
-                make(name, params)
+                built[key].append((entry, make(name, params)))
             except (CanalGeoError, TypeError, ValueError) as err:
                 diags.append(_diag(path, "params", str(err)))
 
@@ -198,21 +209,15 @@ def validate_scene(data) -> list:
                 _diag(path, "vectors", "a plane entry needs 3 vectors of 5 finite numbers")
             )
 
-    return diags
-
-
-def load_scene(data: dict) -> SceneSpec:
-    """Build a SceneSpec from validated JSON data."""
-    tol = DEFAULT_TOLERANCES.replace(**(data.get("tolerances") or {}))
-    grids = dict(DEFAULT_GRIDS)
-    grids.update(data.get("grids") or {})
+    if diags:
+        raise SceneError(diags)
     return SceneSpec(
-        surfaces=tuple(data.get("surfaces", [])),
-        families=tuple(data.get("families", [])),
+        surfaces=tuple(built["surfaces"]),
+        families=tuple(built["families"]),
         pencils=tuple(data.get("pencils", [])),
         planes=tuple(data.get("planes", [])),
-        tolerances=tol,
-        grids=grids,
+        tolerances=DEFAULT_TOLERANCES.replace(**tol),
+        grids={**DEFAULT_GRIDS, **grids},
     )
 
 
@@ -220,9 +225,8 @@ def load_scene(data: dict) -> SceneSpec:
 # execution
 
 
-def _run_surface(entry: dict, label: str, spec: SceneSpec) -> dict:
+def _run_surface(entry: dict, surface: ParametricSurface, label: str, spec: SceneSpec) -> dict:
     analyses = entry.get("analyses") or ["canal-detect"]
-    surface = make_surface(entry["name"], entry.get("params") or entry.get("data"))
     report = detect_canal(surface, counts=spec.grids["surface_samples"], tolerances=spec.tolerances)
     out: dict = {"label": label, "kind": "surface", "name": entry["name"], "analyses": {}}
     if "canal-detect" in analyses:
@@ -232,9 +236,8 @@ def _run_surface(entry: dict, label: str, spec: SceneSpec) -> dict:
     return out
 
 
-def _run_family(entry: dict, label: str, spec: SceneSpec) -> tuple[dict, list]:
+def _run_family(entry: dict, family: SphereFamily, label: str, spec: SceneSpec) -> tuple[dict, list]:
     analyses = entry.get("analyses") or ["causal"]
-    family = make_family(entry["name"], entry.get("params") or entry.get("data"))
     out: dict = {"label": label, "kind": "family", "name": entry["name"], "analyses": {}}
     # (file name, function that writes the file into an open binary file)
     files: list[tuple[str, Callable[[BinaryIO], None]]] = []
@@ -313,13 +316,15 @@ def _run_plane(entry: dict, label: str, spec: SceneSpec) -> dict:
     return {"label": label, "kind": "plane", "analyses": {"plane-classify": cls.to_json()}}
 
 
-def _entry_task(kind: str, index: int, entry: dict, spec: SceneSpec):
+def _entry_task(kind: str, index: int, item, spec: SceneSpec):
+    """Result and files of one entry; ``item`` is a surface's or family's (entry, object) pair."""
+    entry = item[0] if kind in ("surface", "family") else item
     label = _label_for(kind, index, entry)
     try:
         if kind == "surface":
-            return _run_surface(entry, label, spec), []
+            return _run_surface(*item, label, spec), []
         if kind == "family":
-            return _run_family(entry, label, spec)
+            return _run_family(*item, label, spec)
         if kind == "pencil":
             return _run_pencil(entry, label, spec), []
         return _run_plane(entry, label, spec), []
@@ -355,8 +360,8 @@ def run_scene(spec: SceneSpec, out_dir) -> tuple[dict, list, int]:
         ("pencil", "pencils"),
         ("plane", "planes"),
     ):
-        for index, entry in enumerate(getattr(spec, key)):
-            result, entry_files = _entry_task(kind, index, entry, spec)
+        for index, item in enumerate(getattr(spec, key)):
+            result, entry_files = _entry_task(kind, index, item, spec)
             files += _write_files(out_path, entry_files)
             del entry_files  # the next entry runs without this one's meshes
             results[key].append(result)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,24 @@ def test_rank_deficient_chart_raises():
     )
     with pytest.raises(ImmersionError):
         evaluate_jet(line, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "params", [{"a": 0.3, "b": 1e30}, {"a": 1e-30, "c": 1e-8}, {"b": 1e30, "c": 1e8}]
+)
+def test_an_ill_conditioned_chart_derivative_is_rank_deficient(params):
+    # R's diagonal entries are of one size, yet cond(d1) is about 1e30, so the metric
+    # d1 d1^T is singular in floating point: ||R|| ||R^-1|| names the row
+    with pytest.raises(ImmersionError, match="rank-deficient"):
+        detect_canal(make_surface("ellipsoid", params), counts=2)
+
+
+def test_a_subnormal_chart_derivative_underflows_without_a_warning():
+    # W = inv(R^T) is infinite once d1 is subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ImmersionError, match=r"underflows floating point at \("):
+            detect_canal(make_surface("sphere", {"radius": 5e-324}), counts=2)
 
 
 def test_non_finite_chart_derivative_raises():

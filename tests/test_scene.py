@@ -11,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from canalgeo import DEFAULT_TOLERANCES, DomainError, meshio
+from canalgeo import DEFAULT_TOLERANCES, CanalGeoError, DomainError, SceneError, errors, meshio
 from canalgeo import focal as focal_module, scene as scene_module
 from canalgeo.cli import main
-from canalgeo.catalog import make_family, make_surface
+from canalgeo.catalog import family_catalog, make_family, make_surface, surface_catalog
 from canalgeo.envelope import _DIRECTION_SCAN, EnvelopeMesh, SphereFamily, envelope_mesh
 from canalgeo.jets import cell_centers
 from canalgeo.meshio import _CHUNK_ROWS, format_number, obj_text, singular_csv_text, xyz_text
@@ -77,19 +77,28 @@ def _rich_scene():
 # validation
 
 
+def _diagnostics(scene) -> list:
+    """``validate_scene(scene)``, checked to be the diagnostics that ``load_scene`` raises."""
+    diags = validate_scene(scene)
+    with pytest.raises(SceneError) as raised:
+        load_scene(scene)
+    assert raised.value.diagnostics == diags
+    return diags
+
+
 def test_validate_accepts_rich_scene():
     assert validate_scene(_rich_scene()) == []
 
 
 def test_validate_rejects_non_object():
-    diags = validate_scene([1, 2, 3])
+    diags = _diagnostics([1, 2, 3])
     assert len(diags) == 1 and "object" in diags[0]["message"]
 
 
 def test_validate_names_bad_pencil_radius():
     scene = _rich_scene()
     scene["pencils"][0]["spheres"][1]["radius"] = -1.0
-    diags = validate_scene(scene)
+    diags = _diagnostics(scene)
     assert any(
         d["entry"] == "pencils[0]" and d["field"] == "spheres[1].radius" for d in diags
     )
@@ -101,7 +110,7 @@ def test_validate_names_unknown_catalog_entries():
         "surfaces": [{"name": "klein-bottle"}],
         "families": [{"name": "trefoil"}],
     }
-    diags = validate_scene(scene)
+    diags = _diagnostics(scene)
     fields = {(d["entry"], d["field"]) for d in diags}
     assert ("surfaces[0]", "name") in fields
     assert ("families[0]", "name") in fields
@@ -113,7 +122,7 @@ def test_validate_rejects_unknown_analysis_and_fields():
     scene["extras"] = True
     scene["grids"]["mesh_t"] = -3
     scene["tolerances"] = {"nonsense": 1e-3, "canal": -1.0}
-    diags = validate_scene(scene)
+    diags = _diagnostics(scene)
     fields = {(d["entry"], d["field"]) for d in diags}
     assert ("surfaces[0]", "analyses") in fields
     assert ("scene", "extras") in fields
@@ -136,7 +145,7 @@ def test_validate_rejects_bad_version_and_sampled_radii():
             }
         ],
     }
-    diags = validate_scene(scene)
+    diags = _diagnostics(scene)
     fields = {(d["entry"], d["field"]) for d in diags}
     assert ("scene", "version") in fields
     assert ("families[0]", "data.radii") in fields
@@ -144,7 +153,7 @@ def test_validate_rejects_bad_version_and_sampled_radii():
 
 def test_validate_rejects_bad_surface_params():
     scene = {"version": 1, "surfaces": [{"name": "torus", "params": {"major": -1.0}}]}
-    diags = validate_scene(scene)
+    diags = _diagnostics(scene)
     assert any(d["entry"] == "surfaces[0]" and d["field"] == "params" for d in diags)
 
 
@@ -159,7 +168,7 @@ def test_validate_rejects_non_object_params(params):
         "surfaces": [{"name": "torus", "params": params}],
         "families": [{"name": "circle-tube", "params": params}],
     }
-    diags = validate_scene(scene)
+    diags = _diagnostics(scene)
     assert {(d["entry"], d["field"], d["message"]) for d in diags} == {
         ("surfaces[0]", "params", "params must be an object"),
         ("families[0]", "params", "params must be an object"),
@@ -398,7 +407,7 @@ def _fallback_scene():
 
 
 def test_singularities_with_failing_samples_keep_their_error_cells(tmp_path):
-    # the batched frame pass raises on this entry, and every t then runs alone
+    # half of the t have no adapted frame: each keeps its error in its own cell of the one pass
     spec = load_scene(_fallback_scene())
     report, _, code = run_scene(spec, tmp_path)
     assert code == 0
@@ -462,7 +471,7 @@ def _strip_timestamp(text: str) -> str:
     return re.sub(r'^\s*"timestamp": .*\n', "", text, flags=re.M)
 
 
-def test_reports_identical_across_parallel_widths(tmp_path):
+def test_reports_identical_across_runs(tmp_path):
     # two runs of one scene write byte-identical files, the timestamp aside
     spec = load_scene(_rich_scene())
     _, _, code1 = run_scene(spec, tmp_path / "run1")
@@ -814,6 +823,21 @@ def test_cli_runs_every_entry_in_the_calling_process(tmp_path, monkeypatch):
     assert [r["pid"] for r in report["results"]["pencils"]] == [os.getpid()] * 2
 
 
+def test_cli_run_builds_each_surface_and_family_once(tmp_path, monkeypatch):
+    built = []
+    for name in ("make_surface", "make_family"):
+        original = getattr(scene_module, name)
+
+        def counted(catalog_name, params, original=original):
+            built.append(catalog_name)
+            return original(catalog_name, params)
+
+        monkeypatch.setattr(scene_module, name, counted)
+    path = _write_scene(tmp_path, _rich_scene())
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    assert built == ["torus", "circle-tube", "circle-tube"]
+
+
 def test_cli_validate_exit_codes(tmp_path, capsys):
     good = _write_scene(tmp_path, _rich_scene())
     assert main(["validate", good]) == 0
@@ -826,6 +850,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     diags = json.loads(capsys.readouterr().out)
     assert any(d["entry"] == "surfaces[0]" for d in diags)
+    assert _diagnostics(bad_scene) == diags
 
     # run refuses to execute an invalid scene
     assert main(["run", str(bad), "--out", str(tmp_path / "never")]) == 2
@@ -839,6 +864,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", listed_path]) == 2
     diags = json.loads(capsys.readouterr().out)
     assert {(d["entry"], d["field"]) for d in diags} == {("families[0]", "params")}
+    assert _diagnostics(listed) == diags
     assert main(["run", listed_path, "--out", str(tmp_path / "never")]) == 2
     assert not (tmp_path / "never").exists()
 
@@ -857,6 +883,7 @@ def test_cli_validate_rejects_an_infinite_parameter(tmp_path, capsys):
     message = "parameter 'radius' must be finite, got inf"
     diags = json.loads(capsys.readouterr().out)
     assert diags == [{"entry": "surfaces[0]", "field": "params", "message": message}]
+    assert _diagnostics(scene) == diags
 
 
 @pytest.mark.parametrize(
@@ -900,7 +927,7 @@ def _sampled_with_radius(radius):
 )
 def test_an_integer_beyond_the_float_range_is_named(tmp_path, capsys, section, entry, field):
     scene = {"version": 1, **section}
-    assert (entry, field) in {(d["entry"], d["field"]) for d in validate_scene(scene)}
+    assert (entry, field) in {(d["entry"], d["field"]) for d in _diagnostics(scene)}
     assert main(["validate", _write_scene(tmp_path, scene)]) == 2
     captured = capsys.readouterr()
     assert any(d["field"] == field for d in json.loads(captured.out))
@@ -928,6 +955,7 @@ def test_cli_validate_rejects_a_string_parameter(tmp_path, capsys):
     message = "parameter 'rho' must be a number, got 'nan'"
     diags = json.loads(capsys.readouterr().out)
     assert diags == [{"entry": "families[0]", "field": "params", "message": message}]
+    assert _diagnostics(scene) == diags
 
 
 def test_cli_handles_unreadable_and_malformed_files(tmp_path, capsys):
@@ -955,3 +983,129 @@ def test_cli_catalog_lists_everything(capsys):
     out = capsys.readouterr().out
     for name in ("torus", "cylinder", "ellipsoid", "circle-tube", "line-cone", "r4-circle"):
         assert name in out
+
+
+# ---------------------------------------------------------------------------
+# scene-document fuzz
+
+# values a JSON document can hold where a number belongs; the first six are numbers
+_ODD_VALUES = [0, -1, 5e-324, 1e-300, 1e30, 1e300, 10**400, "nan", None, [], {}]
+_ODD = st.sampled_from(_ODD_VALUES)
+_SCALARS = _ODD | st.floats(0.1, 10.0)
+_NUMBERS = st.sampled_from(_ODD_VALUES[:6]) | st.floats(0.1, 10.0)
+_FUZZ_GRIDS = {
+    "surface_samples": 2,
+    "family_samples": 4,
+    "singular_samples": 4,
+    "mesh_t": 4,
+    "mesh_angle": 8,
+}
+_ANALYSES = {"surfaces": scene_module._SURFACE_ANALYSES, "families": scene_module._FAMILY_ANALYSES}
+_TYPED = {
+    name
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, CanalGeoError)
+}
+_FUZZ_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _param_names(doc: str) -> list:
+    """The params or data names that a catalog description lists."""
+    for head in ("params: ", "data: "):
+        if head in doc:
+            return doc.split(head)[1].split(", ")
+    return []
+
+
+_CATALOG = {
+    "surfaces": {name: _param_names(doc) for name, doc in surface_catalog().items()},
+    "families": {name: _param_names(doc) for name, doc in family_catalog().items()},
+}
+
+
+def _catalog_entry(key: str, values, analyses=st.nothing()):
+    """An entry of section ``key``: a catalog name, maybe some of its params, each drawn
+    from ``values``, and maybe ``analyses``."""
+
+    def entry(name):
+        params = st.fixed_dictionaries({}, optional=dict.fromkeys(_CATALOG[key][name], values))
+        optional = {"params": params, "analyses": analyses}
+        return st.fixed_dictionaries({"name": st.just(name)}, optional=optional)
+
+    return st.sampled_from(sorted(_CATALOG[key])).flatmap(entry)
+
+
+@st.composite
+def _documents(draw):
+    """Scene documents with bad sections, bad names and odd values among good ones."""
+    doc = {"version": draw(st.sampled_from([1, 1, 2, "1", None]))}
+    for key, known in (("tolerances", DEFAULT_TOLERANCES.to_json()), ("grids", DEFAULT_GRIDS)):
+        sizes = st.dictionaries(
+            st.sampled_from([*known, "bogus"]), _SCALARS | st.integers(1, 3), max_size=2
+        )
+        if draw(st.booleans()):
+            doc[key] = draw(sizes | _ODD)
+    for key in ("surfaces", "families"):
+        analyses = st.lists(st.sampled_from([*_ANALYSES[key], "frobnicate"]), max_size=2)
+        bad_name = st.fixed_dictionaries({"name": st.sampled_from(["klein-bottle", 7, None])})
+        entry = _catalog_entry(key, _SCALARS, analyses) | bad_name | _ODD
+        doc[key] = draw(st.lists(entry, max_size=2) | _ODD)
+    sphere = st.fixed_dictionaries({"center": st.lists(_SCALARS, max_size=3), "radius": _SCALARS})
+    pencil = st.fixed_dictionaries({"spheres": st.lists(sphere | _ODD, min_size=1, max_size=3)})
+    vectors = st.lists(st.lists(_SCALARS, min_size=5, max_size=5), min_size=3, max_size=3)
+    plane = st.fixed_dictionaries({"vectors": vectors | _ODD})
+    doc["pencils"] = draw(st.lists(pencil | _ODD, max_size=2) | _ODD)
+    doc["planes"] = draw(st.lists(plane | _ODD, max_size=1) | _ODD)
+    if draw(st.booleans()):
+        doc["extras"] = True
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, **_FUZZ_SETTINGS)
+@given(doc=_documents())
+def test_fuzzed_scene_documents_are_diagnosed(tmp_path, capsys, doc):
+    # validate_scene returns diagnostics, which load_scene raises, and never raises itself
+    diags = validate_scene(doc)
+    for d in diags:
+        assert set(d) == {"entry", "field", "message"}
+        assert all(isinstance(v, str) for v in d.values())
+    if diags:
+        assert _diagnostics(doc) == diags
+    else:
+        assert isinstance(load_scene(doc), scene_module.SceneSpec)
+    capsys.readouterr()
+    assert main(["validate", _write_scene(tmp_path, doc)]) == (2 if diags else 0)
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == diags and "Traceback" not in captured.err
+
+
+def _fuzz_scene(surfaces=(), families=()) -> dict:
+    """A scene of these entries with every analysis, at grids too small to allocate much."""
+    doc = {"version": 1, "grids": dict(_FUZZ_GRIDS)}
+    for key, entries in (("surfaces", surfaces), ("families", families)):
+        doc[key] = [{**e, "analyses": list(_ANALYSES[key])} for e in entries]
+    return doc
+
+
+@st.composite
+def _valid_documents(draw):
+    """Scenes of catalog entries that the checks accept, their params drawn from odd numbers."""
+    sections = {}
+    for key in ("surfaces", "families"):
+        entries = draw(st.lists(_catalog_entry(key, _NUMBERS), max_size=2))
+        sections[key] = [e for e in entries if validate_scene({"version": 1, key: [e]}) == []]
+    return _fuzz_scene(**sections)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, **_FUZZ_SETTINGS)
+@given(doc=_valid_documents())
+@example(doc=_fuzz_scene(surfaces=[{"name": "ellipsoid", "params": {"a": 0.3, "b": 1e30}}]))
+@example(doc=_fuzz_scene(surfaces=[{"name": "sphere", "params": {"radius": 5e-324}}]))
+def test_fuzzed_valid_scenes_fail_only_with_typed_errors(tmp_path, doc):
+    # an entry that fails is an error entry of a CanalGeoError type, with no warning
+    report, _, code = run_scene(load_scene(doc), tmp_path / "out")
+    assert code in (0, 1)
+    for result in (r for results in report["results"].values() for r in results):
+        assert result.get("error", {"type": "CanalGeoError"})["type"] in _TYPED, result

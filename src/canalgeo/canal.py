@@ -232,7 +232,7 @@ def contact_spheres(
         tensors = build_tensors(jet, tolerances)
     if spectrum is None:
         spectrum = principal_spectrum(tensors, tolerances)
-    frame = gauge_frame(jet, tolerances)
+    frame = gauge_frame(jet)
     out = []
     for cluster, s in zip(spectrum.clusters, spectrum.cluster_means):
         vec = frame.an.coords + s * frame.a0.coords

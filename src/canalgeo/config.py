@@ -33,8 +33,6 @@ class Tolerances:
     dupin: float = 1.0e-6
     # ||a|| / ||h|| threshold below which a sample counts as umbilic
     umbilic: float = 1.0e-8
-    # maximum scalar-product residual accepted for a constructed frame
-    frame_residual: float = 1.0e-8
     # relative width of the degenerate band for the focal discriminant
     discriminant: float = 1.0e-8
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .conformal import Causal, PolyVector
+from .conformal import Causal, PolyVector, inner
 from .errors import (
     DegenerateFrameError,
     DimensionMismatch,
@@ -200,6 +200,7 @@ class SphereFamily:
         once per family object.
         """
         tangents = self.jets_at(cell_centers(self.domain, _DIRECTION_SCAN)).dc[:, 0]
+        tangents = np.ldexp(tangents, -np.frexp(np.abs(tangents).max())[1])  # exact, no overflow
         norms = np.sqrt(_row_dots(tangents, tangents))
         if np.any(norms <= _FRAME_FLOOR * norms.max()):
             raise DegenerateFrameError("family spine is stationary along the scan")
@@ -245,6 +246,14 @@ def _lift_jet(jet: FamilyJet):
     return tuple(_derivatives(_coefficients(lifted, basis, (len(jet.rho),)), basis, jet.r))
 
 
+@np.errstate(all="ignore")
+def _member_frame(jet: FamilyJet) -> FamilyJet:
+    """Each row as seen from its own member: centre at 0, every field divided by rho.  A similarity
+    keeps (X, Y), so its lift keeps every value of the form; a non-finite row stays non-finite."""
+    rows = (jet.c - jet.c, jet.dc, jet.d2c, jet.rho, jet.drho, jet.d2rho)
+    return FamilyJet(*(x / jet.rho.reshape((-1,) + (1,) * (x.ndim - 1)) for x in rows))
+
+
 def family_lift(family: SphereFamily, t) -> tuple[PolyVector, np.ndarray]:
     """Unit-quadric lift A(t) of the family and its velocity rows dA (r, n+2)."""
     a, da, _ = _lift_jet(family.jets_at(np.atleast_1d(np.asarray(t, dtype=float))[None]))
@@ -285,25 +294,15 @@ class FamilyCausalReport:
         }
 
 
-def _velocity_gram(jet: FamilyJet) -> tuple[np.ndarray, np.ndarray]:
-    """The gram (dA_p, dA_q) = (dc_p.dc_q - rho'_p rho'_q) / rho^2 (P, r, r) of a batched
-    family jet, read off the jet itself, and its scale max_p (|dc_p|^2 + rho'_p^2) / rho^2."""
-    dc = jet.dc / jet.rho[:, None, None]
-    drho = jet.drho / jet.rho[:, None]
-    gram = dc @ dc.transpose(0, 2, 1) - drho[:, :, None] * drho[:, None, :]
-    return gram, np.max(np.einsum("ipn,ipn->ip", dc, dc) + drho * drho, axis=1)
-
-
-def _classify_velocity(jet: FamilyJet, a, da, d2a, tolerances: Tolerances):
-    """Causal kind of the lifted velocity at every row of a lifted batch, plus envelope regularity.
-
-    Returns per-row arrays: kind, value (the least gram eigenvalue, 0 where
-    stationary) and nondeg.  The kind reads `_velocity_gram`, in the family's own
-    scale: stationary at most ``_STATIONARY_REL``^2, lightlike within ``lightcone``
-    of it.  Regularity reads the lift.  Stacked `eigvalsh`, QR and SVD serve the batch.
-    """
+def _classify_velocity(a, da, d2a, tolerances: Tolerances):
+    """Per-row kind, value (least eigenvalue of the gram (dA_p, dA_q), 0 where stationary) and
+    envelope regularity of a `_member_frame` lift, where dA_p = (-rho'_p, c'_p, -rho'_p / 2) / rho:
+    stationary when the scale max_p (|c'_p|^2 + rho'_p^2) / rho^2 is at most ``_STATIONARY_REL``^2,
+    lightlike within ``lightcone`` of it; regular when d2A off span(A, dA) has an r-th singular
+    value above ``_RANK_REL`` |d2A|.  Stacked `eigvalsh`, QR and SVD serve the batch."""
     rows, r, size = da.shape
-    gram, scale = _velocity_gram(jet)
+    gram = inner(da[:, :, None], da[:, None])
+    scale = np.max(np.sum(da[..., : size - 1] ** 2, axis=-1), axis=1)
     stationary = scale <= _STATIONARY_REL**2
     eigs = np.linalg.eigvalsh(gram)
     band = tolerances.lightcone * scale
@@ -322,9 +321,7 @@ def _classify_velocity(jet: FamilyJet, a, da, d2a, tolerances: Tolerances):
     resid = stack - (stack @ q) @ q.transpose(0, 2, 1)
     sv = np.linalg.svd(resid, compute_uv=False)
     flat = stack.reshape(rows, -1)
-    stack_norm = np.sqrt(_row_dots(flat, flat))
-    rank_scale = np.maximum(np.maximum(sv[:, 0], _RANK_REL * stack_norm), 1e-300)
-    nondeg = sv[:, r - 1] > _RANK_REL * rank_scale  # min(r * r, n + 2) >= r values
+    nondeg = sv[:, r - 1] > _RANK_REL * np.sqrt(_row_dots(flat, flat))  # min(r * r, n + 2) >= r
     return kind, value, nondeg
 
 
@@ -350,11 +347,11 @@ def causal_classify_family(
     else:
         pts = parameter_grid(params, family.r)
     jet, errors = family._row_jets(pts)
-    lifted = _lift_jet(jet)
+    lifted = _lift_jet(_member_frame(jet))
     finite = np.all([np.isfinite(x).reshape(len(pts), -1).all(axis=1) for x in lifted], axis=0)
     errors.check(~finite, DomainError, _NOT_FINITE)
     errors.raise_first()
-    kinds, values, nondeg = _classify_velocity(jet, *lifted, tolerances)
+    kinds, values, nondeg = _classify_velocity(*lifted, tolerances)
 
     counts_out = {"spacelike": 0, "timelike": 0, "lightlike": 0, "stationary": 0}
     for kind in kinds.tolist():
@@ -367,14 +364,10 @@ def causal_classify_family(
 
     if counts_out["lightlike"] or counts_out["stationary"]:
         verdict = "degenerate"
-    elif counts_out["timelike"] and counts_out["spacelike"]:
-        verdict = "mixed"
     elif counts_out["timelike"]:
-        verdict = "no_envelope"
-    elif degenerate_regularity:
-        verdict = "degenerate"
+        verdict = "mixed" if counts_out["spacelike"] else "no_envelope"
     else:
-        verdict = "canal"
+        verdict = "degenerate" if degenerate_regularity else "canal"
     return FamilyCausalReport(
         name=family.name,
         dim_n=family.dim_n,
@@ -440,6 +433,7 @@ def _characteristic(jet: FamilyJet, errors: _RowErrors, reference=None) -> _Circ
     rad2 = rho * rho - (delta * delta).sum(axis=1)
     what = "characteristic sphere is imaginary at t={t}"
     errors.check(rad2 < -1e-12 * rho * rho, ImaginaryCharacteristicError, what)
+    errors.check(~np.isfinite(rad2), DomainError, "characteristic sphere overflows at t={t}")
     radius = np.sqrt(np.maximum(rad2, 0.0))
 
     w = None

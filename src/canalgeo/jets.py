@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, _lift_rows, form_matrix, inner, lift_point
 from .errors import DomainError, FrameConsistencyError, ImmersionError
 
@@ -45,6 +44,8 @@ __all__ = [
 FD_STEP = 1.0e-4
 FD_STEP3 = 1.0e-3
 _RANK_TOL = 1.0e-8
+# largest Gram residual of a `gauge_frame` against the model form, relative to max(1, |p|^2)
+_FRAME_RESIDUAL = 1.0e-8
 # Points per batched jet pass.  Larger grids go in chunks, because the
 # transient arrays grow with the batch: one FD pass over all 1728 points of a
 # 12^3 tube4 grid raised the peak resident size by about 30 MB.
@@ -138,8 +139,12 @@ def cell_centers(domain: np.ndarray, counts) -> np.ndarray:
 def _grid_counts(counts, axes: int, what: str = "grid cell counts", width: int = 0) -> list:
     """``counts`` (one, or one per axis) as ``axes`` ints; ``DomainError`` naming ``what`` if one
     is not whole (no truncation), is below 1 (an empty grid would let a caller return a verdict
-    from no samples), or the grid, ``width or axes`` floats a cell, is too large to index."""
-    raw = np.asarray(counts, dtype=float)
+    from no samples), is an integer beyond the float range, or the grid, ``width or axes`` floats
+    a cell, is too large to index."""
+    try:
+        raw = np.asarray(counts, dtype=float)
+    except OverflowError:
+        raise DomainError(f"{what} must be within the float range") from None
     if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
         raise DomainError(f"{what} must be whole numbers, got {raw.tolist()}")
     ints = [int(c) for c in np.broadcast_to(raw, (axes,)).tolist()]
@@ -500,9 +505,7 @@ def shape_derivative(jet: SurfaceJet) -> np.ndarray:
     return lam3
 
 
-def gauge_frame(
-    jet: SurfaceJet, tolerances: Tolerances | None = None
-) -> ConformalFrame:
+def gauge_frame(jet: SurfaceJet) -> ConformalFrame:
     """Lift the adapted Euclidean frame into the sphere model.
 
     Produces ``A_0 = (1, p, |p|^2/2)``, tangent hyperplane lifts
@@ -510,7 +513,6 @@ def gauge_frame(
     ``A_n = (0, nu, p . nu)`` and the improper point ``(0, ..., 0, 1)``.
     The full Gram matrix is verified against its target before returning.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     n = jet.dim_n
     p = jet.p
 
@@ -522,7 +524,7 @@ def gauge_frame(
     basis = np.stack([a0.coords, *mids, an, ainf])
     gram = inner(basis[:, None], basis[None])
     residual = float(np.max(np.abs(gram - form_matrix(n))))
-    if residual > tol.frame_residual * max(1.0, float(p @ p)):
+    if residual > _FRAME_RESIDUAL * max(1.0, float(p @ p)):
         raise FrameConsistencyError(
             f"conformal frame violates its scalar-product relations (residual {residual:.3e})"
         )

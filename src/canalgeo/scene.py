@@ -32,9 +32,9 @@ from .catalog import _is_finite, family_catalog, make_family, make_surface, surf
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .conformal import PolyVector, classify_pencil, lift_sphere
 from .envelope import SphereFamily, causal_classify_family, envelope_mesh
-from .errors import CanalGeoError, SceneError
+from .errors import CanalGeoError, DomainError, SceneError
 from .focal import _singular_rows, classify_tube_plane
-from .jets import ParametricSurface, cell_centers
+from .jets import ParametricSurface, _grid_counts, cell_centers
 from .meshio import write_obj, write_singular_csv, write_xyz
 
 __all__ = ["SceneSpec", "validate_scene", "load_scene", "run_scene", "DEFAULT_GRIDS"]
@@ -147,6 +147,11 @@ def load_scene(data) -> SceneSpec:
                 diags.append(_diag("scene", f"grids.{key}", "unknown grid name"))
             elif not isinstance(val, int) or isinstance(val, bool) or val <= 0:
                 diags.append(_diag("scene", f"grids.{key}", "grid size must be a positive integer"))
+            else:
+                try:
+                    _grid_counts(val, 1, "grid size")
+                except DomainError as err:
+                    diags.append(_diag("scene", f"grids.{key}", str(err)))
 
     for key in data:
         if key not in ("version", "tolerances", "grids", "surfaces", "families", "pencils", "planes"):

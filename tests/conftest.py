@@ -1,5 +1,7 @@
 """Shared fixtures: random sphere families, a sweeping spine and catalog inventories."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,30 @@ def make_fourier_family(rng, dim_n, name="fourier", rho0=None, ramp=None):
         )
 
     return SphereFamily(dim_n=dim_n, r=1, jet2=jet2, domain=((0.0, TWO_PI),), name=name)
+
+
+def make_pencil_through_a_circle(a, x):
+    """Spheres about (x, 0, t) of radius sqrt(a^2 + t^2), t in [0.1 a, 2 a]: every member
+    passes through the circle of radius a about (x, 0, 0) in z = 0, their whole envelope."""
+
+    def jet2(t):
+        tv = float(t[0])
+        rho = math.hypot(a, tv)
+        return FamilyJet(
+            c=np.array([x, 0.0, tv]),
+            dc=np.array([[0.0, 0.0, 1.0]]),
+            d2c=np.zeros((1, 1, 3)),
+            rho=rho,
+            drho=[tv / rho],
+            d2rho=[[a * a / rho**3]],
+        )
+
+    return SphereFamily(dim_n=3, r=1, jet2=jet2, domain=[[0.1 * a, 2.0 * a]], name="pencil")
+
+
+@pytest.fixture
+def pencil_through_a_circle():
+    return make_pencil_through_a_circle
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Family lifts, de Sitter classification, characteristic spheres, meshes."""
 
 import dataclasses
+import functools
 import math
 import sys
 import tracemalloc
@@ -9,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canalgeo import (
+    CanalGeoError,
     DegenerateFrameError,
     DomainError,
     ImaginaryCharacteristicError,
@@ -37,7 +41,7 @@ from canalgeo.envelope import (
     SphereFamily,
     _direction_candidates,
     _lift_jet,
-    _velocity_gram,
+    _member_frame,
     batched_jet,
 )
 from canalgeo.focal import _singular_rows
@@ -610,7 +614,8 @@ def _form_size(x, y):
 
 def test_lift_stays_on_the_quadric(rng):
     # (A, A) = 1, (A, A_p) = 0 and (A_p, A_q) + (A, A_pq) = 0, each within 1e-13 of the
-    # size of its terms; the gram the causal kind reads equals (A_p, A_q) within 1e-13
+    # size of its terms; the gram of the member-frame lift, which the causal kind reads, equals
+    # (A_p, A_q) within 1e-13 of its scale
     catalog = [make_family(name) for name in sorted(family_catalog()) if name != "sampled"]
     jets = [f.jets_at(cell_centers(f.domain, 48)) for f in catalog]
     batch = [make_family("sampled", data) for data in _batch_samples(1)]
@@ -627,7 +632,9 @@ def test_lift_stays_on_the_quadric(rng):
         assert np.all(np.abs(inner(a1, da)) <= 1e-13 * _form_size(a1, da))
         second = inner(da_p, da_q) + inner(a2, d2a)
         assert np.all(np.abs(second) <= 1e-13 * (_form_size(da_p, da_q) + _form_size(a2, d2a)))
-        gram, scale = _velocity_gram(jet)
+        _, own, _ = _lift_jet(_member_frame(jet))
+        scale = np.max(np.sum(own[..., :-1] ** 2, axis=-1), axis=1)
+        gram = inner(own[:, :, None], own[:, None])
         assert np.all(np.abs(gram - inner(da_p, da_q)) <= 1e-13 * scale[:, None, None])
 
 
@@ -731,3 +738,65 @@ def test_batch_families_survive_translation_and_dilation(scale, shift):
         moved = sampled_family(t, scale * centers + shift, scale * radii)
         assert _causal_kinds(moved) == _causal_kinds(family), data["name"]
         assert _singular_counts(moved) == _singular_counts(family), data["name"]
+
+
+@functools.cache
+def _batch_arrays():
+    """t, centres and radii of every family of the seed-1 scene-batch scene: thin sampled
+    Fourier tubes at even places, fat ones at odd places."""
+    keys = ("t", "centers", "radii")
+    return [tuple(np.asarray(data[key]) for key in keys) for data in _batch_samples(1)]
+
+
+def _causal_summary(t, centers, radii):
+    report = causal_classify_family(sampled_family(t, centers, radii), counts=24)
+    return report.verdict, report.counts, [s.kind for s in report.samples]
+
+
+def test_regularity_reads_the_family_scale(pencil_through_a_circle):
+    # every sphere through one fixed circle is spacelike, and the circle is the whole envelope,
+    # so d2A stays in span(A, dA): degenerate at every size and offset; a thin tube is canal
+    for a in (1e-6, 1.0, 1e6):
+        for offset in (0.0, 1e2, 1e4, 1e6):
+            report = causal_classify_family(pencil_through_a_circle(a, offset * a), counts=16)
+            assert report.counts["spacelike"] == 16
+            assert report.verdict == "degenerate", (a, offset)
+    t, centers, radii = _batch_arrays()[0]
+    for scale, shift in ((1e-30, 0.0), (1e30, 0.0), (1.0, 1e9)):
+        assert _causal_summary(t, scale * centers + shift, scale * radii)[0] == "canal"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_mesh_beyond_the_float_range_fails_with_a_typed_error():
+    # the causal pass reads these in their own scale; the envelope's rho^2 and |c'|^2 overflow
+    huge = make_family("circle-tube", {"major": 1e300, "rho": 1e300})
+    assert causal_classify_family(huge, counts=4).verdict == "canal"
+    with pytest.raises(CanalGeoError):
+        envelope_mesh(huge, t_count=4, angle_count=8)
+    with pytest.raises(DomainError, match="characteristic sphere overflows"):
+        envelope_mesh(make_family("circle-tube", {"major": 1.0, "rho": 1e160}), 4, 8)
+
+
+@functools.cache
+def _batch_summary(index):
+    return _causal_summary(*_batch_arrays()[index])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(0, 23),
+    exponent=st.floats(-100.0, 100.0),
+    reach=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_family_verdicts_are_similarity_invariant(index, exponent, reach, seed):
+    # samples rotated, dilated by k and translated by up to 1e10 k before the spline is built
+    t, centers, radii = _batch_arrays()[index]
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation[:, 0] *= np.linalg.det(rotation)
+    k = 10.0**exponent
+    direction = rng.normal(size=3)
+    shift = k * 10.0**reach * direction / np.linalg.norm(direction)
+    moved = _causal_summary(t, k * centers @ rotation.T + shift, k * radii)
+    assert moved == _batch_summary(index)

@@ -274,30 +274,11 @@ def test_large_catalog_tube_keeps_its_frames(scale):
     assert all(not rep.degenerate for rep in reports)
 
 
-def _pencil_through_a_circle(a, x):
-    """Spheres about (x, 0, t) of radius sqrt(a^2 + t^2), t in [0.1 a, 2 a]: every member
-    passes through the circle of radius a about (x, 0, 0) in z = 0, their whole envelope."""
-
-    def jet2(t):
-        tv = float(t[0])
-        rho = math.hypot(a, tv)
-        return FamilyJet(
-            c=np.array([x, 0.0, tv]),
-            dc=np.array([[0.0, 0.0, 1.0]]),
-            d2c=np.zeros((1, 1, 3)),
-            rho=rho,
-            drho=[tv / rho],
-            d2rho=[[a * a / rho**3]],
-        )
-
-    return SphereFamily(dim_n=3, r=1, jet2=jet2, domain=[[0.1 * a, 2.0 * a]], name="pencil")
-
-
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3, 1e6])
-def test_spheres_through_a_fixed_circle_have_no_adapted_frame(a, offset):
+def test_spheres_through_a_fixed_circle_have_no_adapted_frame(a, offset, pencil_through_a_circle):
     # the characteristic circle does not move, so omega vanishes at every angle
-    fam = _pencil_through_a_circle(a, offset * a)
+    fam = pencil_through_a_circle(a, offset * a)
     ts = cell_centers(fam.domain, 24)
     vanished = "transverse rate vanished at every frame angle"
     for t, rep in zip(ts[:, 0].tolist(), _singular_rows(fam, ts)):

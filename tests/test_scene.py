@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from canalgeo import DEFAULT_TOLERANCES, CanalGeoError, DomainError, SceneError, errors, meshio
 from canalgeo import focal as focal_module, scene as scene_module
+from canalgeo.canal import detect_canal
 from canalgeo.cli import main
 from canalgeo.catalog import family_catalog, make_family, make_surface, surface_catalog
 from canalgeo.envelope import _DIRECTION_SCAN, EnvelopeMesh, SphereFamily, envelope_mesh
@@ -791,6 +792,34 @@ def test_cli_validates_overridden_scene(tmp_path, capsys, override, field):
     diags = json.loads(capsys.readouterr().out)
     assert [(d["entry"], d["field"]) for d in diags] == [("scene", field)]
     assert not out.exists()
+
+
+def test_a_grid_beyond_the_float_range_is_refused_by_validation(tmp_path, capsys):
+    # one rule with the grids of the analyses, which refuse the same count with a DomainError
+    scene = {"version": 1, "grids": {"surface_samples": 10**400}, "surfaces": [{"name": "sphere"}]}
+    message = "grid size must be within the float range"
+    want = [{"entry": "scene", "field": "grids.surface_samples", "message": message}]
+    assert _diagnostics(scene) == want
+    with pytest.raises(DomainError, match="grid cell counts must be within the float range"):
+        detect_canal(make_surface("sphere"), counts=10**400)
+    path = _write_scene(tmp_path, scene)
+    out = tmp_path / "never"
+    for argv in (["validate", path], ["run", path, "--out", str(out)]):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out) == want
+    assert not out.exists()
+
+
+def test_frame_residual_is_no_tolerance(tmp_path, capsys):
+    # only gauge_frame read it, and no scene analysis calls gauge_frame
+    scene = {"version": 1, "tolerances": {"frame_residual": 1e-8}}
+    field, message = "tolerances.frame_residual", "unknown tolerance name"
+    assert _diagnostics(scene) == [{"entry": "scene", "field": field, "message": message}]
+    path = _write_scene(tmp_path, {"version": 1})
+    argv = ["run", path, "--out", str(tmp_path / "never"), "--tol", "frame_residual=1e-8"]
+    assert main(argv) == 2
+    assert "unknown tolerance 'frame_residual'" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_rejects_bad_override(tmp_path, capsys):
